@@ -31,6 +31,7 @@ from .verify import (
     DEFAULT_SEED,
     DEFAULT_TRIALS,
     SUITES,
+    VerifyUsageError,
     report_to_json,
     run_verify,
 )
@@ -249,13 +250,17 @@ def run_verify_command(args):
     suites = None
     if args.suite and "all" not in args.suite:
         suites = args.suite
-    report = run_verify(
-        seed=args.seed,
-        trials=args.trials,
-        field_label=args.field,
-        suites=suites,
-        operads=args.operads,
-    )
+    try:
+        report = run_verify(
+            seed=args.seed,
+            trials=args.trials,
+            field_label=args.field,
+            suites=suites,
+            operads=args.operads,
+        )
+    except VerifyUsageError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return USAGE_EXIT
     if args.json:
         print(report_to_json(report), end="")
     else:

@@ -66,10 +66,20 @@ def differential_matrix(spec, degree):
     row_index = {key: r for r, key in enumerate(rows)}
     operad = spec.operad
     triples = []
-    for c, key in enumerate(cols):
-        image = spec.apply(Element.basis(operad, key))
-        for bkey, coeff in image.terms.items():
-            triples.append((row_index[bkey], c, coeff))
+    # The shift basis is truncated at max-entry and is not closed under the
+    # coboundary.  The row lookup stays unguarded inside the loop, which runs
+    # once per term of every image.
+    try:
+        for c, key in enumerate(cols):
+            image = spec.apply(Element.basis(operad, key))
+            for bkey, coeff in image.terms.items():
+                triples.append((row_index[bkey], c, coeff))
+    except KeyError as exc:
+        raise OperadError(
+            f"the {spec.differential} of {key!r} has the term {exc.args[0]!r}, which is "
+            f"outside the degree-{spec.target_degree(degree)} basis truncated at "
+            f"max-entry {operad.max_entry}"
+        ) from exc
     return SparseMatrix(len(rows), len(cols), operad.field, triples)
 
 

@@ -1,14 +1,15 @@
 """Randomized and exhaustive identity checks with a deterministic JSON report.
 
-Every check draws its randomness from a seed string built out of
-(seed, suite, check, operad, trial), so reports are byte-identical for a
-fixed seed no matter how many worker threads run the trials.
+``_batch_catalog`` lists every check by suite in report order, and
+``run_verify`` walks it once, serially, building one report row per
+(check, operad).  Each trial draws its randomness from a seed string built
+out of (seed, suite, check, operad, trial), and each run-once check from
+(seed, suite, check, operad, "batch"), so a report is byte-identical for a
+fixed seed, trial count, field and suite/operad selection.
 """
 
 import itertools
-import os
 import random
-from concurrent.futures import ThreadPoolExecutor
 
 from .assoc import AssocOperad, concat, deconcat_coproduct
 from .cohomology import ComplexSpec, betti, differential_matrix
@@ -45,13 +46,8 @@ MAX_ARITY = {"assoc": 7, "shift": 6, "endo:dual": 4}
 SHIFT_MAX_ENTRY = 12
 
 
-def thread_count():
-    raw = os.environ.get("OPERAD_LAB_THREADS", "1")
-    try:
-        k = int(raw)
-    except ValueError:
-        k = 1
-    return max(k, 1)
+class VerifyUsageError(ValueError):
+    """A ``run_verify`` argument outside what the report can describe."""
 
 
 def make_operads(field):
@@ -524,14 +520,6 @@ def check_odot_vs_concat(ops, label, rng):
     return None
 
 
-def _preset_ops(ambient_field):
-    return (
-        ("endo:k", EndoOperad(ground_field_algebra(ambient_field))),
-        ("endo:dual@gfp:3", EndoOperad(dual_numbers(get_field("gfp:3")))),
-        ("endo:m2@gfp:5", EndoOperad(matrix2(get_field("gfp:5")))),
-    )
-
-
 def make_cup_check(op):
     def check(ops, label, rng):
         r = rng.randint(1, 3)
@@ -721,165 +709,133 @@ def batch_field_independence(ops, label, rng, trials):
 # ---------------------------------------------------------------------------
 # catalog and runner
 
-TRIAL_CHECKS = {
-    "simplicial": [
-        ("face_face_low", check_face_face_low, "all", "assert"),
-        ("face_face_high", check_face_face_high, "all", "assert"),
-        ("degen_degen_low", check_degen_degen_low, "all", "assert"),
-        ("degen_degen_high", check_degen_degen_high, "all", "assert"),
-        ("face_degen_low", check_face_degen_low, "all", "assert"),
-        ("face_degen_mid", check_face_degen_mid, "all", "assert"),
-        ("face_degen_high", check_face_degen_high, "all", "assert"),
-        ("face_gamma_compat", check_face_gamma_compat, "all", "report"),
-        ("degen_gamma_compat", check_degen_gamma_compat, "all", "report"),
-    ],
-    "chain": [
-        ("boundary_squared", check_boundary_squared, "all", "assert"),
-        ("coboundary_squared", check_coboundary_squared, "all", "assert"),
-        ("anticommutation", check_anticommutation, "all", "assert"),
-    ],
-    "coalgebra": [
-        ("coassociativity", check_coassociativity, "all", "assert"),
-        ("counit_left", check_counit_left, "all", "assert"),
-        ("counit_right", check_counit_right, "all", "assert"),
-    ],
-    "brace": [
-        ("dot_vs_odot", check_dot_vs_odot, "assoc", "assert"),
-        ("coboundary_derivation", check_coboundary_derivation, "assoc", "assert"),
-        ("boundary_derivation", check_boundary_derivation, "assoc", "assert"),
-        ("pre_jacobi", check_pre_jacobi, "assoc", "assert"),
-        ("boundary_brace_literal", check_boundary_brace_literal, "assoc", "assert"),
-        ("boundary_brace_termwise", check_boundary_brace_termwise, "assoc", "assert"),
-    ],
-    "coincidence": [
-        ("coproduct_vs_deconcat", check_coproduct_vs_deconcat, "assoc", "assert"),
-        ("odot_vs_concat", check_odot_vs_concat, "assoc", "assert"),
-    ],
-    "cohomology": [],
-}
-
 ALL_OPERADS = ("assoc", "shift", "endo:dual")
 
 
+def _each_operad(name, fn, kind="assert"):
+    return [(name, fn, label, kind) for label in ALL_OPERADS]
+
+
 def _batch_catalog(field):
-    presets = _preset_ops(field)
-    catalog = {
-        "coalgebra": [
-            ("coderivation_sign_pattern", batch_coderivation, label)
-            for label in ALL_OPERADS
-        ],
-        "coincidence": [
-            ("coproduct_vs_deconcat_exhaustive", batch_coproduct_exhaustive, "assoc"),
-            ("gamma_closed_form", batch_gamma_shift_closed_form, "shift"),
-        ],
-        "cohomology": [],
+    """Every check, by suite, in report order.
+
+    Per-trial entries are ``(name, fn, label, kind)``: ``fn(ops, label, rng)``
+    runs once per trial and returns None or a counterexample.  ``kind`` is
+    "assert" (discrepancies are failures) or "report" (they are counted in
+    ``details`` and the row is "reported").  Run-once entries are
+    ``(name, fn, label)``: ``fn(ops, label, rng, trials)`` returns
+    ``(status, failures, details, counterexample)``.
+    """
+    presets = {
+        "endo:k": EndoOperad(ground_field_algebra(field)),
+        "endo:dual@gfp:3": EndoOperad(dual_numbers(get_field("gfp:3"))),
+        "endo:m2@gfp:5": EndoOperad(matrix2(get_field("gfp:5"))),
     }
-    for preset_label, op in presets:
-        catalog["coincidence"].append(
-            ("cup_vs_odot", make_cup_check(op), preset_label, "trial")
-        )
-        catalog["coincidence"].append(
-            ("coboundary_vs_classical", make_batch_rank_comparison(op), preset_label)
-        )
-    k_op = EndoOperad(ground_field_algebra(field))
-    dual3 = EndoOperad(dual_numbers(get_field("gfp:3")))
-    m25 = EndoOperad(matrix2(get_field("gfp:5")))
-    catalog["cohomology"] = [
-        ("betti_ground_field", make_batch_betti(k_op, 1, 3, (0, 0, 0)), "endo:k"),
-        ("betti_dual_numbers", make_batch_betti(dual3, 0, 3, (2, 1, 1, 1)), "endo:dual@gfp:3"),
-        ("betti_matrix_algebra", make_batch_betti(m25, 0, 2, (1, 0, 0)), "endo:m2@gfp:5"),
-        ("field_independence", batch_field_independence, "endo:dual"),
+    coincidence = [
+        ("coproduct_vs_deconcat", check_coproduct_vs_deconcat, "assoc", "assert"),
+        ("odot_vs_concat", check_odot_vs_concat, "assoc", "assert"),
+        ("coproduct_vs_deconcat_exhaustive", batch_coproduct_exhaustive, "assoc"),
+        ("gamma_closed_form", batch_gamma_shift_closed_form, "shift"),
     ]
-    return catalog
+    for label, op in presets.items():
+        coincidence.append(("cup_vs_odot", make_cup_check(op), label, "assert"))
+        coincidence.append(("coboundary_vs_classical", make_batch_rank_comparison(op), label))
+    return {
+        "simplicial": [
+            *_each_operad("face_face_low", check_face_face_low),
+            *_each_operad("face_face_high", check_face_face_high),
+            *_each_operad("degen_degen_low", check_degen_degen_low),
+            *_each_operad("degen_degen_high", check_degen_degen_high),
+            *_each_operad("face_degen_low", check_face_degen_low),
+            *_each_operad("face_degen_mid", check_face_degen_mid),
+            *_each_operad("face_degen_high", check_face_degen_high),
+            *_each_operad("face_gamma_compat", check_face_gamma_compat, "report"),
+            *_each_operad("degen_gamma_compat", check_degen_gamma_compat, "report"),
+        ],
+        "chain": [
+            *_each_operad("boundary_squared", check_boundary_squared),
+            *_each_operad("coboundary_squared", check_coboundary_squared),
+            *_each_operad("anticommutation", check_anticommutation),
+        ],
+        "coalgebra": [
+            *_each_operad("coassociativity", check_coassociativity),
+            *_each_operad("counit_left", check_counit_left),
+            *_each_operad("counit_right", check_counit_right),
+            *[("coderivation_sign_pattern", batch_coderivation, label) for label in ALL_OPERADS],
+        ],
+        "brace": [
+            ("dot_vs_odot", check_dot_vs_odot, "assoc", "assert"),
+            ("coboundary_derivation", check_coboundary_derivation, "assoc", "assert"),
+            ("boundary_derivation", check_boundary_derivation, "assoc", "assert"),
+            ("pre_jacobi", check_pre_jacobi, "assoc", "assert"),
+            ("boundary_brace_literal", check_boundary_brace_literal, "assoc", "assert"),
+            ("boundary_brace_termwise", check_boundary_brace_termwise, "assoc", "assert"),
+        ],
+        "coincidence": coincidence,
+        "cohomology": [
+            ("betti_ground_field", make_batch_betti(presets["endo:k"], 1, 3, (0, 0, 0)), "endo:k"),
+            ("betti_dual_numbers", make_batch_betti(presets["endo:dual@gfp:3"], 0, 3, (2, 1, 1, 1)),
+             "endo:dual@gfp:3"),
+            ("betti_matrix_algebra", make_batch_betti(presets["endo:m2@gfp:5"], 0, 2, (1, 0, 0)),
+             "endo:m2@gfp:5"),
+            ("field_independence", batch_field_independence, "endo:dual"),
+        ],
+    }
 
 
 def _run_trials(fn, ops, operad_label, suite, name, seed, trials):
-    def one(t):
-        rng = random.Random(f"{seed}:{suite}:{name}:{operad_label}:{t}")
-        return fn(ops, operad_label, rng)
-
-    workers = thread_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, range(trials)))
-    else:
-        results = [one(t) for t in range(trials)]
     failures = 0
     first = None
-    for t, res in enumerate(results):
+    for t in range(trials):
+        res = fn(ops, operad_label, random.Random(f"{seed}:{suite}:{name}:{operad_label}:{t}"))
         if res is not None:
             failures += 1
             if first is None:
-                first = dict(res)
-                first["trial"] = t
+                first = dict(res, trial=t)
     return failures, first
 
 
 def run_verify(seed=DEFAULT_SEED, trials=DEFAULT_TRIALS, field_label=DEFAULT_FIELD,
                suites=None, operads=None):
-    """Run the identity suites and return the report dict."""
-    field = get_field(field_label)
-    ops = make_operads(field)
+    """Run the identity suites and return the report dict.
+
+    Raises ``VerifyUsageError`` (a ``ValueError``) for fewer than one trial,
+    an unknown suite or an operad label that no check uses."""
+    if trials < 1:
+        raise VerifyUsageError(f"trials must be at least 1, got {trials}")
     wanted_suites = list(suites) if suites else list(SUITES)
     for s in wanted_suites:
         if s not in SUITES:
-            raise ValueError(f"unknown suite {s!r}")
-    wanted_operads = set(operads) if operads else None
-    batches = _batch_catalog(field)
-
-    def skipped(label):
-        return wanted_operads is not None and label not in wanted_operads
+            raise VerifyUsageError(f"unknown suite {s!r}")
+    field = get_field(field_label)
+    ops = make_operads(field)
+    catalog = _batch_catalog(field)
+    labels = list(dict.fromkeys(entry[2] for entries in catalog.values() for entry in entries))
+    for label in operads or ():
+        if label not in labels:
+            raise VerifyUsageError(
+                f"unknown operad label {label!r} (want one of {', '.join(labels)})"
+            )
 
     checks = []
-    total_failures = 0
     for suite in SUITES:
         if suite not in wanted_suites:
             continue
-        for name, fn, scope, kind in TRIAL_CHECKS[suite]:
-            labels = list(ALL_OPERADS) if scope == "all" else [scope]
-            for label in labels:
-                if skipped(label):
-                    continue
-                failures, first = _run_trials(fn, ops, label, suite, name, seed, trials)
-                row = {
-                    "suite": suite,
-                    "check": name,
-                    "operad": label,
-                    "trials": trials,
-                    "failures": failures if kind == "assert" else 0,
-                    "status": "pass" if failures == 0 else ("fail" if kind == "assert" else "reported"),
-                }
-                if kind == "report":
-                    row["details"] = {"discrepancies": failures}
-                if first is not None:
-                    row["counterexample"] = first
-                if kind == "assert":
-                    total_failures += failures
-                checks.append(row)
-        for entry in batches.get(suite, ()):
-            if len(entry) == 4 and entry[3] == "trial":
-                name, fn, label, _ = entry
-                if skipped(label):
-                    continue
-                failures, first = _run_trials(fn, ops, label, suite, name, seed, trials)
-                row = {
-                    "suite": suite,
-                    "check": name,
-                    "operad": label,
-                    "trials": trials,
-                    "failures": failures,
-                    "status": "pass" if failures == 0 else "fail",
-                }
-                if first is not None:
-                    row["counterexample"] = first
-                total_failures += failures
-                checks.append(row)
+        for entry in catalog[suite]:
+            name, fn, label = entry[:3]
+            if operads and label not in operads:
                 continue
-            name, fn, label = entry
-            if skipped(label):
-                continue
-            rng = random.Random(f"{seed}:{suite}:{name}:{label}:batch")
-            status, failures, details, counterexample = fn(ops, label, rng, trials)
+            if len(entry) == 4:
+                found, counterexample = _run_trials(fn, ops, label, suite, name, seed, trials)
+                if entry[3] == "assert":
+                    failures, details = found, None
+                    status = "pass" if found == 0 else "fail"
+                else:
+                    failures, details = 0, {"discrepancies": found}
+                    status = "pass" if found == 0 else "reported"
+            else:
+                rng = random.Random(f"{seed}:{suite}:{name}:{label}:batch")
+                status, failures, details, counterexample = fn(ops, label, rng, trials)
             row = {
                 "suite": suite,
                 "check": name,
@@ -887,13 +843,14 @@ def run_verify(seed=DEFAULT_SEED, trials=DEFAULT_TRIALS, field_label=DEFAULT_FIE
                 "trials": trials,
                 "failures": failures,
                 "status": status,
-                "details": details,
             }
+            if details is not None:
+                row["details"] = details
             if counterexample is not None:
                 row["counterexample"] = counterexample
-            total_failures += failures
             checks.append(row)
 
+    total_failures = sum(row["failures"] for row in checks)
     return {
         "seed": seed,
         "trials": trials,

@@ -145,6 +145,26 @@ def test_verify_exit_codes(capsys):
     assert "boundary_brace_literal" in out
 
 
+def test_verify_usage_errors_exit_64(capsys):
+    for trials in ("0", "-3"):
+        code, out, err = run(capsys, "verify", "--json", "--trials", trials)
+        assert (code, out) == (64, "")
+        assert "trials must be at least 1" in err
+    code, out, err = run(capsys, "verify", "--operad", "nope", "--trials", "1")
+    assert (code, out) == (64, "")
+    assert "'nope'" in err
+    assert "assoc, shift, endo:dual, endo:k, endo:dual@gfp:3, endo:m2@gfp:5" in err
+
+
+def test_shift_coboundary_truncation_exits_one(capsys):
+    # (8,) maps to (1,9), which the basis truncated at max-entry 8 lacks
+    code, out, err = run(capsys, "cohomology", "--operad", "shift",
+                         "--differential", "coboundary", "--lo", "1", "--hi", "1")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: the coboundary of (8,) has the term (1, 9)")
+    assert "max-entry 8" in err
+
+
 def test_verify_json(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "chain",
                        "--operad", "assoc", "--trials", "10", "--json")

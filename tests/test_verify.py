@@ -8,7 +8,7 @@ import json
 
 import pytest
 
-from operad_lab.verify import SUITES, run_verify, report_to_json, thread_count
+from operad_lab.verify import SUITES, run_verify, report_to_json
 
 PROFILE_TRIALS = 120
 
@@ -94,27 +94,6 @@ def test_same_seed_same_bytes():
     assert json.loads(a)["seed"] == 7
 
 
-def test_thread_count_env(monkeypatch):
-    monkeypatch.delenv("OPERAD_LAB_THREADS", raising=False)
-    assert thread_count() == 1
-    monkeypatch.setenv("OPERAD_LAB_THREADS", "4")
-    assert thread_count() == 4
-    monkeypatch.setenv("OPERAD_LAB_THREADS", "0")
-    assert thread_count() == 1
-    monkeypatch.setenv("OPERAD_LAB_THREADS", "junk")
-    assert thread_count() == 1
-
-
-def test_threads_do_not_change_output(monkeypatch):
-    kwargs = dict(seed=3, trials=30, suites=["chain"])
-    monkeypatch.delenv("OPERAD_LAB_THREADS", raising=False)
-    serial = report_to_json(run_verify(**kwargs))
-    monkeypatch.setenv("OPERAD_LAB_THREADS", "4")
-    threaded = report_to_json(run_verify(**kwargs))
-    assert serial == threaded
-    assert "thread" not in serial
-
-
 def test_suite_and_operad_filters():
     report = run_verify(seed=1, trials=10, suites=["brace"], operads=["assoc"])
     assert report["checks"]
@@ -128,3 +107,9 @@ def test_suite_and_operad_filters():
 def test_unknown_suite_rejected():
     with pytest.raises(ValueError):
         run_verify(trials=1, suites=["nope"])
+
+
+def test_trials_below_one_rejected():
+    for trials in (0, -3):
+        with pytest.raises(ValueError, match="at least 1"):
+            run_verify(trials=trials, suites=["chain"])
