@@ -127,13 +127,13 @@ class AssocOperad:
         return key
 
     def unit_one(self):
-        return Element.basis(self, (1,))
+        return Element._sum(self, 1, [((1,), self.field.one)])
 
     def unit_zero(self):
-        return Element.basis(self, ())
+        return Element._sum(self, 0, [((), self.field.one)])
 
     def multiplication(self):
-        return Element.basis(self, (1, 2))
+        return Element._sum(self, 2, [((1, 2), self.field.one)])
 
     def compose_basis(self, key, i, other):
         n = len(key)
@@ -179,9 +179,11 @@ class AssocOperad:
         s = text.strip().strip("()")
         if not s:
             return ()
-        vals = [int(t) for t in s.split(",")] if "," in s else [int(ch) for ch in s]
-        key = tuple(vals)
-        if not is_permutation(key):
+        try:
+            key = tuple(int(t) for t in (s.split(",") if "," in s else s))
+        except ValueError:
+            key = None
+        if key is None or not is_permutation(key):
             raise OperadError(f"{text!r} is not a permutation")
         return key
 

@@ -28,15 +28,14 @@ def compose(x, i, y):
     if not 1 <= i <= x.arity:
         raise OperadError(f"slot {i} out of range for arity {x.arity}")
     operad = x.operad
-    field = operad.field
-    out = {}
+    mul = operad.field.mul
+    pairs = []
     for bx, cx in x.terms.items():
         for by, cy in y.terms.items():
-            coeff = field.mul(cx, cy)
+            coeff = mul(cx, cy)
             for key, c in operad.compose_basis(bx, i, by):
-                v = field.mul(coeff, c)
-                out[key] = field.add(out[key], v) if key in out else v
-    return Element(operad, x.arity + y.arity - 1, out)
+                pairs.append((key, mul(coeff, c)))
+    return Element._sum(operad, x.arity + y.arity - 1, pairs)
 
 
 def gamma(x, ys):
@@ -74,15 +73,21 @@ def subset_restriction(x, keep):
     return gamma(x, [one if i in keep else point for i in range(1, x.arity + 1)])
 
 
+def _signed_sum(operad, arity, signed):
+    """Sum (odd, element) pairs in one pass, negating the odd ones."""
+    neg = operad.field.neg
+    return Element._sum(operad, arity, [
+        (key, neg(c) if odd else c) for odd, x in signed for key, c in x.terms.items()
+    ])
+
+
 def boundary(x):
     """Alternating sum of faces; zero on points."""
     if x.arity == 0:
         return Element.zero(x.operad, 0)
-    out = Element.zero(x.operad, x.arity - 1)
-    for i in range(1, x.arity + 1):
-        term = face(x, i)
-        out = out + (term if i % 2 == 0 else -term)
-    return out
+    return _signed_sum(
+        x.operad, x.arity - 1, [(i % 2, face(x, i)) for i in range(1, x.arity + 1)]
+    )
 
 
 def coboundary(x):
@@ -92,12 +97,9 @@ def coboundary(x):
         return Element.zero(operad, 1)
     m = operad.multiplication()
     n = x.arity
-    field = operad.field
-    out = compose(m, 1, x).scale(power_sign(field, n - 1)) + compose(m, 2, x)
-    for i in range(1, n + 1):
-        term = compose(x, i, m)
-        out = out + (term if i % 2 == 0 else -term)
-    return out
+    signed = [((n - 1) % 2, compose(m, 1, x)), (0, compose(m, 2, x))]
+    signed += [(i % 2, compose(x, i, m)) for i in range(1, n + 1)]
+    return _signed_sum(operad, n + 1, signed)
 
 
 def brace(p, qs):
@@ -119,10 +121,9 @@ def brace(p, qs):
     for q in qs:
         if q.operad.signature() != operad.signature():
             raise OperadError("brace arguments from mixed operads")
-    field = operad.field
     arities = [q.arity for q in qs]
     result_arity = r - n + sum(arities)
-    out = Element.zero(operad, result_arity)
+    signed = []
     for slots in combinations(range(1, r + 1), n):
         exponent = 0
         left_inputs = 0
@@ -135,8 +136,8 @@ def brace(p, qs):
         term = p
         for j in range(n - 1, -1, -1):
             term = compose(term, slots[j], qs[j])
-        out = out + term.scale(power_sign(field, exponent))
-    return out
+        signed.append((exponent % 2, term))
+    return _signed_sum(operad, result_arity, signed)
 
 
 def dot_product(p, q):
@@ -170,8 +171,8 @@ def aw_coproduct(x):
         return [(x, point)]
     pairs = []
     for key, coeff in x.sorted_terms():
-        weighted = Element.basis(operad, key, coeff)
-        plain = Element.basis(operad, key)
+        weighted = Element._sum(operad, n, [(key, coeff)])
+        plain = Element._sum(operad, n, [(key, operad.field.one)])
         pairs.append((point.scale(coeff), plain))
         for j in range(1, n):
             left = weighted
@@ -236,9 +237,9 @@ def random_element(operad, arity, rng, max_terms=2, max_coeff=3):
     """Small random linear combination of basis keys, for property tests."""
     field = operad.field
     n_terms = rng.randint(1, max_terms)
-    terms = {}
+    pairs = []
     for _ in range(n_terms):
         key = operad.random_basis(arity, rng)
         c = field.from_int(rng.randint(1, max_coeff) * rng.choice((1, -1)))
-        terms[key] = field.add(terms[key], c) if key in terms else c
-    return Element(operad, arity, terms)
+        pairs.append((key, c))
+    return Element._sum(operad, arity, pairs)

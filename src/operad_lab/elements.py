@@ -6,27 +6,51 @@ linear algebra; all operadic structure lives in :mod:`operad_lab.core` and in
 the per-operad modules.
 """
 
+from itertools import chain
+
 
 class OperadError(ValueError):
     """Domain error: bad arity, bad slot, malformed basis key, mixed operads."""
 
 
 class Element:
+    """Public construction, ``Element(operad, arity, terms)`` and
+    ``Element.basis``, validates every basis key with a nonzero coefficient.
+    Every combination the library builds from keys it produced itself goes
+    through ``Element._sum``, which does not validate again."""
+
     __slots__ = ("operad", "arity", "terms")
 
     def __init__(self, operad, arity, terms):
         if arity < 0:
             raise OperadError(f"negative arity {arity}")
+        is_zero, validate = operad.field.is_zero, operad.validate_basis
+        self._fill(operad, arity, [
+            (validate(key, arity), coeff)
+            for key, coeff in (terms.items() if isinstance(terms, dict) else terms)
+            if not is_zero(coeff)
+        ])
+
+    @classmethod
+    def _sum(cls, operad, arity, pairs):
+        """Trusted constructor: sum (key, coeff) pairs whose keys are known
+        to be valid for ``arity``."""
+        out = cls.__new__(cls)
+        out._fill(operad, arity, pairs)
+        return out
+
+    def _fill(self, operad, arity, pairs):
+        # The canonical form: repeated keys merged, zero coefficients dropped.
         field = operad.field
-        clean = {}
-        for basis, coeff in terms.items() if isinstance(terms, dict) else terms:
-            if field.is_zero(coeff):
+        add, is_zero = field.add, field.is_zero
+        acc = {}
+        for key, coeff in pairs:
+            if is_zero(coeff):
                 continue
-            key = operad.validate_basis(basis, arity)
-            clean[key] = field.add(clean[key], coeff) if key in clean else coeff
+            acc[key] = add(acc[key], coeff) if key in acc else coeff
         self.operad = operad
         self.arity = arity
-        self.terms = {k: v for k, v in clean.items() if not field.is_zero(v)}
+        self.terms = {k: v for k, v in acc.items() if not is_zero(v)}
 
     # -- constructors ------------------------------------------------------
 
@@ -53,25 +77,23 @@ class Element:
 
     def __add__(self, other):
         self._check_mate(other)
-        field = self.operad.field
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            out[k] = field.add(out[k], v) if k in out else v
-        return Element(self.operad, self.arity, out)
+        return Element._sum(
+            self.operad, self.arity, chain(self.terms.items(), other.terms.items())
+        )
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        field = self.operad.field
-        return Element(
-            self.operad, self.arity, {k: field.neg(v) for k, v in self.terms.items()}
+        neg = self.operad.field.neg
+        return Element._sum(
+            self.operad, self.arity, [(k, neg(v)) for k, v in self.terms.items()]
         )
 
     def scale(self, coeff):
-        field = self.operad.field
-        return Element(
-            self.operad, self.arity, {k: field.mul(coeff, v) for k, v in self.terms.items()}
+        mul = self.operad.field.mul
+        return Element._sum(
+            self.operad, self.arity, [(k, mul(coeff, v)) for k, v in self.terms.items()]
         )
 
     def is_zero(self):

@@ -192,21 +192,18 @@ class EndoOperad:
         return key
 
     def unit_one(self):
-        return Element(self, 1, {(a, a): self.field.one for a in range(self.algebra.dim)})
+        one = self.field.one
+        return Element._sum(self, 1, [((a, a), one) for a in range(self.algebra.dim)])
 
     def unit_zero(self):
-        return Element.basis(self, ())
+        return Element._sum(self, 0, [((), self.field.one)])
 
     def multiplication(self):
-        alg, f = self.algebra, self.field
-        terms = {}
-        for a in range(alg.dim):
-            for b in range(alg.dim):
-                for m in range(alg.dim):
-                    c = alg.mul[a][b][m]
-                    if not f.is_zero(c):
-                        terms[(a, b, m)] = c
-        return Element(self, 2, terms)
+        mul = self.algebra.mul
+        d = range(self.algebra.dim)
+        return Element._sum(
+            self, 2, [((a, b, m), mul[a][b][m]) for a in d for b in d for m in d]
+        )
 
     def compose_basis(self, key, i, other):
         n = len(key) - 1
@@ -274,15 +271,20 @@ class EndoOperad:
 
     def parse_basis(self, text):
         s = text.strip()
-        if s == "()":
-            return ()
-        if s.startswith("A[") and s.endswith("]"):
-            return (int(s[2:-1]),)
-        if s.startswith("E[") and s.endswith("]") and "->" in s:
-            ins, _, out = s[2:-1].partition("->")
-            key = tuple(int(t) for t in ins.split(",")) + (int(out),)
-            return key
-        raise OperadError(f"bad map key {text!r}")
+        key = None
+        try:
+            if s == "()":
+                key = ()
+            elif s.startswith("A[") and s.endswith("]"):
+                key = (int(s[2:-1]),)
+            elif s.startswith("E[") and s.endswith("]") and "->" in s:
+                ins, _, out = s[2:-1].partition("->")
+                key = tuple(int(t) for t in ins.split(",")) + (int(out),)
+        except ValueError:
+            pass
+        if key is None:
+            raise OperadError(f"bad map key {text!r}")
+        return self.validate_basis(key, self.arity_of(key))
 
     def basis_to_json(self, key):
         return list(key)
@@ -311,12 +313,8 @@ def classical_coboundary(x):
         raise OperadError("classical coboundary needs an endomorphism operad")
     alg, f = operad.algebra, operad.field
     d = alg.dim
-    out = {}
-
-    def bump(key, coeff):
-        if f.is_zero(coeff):
-            return
-        out[key] = f.add(out[key], coeff) if key in out else coeff
+    pairs = []
+    bump = pairs.append
 
     if x.arity == 0:
         for key, coeff in x.terms.items():
@@ -327,8 +325,8 @@ def classical_coboundary(x):
                         if f.is_zero(vec[t]):
                             continue
                         c = f.sub(alg.mul[u][t][m], alg.mul[t][u][m])
-                        bump((u, m), f.mul(vec[t], f.mul(coeff, c)))
-        return Element(operad, 1, out)
+                        bump(((u, m), f.mul(vec[t], f.mul(coeff, c))))
+        return Element._sum(operad, 1, pairs)
 
     n = x.arity
     for key, coeff in x.terms.items():
@@ -336,7 +334,7 @@ def classical_coboundary(x):
         for u in range(d):
             for m in range(d):
                 c = alg.mul[u][j][m]
-                bump(((u,) + inputs + (m,)), f.mul(coeff, c))
+                bump(((u,) + inputs + (m,), f.mul(coeff, c)))
         for p in range(1, n + 1):
             sign = power_sign(f, p)
             target = inputs[p - 1]
@@ -346,13 +344,13 @@ def classical_coboundary(x):
                     if f.is_zero(c):
                         continue
                     new_key = inputs[: p - 1] + (u, v) + inputs[p:] + (j,)
-                    bump(new_key, f.mul(sign, f.mul(coeff, c)))
+                    bump((new_key, f.mul(sign, f.mul(coeff, c))))
         sign = power_sign(f, n + 1)
         for u in range(d):
             for m in range(d):
                 c = alg.mul[j][u][m]
-                bump((inputs + (u, m)), f.mul(sign, f.mul(coeff, c)))
-    return Element(operad, n + 1, out)
+                bump((inputs + (u, m), f.mul(sign, f.mul(coeff, c))))
+    return Element._sum(operad, n + 1, pairs)
 
 
 def cup_product(x, y):
@@ -363,7 +361,7 @@ def cup_product(x, y):
     if x.arity < 1 or y.arity < 1:
         raise OperadError("cup product defined here for arities >= 1")
     alg, f = operad.algebra, operad.field
-    out = {}
+    pairs = []
     for kx, cx in x.terms.items():
         for ky, cy in y.terms.items():
             base = f.mul(cx, cy)
@@ -371,10 +369,8 @@ def cup_product(x, y):
                 c = alg.mul[kx[-1]][ky[-1]][m]
                 if f.is_zero(c):
                     continue
-                key = kx[:-1] + ky[:-1] + (m,)
-                coeff = f.mul(base, c)
-                out[key] = f.add(out[key], coeff) if key in out else coeff
-    return Element(operad, x.arity + y.arity, out)
+                pairs.append((kx[:-1] + ky[:-1] + (m,), f.mul(base, c)))
+    return Element._sum(operad, x.arity + y.arity, pairs)
 
 
 def multimap_to_element(operad, arity, coeffs):

@@ -68,7 +68,8 @@ class SparseMatrix:
 
     def kernel_dim(self):
         r = self.rank()
-        assert 0 <= r <= min(self.n_rows, self.n_cols)
+        if not 0 <= r <= min(self.n_rows, self.n_cols):
+            raise LinalgError(f"rank {r} outside 0..{min(self.n_rows, self.n_cols)}")
         return self.n_cols - r
 
     def __eq__(self, other):

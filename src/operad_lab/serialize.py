@@ -30,17 +30,18 @@ def element_from_json(data, operad):
         raise OperadError(f"element JSON is for operad {label!r}, expected {operad.label!r}")
     if "arity" not in data:
         raise OperadError("element JSON needs an 'arity' field")
-    arity = int(data["arity"])
+    try:
+        arity = int(data["arity"])
+        raw = [(operad.basis_from_json(t["basis"]), t["coeff"]) for t in data["terms"]]
+    except KeyError as exc:
+        raise OperadError(f"element JSON term needs a {exc} field") from None
+    except (TypeError, ValueError) as exc:
+        raise OperadError(f"malformed element JSON: {exc}") from None
     field = operad.field
-    terms = {}
-    for entry in data["terms"]:
-        key = operad.basis_from_json(entry["basis"])
-        coeff = entry["coeff"]
-        c = field.from_int(coeff) if isinstance(coeff, int) else field.parse(str(coeff))
-        if key in terms:
-            c = field.add(terms[key], c)
-        terms[key] = c
-    return Element(operad, arity, terms)
+    return Element(operad, arity, [
+        (key, field.from_int(c) if isinstance(c, int) else field.parse(str(c)))
+        for key, c in raw
+    ])
 
 
 def dumps(obj):

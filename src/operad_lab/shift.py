@@ -32,11 +32,13 @@ def compose_shift(x, i, y):
         tail_offset = -1
     else:
         body = shift_add(y, x[i - 1] - 1)
-        assert body != tuple(y) or x[i - 1] == 1, "translation guard fired inside compose"
+        if body == tuple(y) and x[i - 1] != 1:
+            raise OperadError(f"cannot translate {y!r} to start at {x[i - 1]}")
         tail_offset = y[-1] - 1
     tail = tuple(a + tail_offset for a in x[i:])
     out = prefix + body + tail
-    assert is_increasing(out), f"non-increasing result {out!r}"
+    if not is_increasing(out):
+        raise OperadError(f"non-increasing result {out!r} from {x!r} o_{i} {y!r}")
     return out
 
 
@@ -54,7 +56,8 @@ def gamma_shift(x, blocks):
         out.extend(a + offset for a in block)
         acc += block[-1] if block else 0
     key = tuple(out)
-    assert is_increasing(key), f"non-increasing result {key!r}"
+    if not is_increasing(key):
+        raise OperadError(f"non-increasing result {key!r} from gamma of {x!r}")
     return key
 
 
@@ -101,13 +104,13 @@ class ShiftOperad:
         return key
 
     def unit_one(self):
-        return Element.basis(self, (1,))
+        return Element._sum(self, 1, [((1,), self.field.one)])
 
     def unit_zero(self):
-        return Element.basis(self, ())
+        return Element._sum(self, 0, [((), self.field.one)])
 
     def multiplication(self):
-        return Element.basis(self, (1, 2))
+        return Element._sum(self, 2, [((1, 2), self.field.one)])
 
     def compose_basis(self, key, i, other):
         if len(key) == 0:
@@ -141,8 +144,11 @@ class ShiftOperad:
         s = text.strip().strip("()")
         if not s:
             return ()
-        key = tuple(int(t) for t in s.split(","))
-        if not is_increasing(key):
+        try:
+            key = tuple(int(t) for t in s.split(","))
+        except ValueError:
+            key = None
+        if key is None or not is_increasing(key):
             raise OperadError(f"{text!r} is not strictly increasing and positive")
         return key
 

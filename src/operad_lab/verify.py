@@ -800,7 +800,8 @@ def run_verify(seed=DEFAULT_SEED, trials=DEFAULT_TRIALS, field_label=DEFAULT_FIE
     """Run the identity suites and return the report dict.
 
     Raises ``VerifyUsageError`` (a ``ValueError``) for fewer than one trial,
-    an unknown suite or an operad label that no check uses."""
+    an unknown suite, an operad label that no check uses, or a suite and
+    operad selection that leaves no check to run."""
     if trials < 1:
         raise VerifyUsageError(f"trials must be at least 1, got {trials}")
     wanted_suites = list(suites) if suites else list(SUITES)
@@ -849,6 +850,11 @@ def run_verify(seed=DEFAULT_SEED, trials=DEFAULT_TRIALS, field_label=DEFAULT_FIE
             if counterexample is not None:
                 row["counterexample"] = counterexample
             checks.append(row)
+    if not checks:
+        raise VerifyUsageError(
+            f"no check in suite(s) {', '.join(wanted_suites)} runs on operad(s) "
+            f"{', '.join(operads)}"
+        )
 
     total_failures = sum(row["failures"] for row in checks)
     return {

@@ -124,6 +124,25 @@ def test_domain_errors_exit_one(capsys):
     assert run(capsys, "boundary", "--element", "@/no/such/file.json")[0] == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ("face", "--element", "12a", "--at", "1"),
+    ("face", "--element", "[1,2]", "--at", "1"),
+    ("face", "--operad", "shift", "--element", "1,x", "--at", "1"),
+    ("face", "--operad", "endo:dual", "--element", "E[a->0]", "--at", "1"),
+    ("face", "--operad", "endo:dual", "--element", "E[7->0]", "--at", "1"),
+    ("boundary", "--element", '{"arity":1,"terms":[{"basis":[1]}]}'),
+    ("boundary", "--element", '{"arity":"x","terms":[]}'),
+    ("boundary", "--element", '{"arity":1,"terms":[{"basis":5,"coeff":"1"}]}'),
+])
+def test_malformed_input_exits_one_without_traceback(argv):
+    done = subprocess.run([sys.executable, "-m", "operad_lab.cli", *argv],
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr.startswith("error: ")
+    assert len(done.stderr.splitlines()) == 1
+    assert "Traceback" not in done.stderr
+
+
 def test_usage_errors_exit_64(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["face", "--element", "21"])

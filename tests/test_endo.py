@@ -85,6 +85,15 @@ def test_operad_basics():
     )
 
 
+def test_parse_basis_validates_keys():
+    op = EndoOperad(dual_numbers(Q))
+    for key in [(), (1,), (0, 1), (1, 0, 1)]:
+        assert op.parse_basis(op.format_basis(key)) == key
+    for text in ["E[7->0]", "A[2]", "E[0,1->]", "E[a->0]", "A[x]"]:
+        with pytest.raises(OperadError):
+            op.parse_basis(text)
+
+
 def test_compose_output_match_rule():
     op = EndoOperad(dual_numbers(Q))
     f = Element.basis(op, (0, 1, 1))    # inputs (e0, e1) -> e1

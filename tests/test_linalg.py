@@ -32,6 +32,12 @@ def test_bounds_checked():
         M(2, 2, Q, [(0, -1, Q.one)])
 
 
+def test_kernel_dim_rejects_impossible_rank(monkeypatch):
+    monkeypatch.setattr(SparseMatrix, "rank", lambda self: 3)
+    with pytest.raises(LinalgError, match="rank 3 outside 0..2"):
+        M(2, 2, Q, []).kernel_dim()
+
+
 def test_rank_rational_golden():
     m = M(3, 3, Q, [
         (0, 0, Q.from_int(1)), (0, 1, Q.from_int(2)), (0, 2, Q.from_int(3)),

@@ -43,6 +43,14 @@ def test_compose_goldens():
     assert compose_shift((1, 3, 4), 2, (2, 3)) == (1, 4, 5, 6)
 
 
+def test_compose_rejects_invalid_keys():
+    # under python -O an assert here used to let (0, 1, 2) through
+    with pytest.raises(OperadError, match="non-increasing"):
+        compose_shift((1, 2), 1, (0, 1))
+    with pytest.raises(OperadError, match="non-increasing"):
+        gamma_shift((1, 2), [(2, 1), (1,)])
+
+
 def test_compose_unit_laws():
     rng = random.Random(2)
     for _ in range(100):

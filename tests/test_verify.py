@@ -109,6 +109,12 @@ def test_unknown_suite_rejected():
         run_verify(trials=1, suites=["nope"])
 
 
+def test_empty_selection_rejected():
+    for suite, label in (("brace", "shift"), ("cohomology", "assoc")):
+        with pytest.raises(ValueError, match=f"suite.s. {suite} runs on operad.s. {label}"):
+            run_verify(trials=1, suites=[suite], operads=[label])
+
+
 def test_trials_below_one_rejected():
     for trials in (0, -3):
         with pytest.raises(ValueError, match="at least 1"):
