@@ -11,7 +11,7 @@ from .scalars import RationalField, PrimeField, get_field, power_sign, ScalarErr
 from .elements import Element, OperadError, equal_up_to_sign
 from .linalg import SparseMatrix, equal_up_to_global_sign
 from .assoc import AssocOperad, standardize, compose_blocks, compose_formula, concat
-from .shift import ShiftOperad, shift_add, compose_shift, gamma_shift
+from .shift import ShiftOperad, compose_shift, gamma_shift
 from .endo import (
     EndoOperad,
     FinAlgebra,
@@ -61,7 +61,6 @@ __all__ = [
     "compose_formula",
     "concat",
     "ShiftOperad",
-    "shift_add",
     "compose_shift",
     "gamma_shift",
     "EndoOperad",

@@ -76,10 +76,10 @@ def parse_element(text, operad):
 
 
 def _element_from_data(data, operad):
-    if "coeffs" in data:
+    if isinstance(data, dict) and "coeffs" in data:
         if not isinstance(operad, EndoOperad):
             raise OperadError("multimap JSON only applies to the endo operad")
-        return multimap_to_element(operad, data["arity"], data["coeffs"])
+        return multimap_to_element(operad, data.get("arity"), data["coeffs"])
     return element_from_json(data, operad)
 
 

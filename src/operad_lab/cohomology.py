@@ -65,13 +65,14 @@ def differential_matrix(spec, degree):
     rows = spec.basis_at(spec.target_degree(degree))
     row_index = {key: r for r, key in enumerate(rows)}
     operad = spec.operad
+    one = operad.field.one
     triples = []
     # The shift basis is truncated at max-entry and is not closed under the
     # coboundary.  The row lookup stays unguarded inside the loop, which runs
     # once per term of every image.
     try:
         for c, key in enumerate(cols):
-            image = spec.apply(Element.basis(operad, key))
+            image = spec.apply(Element._sum(operad, degree, [(key, one)]))
             for bkey, coeff in image.terms.items():
                 triples.append((row_index[bkey], c, coeff))
     except KeyError as exc:

@@ -8,6 +8,8 @@ the per-operad modules.
 
 from itertools import chain
 
+from .scalars import linear_combination
+
 
 class OperadError(ValueError):
     """Domain error: bad arity, bad slot, malformed basis key, mixed operads."""
@@ -40,17 +42,9 @@ class Element:
         return out
 
     def _fill(self, operad, arity, pairs):
-        # The canonical form: repeated keys merged, zero coefficients dropped.
-        field = operad.field
-        add, is_zero = field.add, field.is_zero
-        acc = {}
-        for key, coeff in pairs:
-            if is_zero(coeff):
-                continue
-            acc[key] = add(acc[key], coeff) if key in acc else coeff
         self.operad = operad
         self.arity = arity
-        self.terms = {k: v for k, v in acc.items() if not is_zero(v)}
+        self.terms = linear_combination(operad.field, pairs)
 
     # -- constructors ------------------------------------------------------
 

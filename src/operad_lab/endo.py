@@ -376,6 +376,10 @@ def cup_product(x, y):
 def multimap_to_element(operad, arity, coeffs):
     """Dense coefficient list -> Element; index order is input indices from
     the first (slowest) to the last, then the output index (fastest)."""
+    if not isinstance(arity, int):
+        raise OperadError(f"dense map needs an integer arity, got {arity!r}")
+    if not isinstance(coeffs, list):
+        raise OperadError(f"dense map needs a list of coefficients, got {coeffs!r}")
     d = operad.algebra.dim
     f = operad.field
     if arity == 0:

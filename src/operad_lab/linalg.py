@@ -5,7 +5,7 @@ from :mod:`operad_lab.scalars`.  Elimination is exact (Fraction or modular);
 a dense path takes over when the matrix is more than a quarter full.
 """
 
-from .scalars import same_field
+from .scalars import linear_combination, same_field
 
 DENSE_DENSITY = 0.25
 
@@ -29,14 +29,15 @@ class SparseMatrix:
         self.n_rows = n_rows
         self.n_cols = n_cols
         self.field = field
-        acc = {}
-        for r, c, v in triples:
-            if not (0 <= r < n_rows and 0 <= c < n_cols):
-                raise LinalgError(f"entry ({r},{c}) outside {n_rows}x{n_cols}")
-            key = (r, c)
-            acc[key] = field.add(acc[key], v) if key in acc else v
+
+        def cells():
+            for r, c, v in triples:
+                if not (0 <= r < n_rows and 0 <= c < n_cols):
+                    raise LinalgError(f"entry ({r},{c}) outside {n_rows}x{n_cols}")
+                yield (r, c), v
+
         self.entries = tuple(
-            (r, c, v) for (r, c), v in sorted(acc.items()) if not field.is_zero(v)
+            (r, c, v) for (r, c), v in sorted(linear_combination(field, cells()).items())
         )
 
     @property

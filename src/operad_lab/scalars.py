@@ -173,6 +173,24 @@ def same_field(a, b):
     return a.signature() == b.signature()
 
 
+def linear_combination(field, pairs):
+    """The canonical sparse sum of (key, coeff) pairs: a dict in which
+    repeated keys are merged with ``field.add`` and no coefficient is zero."""
+    add, is_zero = field.add, field.is_zero
+    acc = {}
+    merged = False
+    for key, coeff in pairs:
+        if is_zero(coeff):
+            continue
+        if key in acc:
+            acc[key] = add(acc[key], coeff)
+            merged = True
+        else:
+            acc[key] = coeff
+    # Only a merge can cancel to zero.
+    return {k: v for k, v in acc.items() if not is_zero(v)} if merged else acc
+
+
 def power_sign(field, exponent):
     """(-1)^exponent as a scalar of the field."""
     return field.one if exponent % 2 == 0 else field.neg(field.one)

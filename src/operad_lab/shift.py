@@ -13,14 +13,6 @@ def is_increasing(key):
     return all(a < b for a, b in zip(key, key[1:])) and all(a >= 1 for a in key)
 
 
-def shift_add(key, offset):
-    """Entrywise translation; returns the key unchanged if any entry would
-    drop below 1."""
-    if any(a + offset <= 0 for a in key):
-        return tuple(key)
-    return tuple(a + offset for a in key)
-
-
 def compose_shift(x, i, y):
     """Splice y (translated to start at x[i-1]) into slot i of x."""
     n = len(x)
@@ -31,9 +23,8 @@ def compose_shift(x, i, y):
         body = ()
         tail_offset = -1
     else:
-        body = shift_add(y, x[i - 1] - 1)
-        if body == tuple(y) and x[i - 1] != 1:
-            raise OperadError(f"cannot translate {y!r} to start at {x[i - 1]}")
+        offset = x[i - 1] - 1
+        body = tuple(a + offset for a in y)
         tail_offset = y[-1] - 1
     tail = tuple(a + tail_offset for a in x[i:])
     out = prefix + body + tail

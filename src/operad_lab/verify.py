@@ -31,7 +31,7 @@ from .core import (
 from .elements import Element
 from .endo import EndoOperad, cup_product, dual_numbers, ground_field_algebra, matrix2
 from .linalg import equal_up_to_global_sign
-from .scalars import get_field, power_sign
+from .scalars import get_field, linear_combination, power_sign
 from .shift import ShiftOperad, gamma_shift
 from .serialize import dumps
 
@@ -71,6 +71,10 @@ def _arity(label, rng, lo, hi_cap=None):
 
 def _fail(rng_inputs, lhs, rhs):
     return {"inputs": rng_inputs, "lhs": lhs.format(), "rhs": rhs.format()}
+
+
+def _tensor_fail(x, lhs, rhs):
+    return {"inputs": {"x": x.format()}, "lhs": repr(sorted(lhs)), "rhs": repr(sorted(rhs))}
 
 
 # ---------------------------------------------------------------------------
@@ -160,72 +164,46 @@ def check_face_degen_high(ops, label, rng):
     return None
 
 
-def _compat_shapes(label, rng):
-    if label == "endo:dual":
-        s = rng.randint(1, 2)
-        ts = [rng.randint(1, 2) for _ in range(s)]
-    else:
-        s = rng.randint(1, 3)
-        ts = [rng.randint(1, 3) for _ in range(s)]
-    return s, ts
+def make_gamma_compat_check(op, multi_op):
+    """``multi_op`` of a total composition against ``op`` on each block."""
+    def check(ops, label, rng):
+        if label == "endo:dual":
+            s = rng.randint(1, 2)
+            ts = [rng.randint(1, 2) for _ in range(s)]
+        else:
+            s = rng.randint(1, 3)
+            ts = [rng.randint(1, 3) for _ in range(s)]
+        x = _sample(ops, label, s, rng, max_terms=1)
+        blocks = [_sample(ops, label, t, rng, max_terms=1) for t in ts]
+        slots = [rng.randint(1, t) for t in ts]
+        lhs = multi_op(gamma(x, blocks), slots, ts)
+        rhs = gamma(x, [op(b, j) for b, j in zip(blocks, slots)])
+        if lhs != rhs:
+            return _fail(
+                {
+                    "x": x.format(),
+                    "blocks": [b.format() for b in blocks],
+                    "slots": slots,
+                },
+                lhs,
+                rhs,
+            )
+        return None
+
+    return check
 
 
-def check_face_gamma_compat(ops, label, rng):
-    s, ts = _compat_shapes(label, rng)
-    x = _sample(ops, label, s, rng, max_terms=1)
-    blocks = [_sample(ops, label, t, rng, max_terms=1) for t in ts]
-    slots = [rng.randint(1, t) for t in ts]
-    lhs = multi_face(gamma(x, blocks), slots, ts)
-    rhs = gamma(x, [face(b, j) for b, j in zip(blocks, slots)])
-    if lhs != rhs:
-        return _fail(
-            {
-                "x": x.format(),
-                "blocks": [b.format() for b in blocks],
-                "slots": slots,
-            },
-            lhs,
-            rhs,
-        )
-    return None
+def make_square_zero_check(d):
+    """``d`` squares to zero."""
+    def check(ops, label, rng):
+        n = _arity(label, rng, 0)
+        x = _sample(ops, label, n, rng)
+        lhs = d(d(x))
+        if not lhs.is_zero():
+            return _fail({"x": x.format()}, lhs, Element.zero(x.operad, lhs.arity))
+        return None
 
-
-def check_degen_gamma_compat(ops, label, rng):
-    s, ts = _compat_shapes(label, rng)
-    x = _sample(ops, label, s, rng, max_terms=1)
-    blocks = [_sample(ops, label, t, rng, max_terms=1) for t in ts]
-    slots = [rng.randint(1, t) for t in ts]
-    lhs = multi_degeneracy(gamma(x, blocks), slots, ts)
-    rhs = gamma(x, [degeneracy(b, j) for b, j in zip(blocks, slots)])
-    if lhs != rhs:
-        return _fail(
-            {
-                "x": x.format(),
-                "blocks": [b.format() for b in blocks],
-                "slots": slots,
-            },
-            lhs,
-            rhs,
-        )
-    return None
-
-
-def check_boundary_squared(ops, label, rng):
-    n = _arity(label, rng, 0)
-    x = _sample(ops, label, n, rng)
-    lhs = boundary(boundary(x))
-    if not lhs.is_zero():
-        return _fail({"x": x.format()}, lhs, Element.zero(x.operad, lhs.arity))
-    return None
-
-
-def check_coboundary_squared(ops, label, rng):
-    n = _arity(label, rng, 0)
-    x = _sample(ops, label, n, rng)
-    lhs = coboundary(coboundary(x))
-    if not lhs.is_zero():
-        return _fail({"x": x.format()}, lhs, Element.zero(x.operad, lhs.arity))
-    return None
+    return check
 
 
 def check_anticommutation(ops, label, rng):
@@ -239,32 +217,39 @@ def check_anticommutation(ops, label, rng):
 
 
 def _tensor2(pairs, field):
-    acc = {}
-    for a, b in pairs:
-        for ka, ca in a.terms.items():
-            for kb, cb in b.terms.items():
-                k = ((a.arity, ka), (b.arity, kb))
-                v = field.mul(ca, cb)
-                acc[k] = field.add(acc[k], v) if k in acc else v
-    return {k: v for k, v in acc.items() if not field.is_zero(v)}
+    mul = field.mul
+    return linear_combination(field, (
+        (((a.arity, ka), (b.arity, kb)), mul(ca, cb))
+        for a, b in pairs
+        for ka, ca in a.terms.items()
+        for kb, cb in b.terms.items()
+    ))
 
 
 def _tensor3(pairs, field, expand_left):
-    acc = {}
-    for a, b in pairs:
-        inner = aw_coproduct(a) if expand_left else aw_coproduct(b)
-        outer = b if expand_left else a
-        for u, v in inner:
-            for ku, cu in u.terms.items():
-                for kv, cv in v.terms.items():
-                    for ko, co in outer.terms.items():
-                        if expand_left:
-                            key = ((u.arity, ku), (v.arity, kv), (outer.arity, ko))
-                        else:
-                            key = ((outer.arity, ko), (u.arity, ku), (v.arity, kv))
-                        w = field.mul(field.mul(cu, cv), co)
-                        acc[key] = field.add(acc[key], w) if key in acc else w
-    return {k: v for k, v in acc.items() if not field.is_zero(v)}
+    mul = field.mul
+
+    def terms():
+        for a, b in pairs:
+            inner, outer = (aw_coproduct(a), b) if expand_left else (aw_coproduct(b), a)
+            for u, v in inner:
+                for ku, cu in u.terms.items():
+                    for kv, cv in v.terms.items():
+                        uv = ((u.arity, ku), (v.arity, kv))
+                        for ko, co in outer.terms.items():
+                            o = ((outer.arity, ko),)
+                            yield uv + o if expand_left else o + uv, mul(mul(cu, cv), co)
+
+    return linear_combination(field, terms())
+
+
+def _deconcat(x):
+    """The deconcatenation coproduct of an assoc element, keyed like ``_tensor2``."""
+    return linear_combination(x.operad.field, (
+        (((len(left), left), (len(right), right)), coeff)
+        for key, coeff in x.terms.items()
+        for left, right in deconcat_coproduct(key)
+    ))
 
 
 def check_coassociativity(ops, label, rng):
@@ -275,36 +260,27 @@ def check_coassociativity(ops, label, rng):
     lhs = _tensor3(pairs, field, expand_left=True)
     rhs = _tensor3(pairs, field, expand_left=False)
     if lhs != rhs:
-        return {"inputs": {"x": x.format()}, "lhs": repr(sorted(lhs)), "rhs": repr(sorted(rhs))}
+        return _tensor_fail(x, lhs, rhs)
     return None
 
 
-def check_counit_left(ops, label, rng):
-    field = ops[label].field
-    n = _arity(label, rng, 0)
-    x = _sample(ops, label, n, rng)
-    out = Element.zero(x.operad, n)
-    for a, b in aw_coproduct(x):
-        c = counit(a)
-        if not field.is_zero(c):
-            out = out + b.scale(c)
-    if out != x:
-        return _fail({"x": x.format()}, out, x)
-    return None
+def make_counit_check(side):
+    """(counit on tensor factor ``side``, identity on the other) of the
+    coproduct is the identity."""
+    def check(ops, label, rng):
+        field = ops[label].field
+        n = _arity(label, rng, 0)
+        x = _sample(ops, label, n, rng)
+        out = Element.zero(x.operad, n)
+        for pair in aw_coproduct(x):
+            c = counit(pair[side])
+            if not field.is_zero(c):
+                out = out + pair[1 - side].scale(c)
+        if out != x:
+            return _fail({"x": x.format()}, out, x)
+        return None
 
-
-def check_counit_right(ops, label, rng):
-    field = ops[label].field
-    n = _arity(label, rng, 0)
-    x = _sample(ops, label, n, rng)
-    out = Element.zero(x.operad, n)
-    for a, b in aw_coproduct(x):
-        c = counit(b)
-        if not field.is_zero(c):
-            out = out + a.scale(c)
-    if out != x:
-        return _fail({"x": x.format()}, out, x)
-    return None
+    return check
 
 
 # ---------------------------------------------------------------------------
@@ -332,34 +308,21 @@ def check_dot_vs_odot(ops, label, rng):
     return None
 
 
-def check_coboundary_derivation(ops, label, rng):
-    field = ops[label].field
-    r = rng.randint(1, 3)
-    s = rng.randint(1, 3)
-    p = _sample(ops, label, r, rng)
-    q = _sample(ops, label, s, rng)
-    lhs = coboundary(odot_product(p, q))
-    rhs = odot_product(coboundary(p), q) + odot_product(p, coboundary(q)).scale(
-        power_sign(field, r)
-    )
-    if lhs != rhs:
-        return _fail({"p": p.format(), "q": q.format()}, lhs, rhs)
-    return None
+def make_derivation_check(d):
+    """``d`` is a graded derivation of the odot product."""
+    def check(ops, label, rng):
+        field = ops[label].field
+        r = rng.randint(1, 3)
+        s = rng.randint(1, 3)
+        p = _sample(ops, label, r, rng)
+        q = _sample(ops, label, s, rng)
+        lhs = d(odot_product(p, q))
+        rhs = odot_product(d(p), q) + odot_product(p, d(q)).scale(power_sign(field, r))
+        if lhs != rhs:
+            return _fail({"p": p.format(), "q": q.format()}, lhs, rhs)
+        return None
 
-
-def check_boundary_derivation(ops, label, rng):
-    field = ops[label].field
-    r = rng.randint(1, 3)
-    s = rng.randint(1, 3)
-    p = _sample(ops, label, r, rng)
-    q = _sample(ops, label, s, rng)
-    lhs = boundary(odot_product(p, q))
-    rhs = odot_product(boundary(p), q) + odot_product(p, boundary(q)).scale(
-        power_sign(field, r)
-    )
-    if lhs != rhs:
-        return _fail({"p": p.format(), "q": q.format()}, lhs, rhs)
-    return None
+    return check
 
 
 def prejacobi_rhs(x, xs, ys):
@@ -487,18 +450,9 @@ def check_coproduct_vs_deconcat(ops, label, rng):
     n = rng.randint(1, MAX_ARITY[label])
     x = _sample(ops, label, n, rng, max_terms=1)
     lhs = _tensor2(aw_coproduct(x), field)
-    rhs = {}
-    for key, coeff in x.terms.items():
-        for left, right in deconcat_coproduct(key):
-            k = ((len(left), left), (len(right), right))
-            rhs[k] = field.add(rhs.get(k, field.zero), coeff)
-    rhs = {k: v for k, v in rhs.items() if not field.is_zero(v)}
+    rhs = _deconcat(x)
     if lhs != rhs:
-        return {
-            "inputs": {"x": x.format()},
-            "lhs": repr(sorted(lhs)),
-            "rhs": repr(sorted(rhs)),
-        }
+        return _tensor_fail(x, lhs, rhs)
     return None
 
 
@@ -509,12 +463,11 @@ def check_odot_vs_concat(ops, label, rng):
     p = _sample(ops, label, r, rng)
     q = _sample(ops, label, s, rng)
     lhs = odot_product(p, q)
-    rhs = Element.zero(ops[label], r + s)
-    for kp, cp in p.terms.items():
-        for kq, cq in q.terms.items():
-            rhs = rhs + Element.basis(ops[label], concat(kp, kq)).scale(
-                field.mul(cp, cq)
-            )
+    rhs = Element(ops[label], r + s, [
+        (concat(kp, kq), field.mul(cp, cq))
+        for kp, cp in p.terms.items()
+        for kq, cq in q.terms.items()
+    ])
     if lhs != rhs:
         return _fail({"p": p.format(), "q": q.format()}, lhs, rhs)
     return None
@@ -552,23 +505,26 @@ def batch_coderivation(ops, label, rng, trials):
         lhs = _tensor2(aw_coproduct(boundary(x)), field)
         left = _tensor2([(boundary(a), b) for a, b in pairs], field)
         right = _tensor2([(a, boundary(b)) for a, b in pairs], field)
+        # The report shows the first dead bidegree in this set's iteration
+        # order, so the set is filled key by key: lhs, then left, then right.
         bidegrees = set()
+        parts = []
         for tensor in (lhs, left, right):
-            for (ka, kb) in tensor:
-                bidegrees.add((ka[0], kb[0]))
+            by_bd = {}
+            for k, v in tensor.items():
+                bd = (k[0][0], k[1][0])
+                bidegrees.add(bd)
+                by_bd.setdefault(bd, {})[k] = v
+            parts.append(by_bd)
         for bd in bidegrees:
-            l_part = {k: v for k, v in lhs.items() if (k[0][0], k[1][0]) == bd}
-            a_part = {k: v for k, v in left.items() if (k[0][0], k[1][0]) == bd}
-            b_part = {k: v for k, v in right.items() if (k[0][0], k[1][0]) == bd}
+            l_part, a_part, b_part = (by_bd.get(bd, {}) for by_bd in parts)
             good = set()
             for s1, s2 in itertools.product(sign_values, repeat=2):
-                comb = {}
-                for k, v in a_part.items():
-                    comb[k] = field.mul(field.from_int(s1), v)
-                for k, v in b_part.items():
-                    w = field.mul(field.from_int(s2), v)
-                    comb[k] = field.add(comb[k], w) if k in comb else w
-                comb = {k: v for k, v in comb.items() if not field.is_zero(v)}
+                c1, c2 = field.from_int(s1), field.from_int(s2)
+                comb = linear_combination(field, itertools.chain(
+                    ((k, field.mul(c1, v)) for k, v in a_part.items()),
+                    ((k, field.mul(c2, v)) for k, v in b_part.items()),
+                ))
                 if comb == l_part:
                     good.add((s1, s2))
             if bd in viable:
@@ -602,17 +558,9 @@ def batch_coproduct_exhaustive(ops, label, rng, trials):
         for key in operad.basis_keys(n):
             x = Element.basis(operad, key)
             lhs = _tensor2(aw_coproduct(x), field)
-            rhs = {}
-            for left, right in deconcat_coproduct(key):
-                k = ((len(left), left), (len(right), right))
-                rhs[k] = field.add(rhs.get(k, field.zero), field.one)
+            rhs = _deconcat(x)
             if lhs != rhs:
-                return (
-                    "fail",
-                    1,
-                    {"cases": checked},
-                    {"inputs": {"x": x.format()}, "lhs": repr(sorted(lhs)), "rhs": repr(sorted(rhs))},
-                )
+                return "fail", 1, {"cases": checked}, _tensor_fail(x, lhs, rhs)
             checked += 1
     return "pass", 0, {"cases": checked}, None
 
@@ -749,24 +697,25 @@ def _batch_catalog(field):
             *_each_operad("face_degen_low", check_face_degen_low),
             *_each_operad("face_degen_mid", check_face_degen_mid),
             *_each_operad("face_degen_high", check_face_degen_high),
-            *_each_operad("face_gamma_compat", check_face_gamma_compat, "report"),
-            *_each_operad("degen_gamma_compat", check_degen_gamma_compat, "report"),
+            *_each_operad("face_gamma_compat", make_gamma_compat_check(face, multi_face), "report"),
+            *_each_operad("degen_gamma_compat",
+                          make_gamma_compat_check(degeneracy, multi_degeneracy), "report"),
         ],
         "chain": [
-            *_each_operad("boundary_squared", check_boundary_squared),
-            *_each_operad("coboundary_squared", check_coboundary_squared),
+            *_each_operad("boundary_squared", make_square_zero_check(boundary)),
+            *_each_operad("coboundary_squared", make_square_zero_check(coboundary)),
             *_each_operad("anticommutation", check_anticommutation),
         ],
         "coalgebra": [
             *_each_operad("coassociativity", check_coassociativity),
-            *_each_operad("counit_left", check_counit_left),
-            *_each_operad("counit_right", check_counit_right),
+            *_each_operad("counit_left", make_counit_check(0)),
+            *_each_operad("counit_right", make_counit_check(1)),
             *[("coderivation_sign_pattern", batch_coderivation, label) for label in ALL_OPERADS],
         ],
         "brace": [
             ("dot_vs_odot", check_dot_vs_odot, "assoc", "assert"),
-            ("coboundary_derivation", check_coboundary_derivation, "assoc", "assert"),
-            ("boundary_derivation", check_boundary_derivation, "assoc", "assert"),
+            ("coboundary_derivation", make_derivation_check(coboundary), "assoc", "assert"),
+            ("boundary_derivation", make_derivation_check(boundary), "assoc", "assert"),
             ("pre_jacobi", check_pre_jacobi, "assoc", "assert"),
             ("boundary_brace_literal", check_boundary_brace_literal, "assoc", "assert"),
             ("boundary_brace_termwise", check_boundary_brace_termwise, "assoc", "assert"),

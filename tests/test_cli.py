@@ -133,8 +133,14 @@ def test_domain_errors_exit_one(capsys):
     ("boundary", "--element", '{"arity":1,"terms":[{"basis":[1]}]}'),
     ("boundary", "--element", '{"arity":"x","terms":[]}'),
     ("boundary", "--element", '{"arity":1,"terms":[{"basis":5,"coeff":"1"}]}'),
+    ("boundary", "--operad", "endo:dual", "--element", '{"coeffs":[1]}'),
+    ("boundary", "--operad", "endo:dual", "--element", '{"arity":"x","coeffs":[1]}'),
+    ("boundary", "--operad", "endo:dual", "--element", '{"arity":1,"coeffs":7}'),
+    ("boundary", "--operad", "endo:dual", "--element", "@{tmp}/five.json"),
 ])
-def test_malformed_input_exits_one_without_traceback(argv):
+def test_malformed_input_exits_one_without_traceback(argv, tmp_path):
+    (tmp_path / "five.json").write_text("5\n")
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
     done = subprocess.run([sys.executable, "-m", "operad_lab.cli", *argv],
                           capture_output=True, text=True, timeout=60)
     assert (done.returncode, done.stdout) == (1, "")

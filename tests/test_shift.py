@@ -12,7 +12,6 @@ from operad_lab.shift import (
     face_shift,
     gamma_shift,
     is_increasing,
-    shift_add,
 )
 
 Q = get_field("q")
@@ -27,14 +26,6 @@ def test_is_increasing():
     assert not is_increasing((3, 2))
 
 
-def test_shift_add_guard():
-    assert shift_add((1, 3), 2) == (3, 5)
-    assert shift_add((2, 4), -1) == (1, 3)
-    # a shift that would push an entry to 0 or below leaves the tuple alone
-    assert shift_add((1, 3), -1) == (1, 3)
-    assert shift_add((), 5) == ()
-
-
 def test_compose_goldens():
     assert compose_shift((1, 2), 1, (1, 2)) == (1, 2, 3)
     assert compose_shift((1, 2), 2, (1, 2)) == (1, 2, 3)
@@ -47,6 +38,8 @@ def test_compose_rejects_invalid_keys():
     # under python -O an assert here used to let (0, 1, 2) through
     with pytest.raises(OperadError, match="non-increasing"):
         compose_shift((1, 2), 1, (0, 1))
+    with pytest.raises(OperadError, match="non-increasing"):
+        compose_shift((0, 5), 1, (1, 2))
     with pytest.raises(OperadError, match="non-increasing"):
         gamma_shift((1, 2), [(2, 1), (1,)])
 

@@ -4,6 +4,7 @@ The three identities that genuinely fail on these operads are pinned here so
 a regression in either direction (a fixed check or a new failure) is loud.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -119,3 +120,18 @@ def test_trials_below_one_rejected():
     for trials in (0, -3):
         with pytest.raises(ValueError, match="at least 1"):
             run_verify(trials=trials, suites=["chain"])
+
+
+# report_to_json(run_verify(...)) digests over Q and a small prime, where the
+# counterexample each failing row shows depends on the check's iteration order
+REPORT_SHA256 = {
+    (3, 30, "q"): "37e5b483c8364c129036bb22c12f29d45c159c72a5a99171d5b763c05486faab",
+    (5, 20, "gfp:5"): "e9926b6bc835bcee2167562d53c277aa45b458482b9958c0a7dd7b2f131c13d7",
+}
+
+
+@pytest.mark.parametrize("seed,trials,field_label", sorted(REPORT_SHA256))
+def test_report_bytes_pinned(seed, trials, field_label):
+    text = report_to_json(run_verify(seed=seed, trials=trials, field_label=field_label))
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == REPORT_SHA256[(seed, trials, field_label)]
