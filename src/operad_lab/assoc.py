@@ -11,7 +11,7 @@ inner one, then inverts the resulting word; ``compose_formula`` is a direct
 three-case closed formula.  The two are checked against each other.
 """
 
-from .elements import Element, OperadError
+from .elements import Element, OperadError, json_int
 
 
 def is_permutation(word):
@@ -79,10 +79,12 @@ def compose_formula(tau, i, sigma):
 
 
 def delete_and_standardize(word, i):
-    """Drop the letter at position i (1-based) and standardize."""
+    """Drop the letter v at position i (1-based) of a permutation and
+    standardize, in closed form: every letter above v moves down by one."""
     if not 1 <= i <= len(word):
         raise OperadError(f"position {i} out of range for arity {len(word)}")
-    return standardize(word[: i - 1] + word[i:])
+    v = word[i - 1]
+    return tuple([a - 1 if a > v else a for a in word[: i - 1] + word[i:]])
 
 
 def concat(tau, sigma):
@@ -191,4 +193,4 @@ class AssocOperad:
         return list(key)
 
     def basis_from_json(self, data):
-        return tuple(int(v) for v in data)
+        return tuple(json_int(v, "basis entry") for v in data)

@@ -3,12 +3,16 @@
 A ComplexSpec bundles an operad instance, a differential kind, and a degree
 window.  Degrees are arities; the classical kind swaps in the algebra itself
 at degree 0 and the textbook coboundary (endomorphism operads only).
+
+Matrix columns are assembled from basis keys through the operad's
+``compose_basis``, with the signs of ``core.boundary`` and
+``core.coboundary``; those Element-level operators are the test oracle.
 """
 
 from .elements import Element, OperadError
 from .endo import EndoOperad, classical_coboundary, classical_keys
 from .linalg import SparseMatrix
-from . import core
+from .scalars import linear_combination
 
 DIFFERENTIALS = ("boundary", "coboundary", "hochschild")
 DEFAULT_COLUMN_CAP = 20000
@@ -42,12 +46,33 @@ class ComplexSpec:
             return list(classical_keys(self.operad, degree))
         return list(self.operad.basis_keys(degree))
 
-    def apply(self, x):
+    def column(self, key):
+        """The differential of one basis key, as a canonical {key: coeff} dict."""
+        operad = self.operad
+        field = operad.field
+        n = operad.arity_of(key)
+        if self.differential == "hochschild":
+            return classical_coboundary(Element._sum(operad, n, [(key, field.one)])).terms
+        if n == 0:
+            return {}
+        # (odd, outer, slot, inner, weight) per composite, summed in the
+        # order and with the signs of core.boundary / core.coboundary
         if self.differential == "boundary":
-            return core.boundary(x)
-        if self.differential == "coboundary":
-            return core.coboundary(x)
-        return classical_coboundary(x)
+            point = operad.unit_zero().terms.items()
+            composites = [(i % 2, key, i, pk, pc) for i in range(1, n + 1) for pk, pc in point]
+        else:
+            m = operad.multiplication().terms.items()
+            composites = [((n - 1) % 2, mk, 1, key, mc) for mk, mc in m]
+            composites += [(0, mk, 2, key, mc) for mk, mc in m]
+            composites += [(i % 2, key, i, mk, mc) for i in range(1, n + 1) for mk, mc in m]
+        mul, neg, compose_basis = field.mul, field.neg, operad.compose_basis
+        pairs = []
+        for odd, outer, slot, inner, weight in composites:
+            if odd:
+                weight = neg(weight)
+            for k, c in compose_basis(outer, slot, inner):
+                pairs.append((k, mul(weight, c)))
+        return linear_combination(field, pairs)
 
     def target_degree(self, degree):
         return degree + 1 if self.ascending else degree - 1
@@ -65,15 +90,13 @@ def differential_matrix(spec, degree):
     rows = spec.basis_at(spec.target_degree(degree))
     row_index = {key: r for r, key in enumerate(rows)}
     operad = spec.operad
-    one = operad.field.one
     triples = []
     # The shift basis is truncated at max-entry and is not closed under the
     # coboundary.  The row lookup stays unguarded inside the loop, which runs
     # once per term of every image.
     try:
         for c, key in enumerate(cols):
-            image = spec.apply(Element._sum(operad, degree, [(key, one)]))
-            for bkey, coeff in image.terms.items():
+            for bkey, coeff in spec.column(key).items():
                 triples.append((row_index[bkey], c, coeff))
     except KeyError as exc:
         raise OperadError(
@@ -81,7 +104,8 @@ def differential_matrix(spec, degree):
             f"outside the degree-{spec.target_degree(degree)} basis truncated at "
             f"max-entry {operad.max_entry}"
         ) from exc
-    return SparseMatrix(len(rows), len(cols), operad.field, triples)
+    # each column is canonical and lands in its own column index
+    return SparseMatrix._from_canonical(len(rows), len(cols), operad.field, triples)
 
 
 def betti(spec):

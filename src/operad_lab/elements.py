@@ -3,7 +3,8 @@
 An Element is a finite sum ``sum c_b * b`` of basis keys of a single arity,
 attached to one operad instance (which owns the field).  Arithmetic is plain
 linear algebra; all operadic structure lives in :mod:`operad_lab.core` and in
-the per-operad modules.
+the per-operad modules.  The JSON readers of keys, elements, dense maps and
+algebras share the integer and coefficient checks defined here.
 """
 
 from itertools import chain
@@ -13,6 +14,24 @@ from .scalars import linear_combination
 
 class OperadError(ValueError):
     """Domain error: bad arity, bad slot, malformed basis key, mixed operads."""
+
+
+def json_int(value, what):
+    """An integer read from JSON.  JSON ``true`` decodes to a Python int and
+    ``2.9`` to a float; both are rejected here instead of being truncated."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise OperadError(f"{what} must be an integer, got {value!r}")
+
+
+def json_scalar(field, value):
+    """A coefficient read from JSON: an int exactly, anything else through
+    ``field.parse``, where a ``true`` fails."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return field.from_int(value)
+    return field.parse(str(value))
 
 
 class Element:

@@ -13,7 +13,7 @@ degree-0 term of the classical Hochschild complex and carry no operadic slots.
 
 import json
 
-from .elements import Element, OperadError
+from .elements import Element, OperadError, json_int, json_scalar
 from .scalars import power_sign
 
 
@@ -126,10 +126,10 @@ def matrix2(field):
 
 
 def algebra_from_json(data, field, name="custom"):
-    dim = int(data["dim"])
-    unit = tuple(_scalar(field, v) for v in data["unit"])
+    dim = json_int(data["dim"], "algebra dim")
+    unit = tuple(json_scalar(field, v) for v in data["unit"])
     mul = tuple(
-        tuple(tuple(_scalar(field, v) for v in row) for row in plane)
+        tuple(tuple(json_scalar(field, v) for v in row) for row in plane)
         for plane in data["mul"]
     )
     return FinAlgebra(name, field, dim, unit, mul)
@@ -142,12 +142,6 @@ def algebra_to_json(alg):
         "unit": [f.format(v) for v in alg.unit],
         "mul": [[[f.format(v) for v in row] for row in plane] for plane in alg.mul],
     }
-
-
-def _scalar(field, v):
-    if isinstance(v, int):
-        return field.from_int(v)
-    return field.parse(str(v))
 
 
 def load_algebra(spec_text, field):
@@ -290,7 +284,7 @@ class EndoOperad:
         return list(key)
 
     def basis_from_json(self, data):
-        return tuple(int(v) for v in data)
+        return tuple(json_int(v, "basis entry") for v in data)
 
 
 def classical_keys(operad, degree):
@@ -376,8 +370,7 @@ def cup_product(x, y):
 def multimap_to_element(operad, arity, coeffs):
     """Dense coefficient list -> Element; index order is input indices from
     the first (slowest) to the last, then the output index (fastest)."""
-    if not isinstance(arity, int):
-        raise OperadError(f"dense map needs an integer arity, got {arity!r}")
+    arity = json_int(arity, "dense map arity")
     if not isinstance(coeffs, list):
         raise OperadError(f"dense map needs a list of coefficients, got {coeffs!r}")
     d = operad.algebra.dim
@@ -386,7 +379,7 @@ def multimap_to_element(operad, arity, coeffs):
         if len(coeffs) != d:
             raise OperadError(f"arity-0 dense map needs {d} coefficients")
         return Element(
-            operad, 0, {(j,): _scalar(f, coeffs[j]) for j in range(d)}
+            operad, 0, {(j,): json_scalar(f, coeffs[j]) for j in range(d)}
         )
     expected = d ** (arity + 1)
     if len(coeffs) != expected:
@@ -395,7 +388,7 @@ def multimap_to_element(operad, arity, coeffs):
     from itertools import product
 
     for flat, key in enumerate(product(range(d), repeat=arity + 1)):
-        c = _scalar(f, coeffs[flat])
+        c = json_scalar(f, coeffs[flat])
         if not f.is_zero(c):
             terms[key] = c
     return Element(operad, arity, terms)

@@ -40,6 +40,17 @@ class SparseMatrix:
             (r, c, v) for (r, c), v in sorted(linear_combination(field, cells()).items())
         )
 
+    @classmethod
+    def _from_canonical(cls, n_rows, n_cols, field, triples):
+        """Trusted constructor: ``triples`` are in range, with no repeated
+        cell and no zero value, so they are only sorted."""
+        out = cls.__new__(cls)
+        out.n_rows = n_rows
+        out.n_cols = n_cols
+        out.field = field
+        out.entries = tuple(sorted(triples))
+        return out
+
     @property
     def nnz(self):
         return len(self.entries)

@@ -8,7 +8,7 @@ sorted keys, fixed separators, no timestamps.
 
 import json
 
-from .elements import Element, OperadError
+from .elements import Element, OperadError, json_int, json_scalar
 
 
 def element_to_json(x):
@@ -31,17 +31,13 @@ def element_from_json(data, operad):
     if "arity" not in data:
         raise OperadError("element JSON needs an 'arity' field")
     try:
-        arity = int(data["arity"])
+        arity = json_int(data["arity"], "arity")
         raw = [(operad.basis_from_json(t["basis"]), t["coeff"]) for t in data["terms"]]
     except KeyError as exc:
         raise OperadError(f"element JSON term needs a {exc} field") from None
     except (TypeError, ValueError) as exc:
         raise OperadError(f"malformed element JSON: {exc}") from None
-    field = operad.field
-    return Element(operad, arity, [
-        (key, field.from_int(c) if isinstance(c, int) else field.parse(str(c)))
-        for key, c in raw
-    ])
+    return Element(operad, arity, [(key, json_scalar(operad.field, c)) for key, c in raw])
 
 
 def dumps(obj):

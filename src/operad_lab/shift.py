@@ -6,7 +6,7 @@ is (1, 2).  Composition splices a translated copy of the inner sequence into
 one slot of the outer one and pushes the tail up.
 """
 
-from .elements import Element, OperadError
+from .elements import Element, OperadError, json_int
 
 
 def is_increasing(key):
@@ -147,4 +147,4 @@ class ShiftOperad:
         return list(key)
 
     def basis_from_json(self, data):
-        return tuple(int(v) for v in data)
+        return tuple(json_int(v, "basis entry") for v in data)

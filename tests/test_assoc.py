@@ -104,6 +104,17 @@ def test_delete_and_standardize():
     assert delete_and_standardize((1,), 1) == ()
 
 
+def test_closed_form_face_matches_standardize_exhaustive():
+    # the closed form against its definition: delete, then standardize
+    for n in range(1, 8):
+        for word in itertools.permutations(range(1, n + 1)):
+            for i in range(1, n + 1):
+                assert delete_and_standardize(word, i) == standardize(word[: i - 1] + word[i:])
+            for i in (0, n + 1):
+                with pytest.raises(OperadError):
+                    delete_and_standardize(word, i)
+
+
 def test_concat_deconcat():
     assert concat((2, 1), (1, 2)) == (2, 1, 3, 4)
     assert concat((), (1,)) == (1,)

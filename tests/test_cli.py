@@ -137,6 +137,12 @@ def test_domain_errors_exit_one(capsys):
     ("boundary", "--operad", "endo:dual", "--element", '{"arity":"x","coeffs":[1]}'),
     ("boundary", "--operad", "endo:dual", "--element", '{"arity":1,"coeffs":7}'),
     ("boundary", "--operad", "endo:dual", "--element", "@{tmp}/five.json"),
+    ("face", "--operad", "endo:dual", "--element", '{"arity":true,"coeffs":[1,0,0,1]}',
+     "--at", "1"),
+    ("boundary", "--element", '{"arity":2.9,"terms":[{"basis":[2,1],"coeff":"1"}]}'),
+    ("boundary", "--element", '{"arity":2,"terms":[{"basis":[1.7,2],"coeff":"1"}]}'),
+    ("boundary", "--element", '{"arity":2,"terms":[{"basis":[true,2],"coeff":"1"}]}'),
+    ("boundary", "--element", '{"arity":2,"terms":[{"basis":[2,1],"coeff":true}]}'),
 ])
 def test_malformed_input_exits_one_without_traceback(argv, tmp_path):
     (tmp_path / "five.json").write_text("5\n")

@@ -4,6 +4,8 @@ The expected Hochschild numbers are reproduced here first by a brute-force
 oracle that builds the textbook coboundary matrices straight from the
 structure constants and row-reduces them, independently of the library's
 differential and matrix code.  Only then are they compared against betti().
+The key-level matrix assembly is also checked against matrices summed from
+the Element-level operators, column by column.
 """
 
 import itertools
@@ -15,12 +17,18 @@ from operad_lab import (
     ComplexSpec,
     Element,
     EndoOperad,
+    FinAlgebra,
     OperadError,
     ShiftOperad,
+    SparseMatrix,
     betti,
+    boundary,
+    classical_coboundary,
+    coboundary,
     differential_matrix,
     get_field,
 )
+from operad_lab.cli import make_operad
 from operad_lab.endo import dual_numbers, ground_field_algebra, matrix2
 from operad_lab.linalg import equal_up_to_global_sign
 
@@ -176,6 +184,61 @@ def test_operadic_and_classical_ranks_agree():
             b = differential_matrix(ComplexSpec(op, "hochschild", n, n), n)
             assert equal_up_to_global_sign(a, b) == 1
             assert a.rank() == b.rank()
+
+
+# --- key-level assembly against the Element operators ---------------------
+
+ELEMENT_OPERATORS = {
+    "boundary": boundary,
+    "coboundary": coboundary,
+    "hochschild": classical_coboundary,
+}
+
+
+def element_matrix(spec, degree):
+    """The differential matrix summed from the Element-level operator applied
+    to each basis key; a term outside the row basis raises OperadError."""
+    op = spec.operad
+    cols = spec.basis_at(degree)
+    rows = spec.basis_at(spec.target_degree(degree))
+    row_index = {key: r for r, key in enumerate(rows)}
+    apply = ELEMENT_OPERATORS[spec.differential]
+    triples = []
+    for c, key in enumerate(cols):
+        for bkey, coeff in apply(Element.basis(op, key)).terms.items():
+            if bkey not in row_index:
+                raise OperadError(f"{bkey!r} is outside the row basis")
+            triples.append((row_index[bkey], c, coeff))
+    return SparseMatrix(len(rows), len(cols), op.field, triples)
+
+
+def scaled_line(field):
+    """The ground field on the basis vector e = 2: e*e = 2e and the unit is
+    e/2, so the product and the point carry coefficients other than 0 and 1."""
+    two = field.from_int(2)
+    return EndoOperad(FinAlgebra("2k", field, 1, (field.inv(two),), (((two,),),)))
+
+
+@pytest.mark.parametrize("field", ["q", "gfp:5"])
+@pytest.mark.parametrize("selector,top", [
+    ("assoc", 6), ("shift", 6), ("endo:k", 6), ("endo:dual", 6), ("endo:m2", 4), ("2k", 6),
+])
+def test_key_level_matrices_match_element_operators(selector, top, field):
+    field = get_field(field)
+    op = scaled_line(field) if selector == "2k" else make_operad(selector, field)
+    kinds = ["boundary", "coboundary"] + (["hochschild"] if isinstance(op, EndoOperad) else [])
+    for kind in kinds:
+        spec = ComplexSpec(op, kind, 0, top)
+        for n in range(top + 1):
+            try:
+                expected = element_matrix(spec, n)
+            except OperadError:
+                # the shift basis truncated at max-entry is not closed under
+                # the coboundary: both paths must refuse
+                with pytest.raises(OperadError):
+                    differential_matrix(spec, n)
+                continue
+            assert differential_matrix(spec, n) == expected, (kind, n)
 
 
 # --- generic complex behavior ----------------------------------------------

@@ -1,13 +1,12 @@
 """Endomorphism operad of a finite-dimensional algebra."""
 
-import itertools
 import json
 import random
 
 import pytest
 
 from operad_lab import Element, EndoOperad, OperadError, get_field
-from operad_lab.core import boundary, coboundary, compose, face, odot_product
+from operad_lab.core import coboundary, compose, face, odot_product
 from operad_lab.endo import (
     FinAlgebra,
     algebra_from_json,

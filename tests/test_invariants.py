@@ -5,7 +5,8 @@ Basis keys are validated where they enter (``Element(...)``,
 library builds from them is summed without validating again.  These seeded
 tests re-check that every key it produces is valid, and that no operation
 calls ``validate_basis`` once its inputs exist.  The library also avoids
-``assert``, which ``python -O`` strips.
+``assert``, which ``python -O`` strips, and neither it nor the tests import
+a name they do not use.
 """
 
 import ast
@@ -120,5 +121,38 @@ def test_library_has_no_assert_statements():
         for path in sorted(Path(operad_lab.__file__).parent.glob("*.py"))
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
+def unused_imports(source):
+    """Names a module imports but never reads; ``__all__`` entries count as read."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported.setdefault(name, node.lineno)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used |= set(ast.literal_eval(node.value))
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def test_unused_import_scan_sees_through_all():
+    source = "import os\nimport sys\nfrom json import dumps, loads\n__all__ = ['dumps']\nsys.exit\n"
+    assert unused_imports(source) == [(1, "os"), (3, "loads")]
+
+
+def test_library_and_tests_have_no_unused_imports():
+    package = Path(operad_lab.__file__).parent
+    found = [
+        f"{path.parent.name}/{path.name}:{line} {name}"
+        for path in sorted(package.glob("*.py")) + sorted(Path(__file__).parent.glob("*.py"))
+        for line, name in unused_imports(path.read_text(encoding="utf-8"))
     ]
     assert found == []
