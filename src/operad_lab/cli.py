@@ -50,6 +50,13 @@ class CliParser(argparse.ArgumentParser):
         sys.exit(USAGE_EXIT)
 
 
+def nonnegative_int(text):
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 def make_operad(selector, field, max_entry=DEFAULT_SHIFT_MAX_ENTRY):
     if selector == "assoc":
         return AssocOperad(field)
@@ -183,7 +190,7 @@ def build_parser():
                    choices=("boundary", "coboundary", "hochschild"))
     p.add_argument("--lo", type=int, required=True)
     p.add_argument("--hi", type=int, required=True)
-    p.add_argument("--column-cap", type=int, default=None)
+    p.add_argument("--column-cap", type=nonnegative_int, default=None)
     p.add_argument("--allow-large", action="store_true")
 
     p = sub.add_parser("verify", help="run randomized identity suites")

@@ -126,6 +126,17 @@ def matrix2(field):
 
 
 def algebra_from_json(data, field, name="custom"):
+    """An algebra from ``{"dim": d, "unit": [...], "mul": [[[...]]]}``;
+    ``FinAlgebra`` then checks the lengths against ``dim``."""
+    if not isinstance(data, dict) or not {"dim", "unit", "mul"} <= data.keys():
+        raise OperadError("algebra JSON needs an object with 'dim', 'unit' and 'mul' fields")
+    if not isinstance(data["unit"], list) or not (
+        isinstance(data["mul"], list)
+        and all(isinstance(plane, list) and all(isinstance(row, list) for row in plane)
+                for plane in data["mul"])
+    ):
+        raise OperadError("algebra JSON needs 'unit' as a list and 'mul' as a list of "
+                          "lists of lists")
     dim = json_int(data["dim"], "algebra dim")
     unit = tuple(json_scalar(field, v) for v in data["unit"])
     mul = tuple(

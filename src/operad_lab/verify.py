@@ -6,6 +6,12 @@
 out of (seed, suite, check, operad, trial), and each run-once check from
 (seed, suite, check, operad, "batch"), so a report is byte-identical for a
 fixed seed, trial count, field and suite/operad selection.
+
+A per-trial check draws its inputs and returns the two sides of its
+identity as ``(inputs, lhs, rhs)``: ``inputs`` maps names to Elements,
+lists of them, or ints, and each side is an Element or a tensor (a
+``{key: coeff}`` dict).  ``_run_trials`` compares the sides, and
+``_counterexample`` renders the first pair that differs.
 """
 
 import itertools
@@ -62,106 +68,76 @@ def _sample(operads, label, arity, rng, max_terms=2):
     return random_element(operads[label], arity, rng, max_terms=max_terms)
 
 
-def _arity(label, rng, lo, hi_cap=None):
-    hi = MAX_ARITY[label]
-    if hi_cap is not None:
-        hi = min(hi, hi_cap)
-    return rng.randint(lo, hi)
+def _format(value):
+    """Report text of a check's input or side: Elements via ``format``, lists
+    item by item, tensors as their sorted keys, anything else as it is."""
+    if isinstance(value, Element):
+        return value.format()
+    if isinstance(value, list):
+        return [_format(v) for v in value]
+    if isinstance(value, dict):
+        return repr(sorted(value))
+    return value
 
 
-def _fail(rng_inputs, lhs, rhs):
-    return {"inputs": rng_inputs, "lhs": lhs.format(), "rhs": rhs.format()}
-
-
-def _tensor_fail(x, lhs, rhs):
-    return {"inputs": {"x": x.format()}, "lhs": repr(sorted(lhs)), "rhs": repr(sorted(rhs))}
+def _counterexample(inputs, lhs, rhs):
+    return {"inputs": {name: _format(v) for name, v in inputs.items()},
+            "lhs": _format(lhs), "rhs": _format(rhs)}
 
 
 # ---------------------------------------------------------------------------
-# per-trial checks: return None on success, a counterexample dict on failure
+# per-trial checks: return (inputs, lhs, rhs); the trial fails if lhs != rhs
 
 
-def check_face_face_low(ops, label, rng):
-    n = _arity(label, rng, 2)
-    x = _sample(ops, label, n, rng)
+def _i_below_j(n, rng):
+    """j in 2..n, then i in 1..j-1."""
     j = rng.randint(2, n)
-    i = rng.randint(1, j - 1)
-    lhs = face(face(x, j), i)
-    rhs = face(face(x, i), j - 1)
-    if lhs != rhs:
-        return _fail({"x": x.format(), "i": i, "j": j}, lhs, rhs)
-    return None
+    return rng.randint(1, j - 1), j
 
 
-def check_face_face_high(ops, label, rng):
-    n = _arity(label, rng, 2)
-    x = _sample(ops, label, n, rng)
-    i = rng.randint(1, n - 1)
-    j = rng.randint(1, i)
-    lhs = face(face(x, j), i)
-    rhs = face(face(x, i + 1), j)
-    if lhs != rhs:
-        return _fail({"x": x.format(), "i": i, "j": j}, lhs, rhs)
-    return None
+# (name, lowest arity, stop this far below MAX_ARITY, (i, j) draw in rng
+# order, lhs, rhs).  The sides look up face/degeneracy when they run, so a
+# patched module global reaches them.
+SIMPLICIAL = (
+    ("face_face_low", 2, 0,
+     _i_below_j,
+     lambda x, i, j: face(face(x, j), i),
+     lambda x, i, j: face(face(x, i), j - 1)),
+    ("face_face_high", 2, 0,
+     lambda n, r: ((i := r.randint(1, n - 1)), r.randint(1, i)),
+     lambda x, i, j: face(face(x, j), i),
+     lambda x, i, j: face(face(x, i + 1), j)),
+    ("degen_degen_low", 1, 1,
+     lambda n, r: (r.randint(1, (j := r.randint(1, n))), j),
+     lambda x, i, j: degeneracy(degeneracy(x, j), i),
+     lambda x, i, j: degeneracy(degeneracy(x, i), j + 1)),
+    ("degen_degen_high", 1, 1,
+     lambda n, r: ((i := r.randint(2, n + 1)), r.randint(1, min(i - 1, n))),
+     lambda x, i, j: degeneracy(degeneracy(x, j), i),
+     lambda x, i, j: degeneracy(degeneracy(x, i - 1), j)),
+    ("face_degen_low", 2, 0,
+     _i_below_j,
+     lambda x, i, j: face(degeneracy(x, j), i),
+     lambda x, i, j: degeneracy(face(x, i), j - 1)),
+    ("face_degen_mid", 1, 0,
+     lambda n, r: (r.choice(((j := r.randint(1, n)), j + 1)), j),
+     lambda x, i, j: face(degeneracy(x, j), i),
+     lambda x, i, j: x),
+    ("face_degen_high", 2, 0,
+     lambda n, r: (r.randint((j := r.randint(1, n - 1)) + 2, n + 1), j),
+     lambda x, i, j: face(degeneracy(x, j), i),
+     lambda x, i, j: degeneracy(face(x, i - 1), j)),
+)
 
 
-def check_degen_degen_low(ops, label, rng):
-    n = _arity(label, rng, 1, MAX_ARITY[label] - 1)
-    x = _sample(ops, label, n, rng)
-    j = rng.randint(1, n)
-    i = rng.randint(1, j)
-    lhs = degeneracy(degeneracy(x, j), i)
-    rhs = degeneracy(degeneracy(x, i), j + 1)
-    if lhs != rhs:
-        return _fail({"x": x.format(), "i": i, "j": j}, lhs, rhs)
-    return None
+def make_simplicial_check(lo, below, draw, lhs, rhs):
+    def check(ops, label, rng):
+        n = rng.randint(lo, MAX_ARITY[label] - below)
+        x = _sample(ops, label, n, rng)
+        i, j = draw(n, rng)
+        return {"x": x, "i": i, "j": j}, lhs(x, i, j), rhs(x, i, j)
 
-
-def check_degen_degen_high(ops, label, rng):
-    n = _arity(label, rng, 1, MAX_ARITY[label] - 1)
-    x = _sample(ops, label, n, rng)
-    i = rng.randint(2, n + 1)
-    j = rng.randint(1, min(i - 1, n))
-    lhs = degeneracy(degeneracy(x, j), i)
-    rhs = degeneracy(degeneracy(x, i - 1), j)
-    if lhs != rhs:
-        return _fail({"x": x.format(), "i": i, "j": j}, lhs, rhs)
-    return None
-
-
-def check_face_degen_low(ops, label, rng):
-    n = _arity(label, rng, 2)
-    x = _sample(ops, label, n, rng)
-    j = rng.randint(2, n)
-    i = rng.randint(1, j - 1)
-    lhs = face(degeneracy(x, j), i)
-    rhs = degeneracy(face(x, i), j - 1)
-    if lhs != rhs:
-        return _fail({"x": x.format(), "i": i, "j": j}, lhs, rhs)
-    return None
-
-
-def check_face_degen_mid(ops, label, rng):
-    n = _arity(label, rng, 1)
-    x = _sample(ops, label, n, rng)
-    j = rng.randint(1, n)
-    i = rng.choice((j, j + 1))
-    lhs = face(degeneracy(x, j), i)
-    if lhs != x:
-        return _fail({"x": x.format(), "i": i, "j": j}, lhs, x)
-    return None
-
-
-def check_face_degen_high(ops, label, rng):
-    n = _arity(label, rng, 2)
-    x = _sample(ops, label, n, rng)
-    j = rng.randint(1, n - 1)
-    i = rng.randint(j + 2, n + 1)
-    lhs = face(degeneracy(x, j), i)
-    rhs = degeneracy(face(x, i - 1), j)
-    if lhs != rhs:
-        return _fail({"x": x.format(), "i": i, "j": j}, lhs, rhs)
-    return None
+    return check
 
 
 def make_gamma_compat_check(op, multi_op):
@@ -178,17 +154,7 @@ def make_gamma_compat_check(op, multi_op):
         slots = [rng.randint(1, t) for t in ts]
         lhs = multi_op(gamma(x, blocks), slots, ts)
         rhs = gamma(x, [op(b, j) for b, j in zip(blocks, slots)])
-        if lhs != rhs:
-            return _fail(
-                {
-                    "x": x.format(),
-                    "blocks": [b.format() for b in blocks],
-                    "slots": slots,
-                },
-                lhs,
-                rhs,
-            )
-        return None
+        return {"x": x, "blocks": blocks, "slots": slots}, lhs, rhs
 
     return check
 
@@ -196,24 +162,17 @@ def make_gamma_compat_check(op, multi_op):
 def make_square_zero_check(d):
     """``d`` squares to zero."""
     def check(ops, label, rng):
-        n = _arity(label, rng, 0)
-        x = _sample(ops, label, n, rng)
+        x = _sample(ops, label, rng.randint(0, MAX_ARITY[label]), rng)
         lhs = d(d(x))
-        if not lhs.is_zero():
-            return _fail({"x": x.format()}, lhs, Element.zero(x.operad, lhs.arity))
-        return None
+        return {"x": x}, lhs, Element.zero(x.operad, lhs.arity)
 
     return check
 
 
 def check_anticommutation(ops, label, rng):
-    n = _arity(label, rng, 1)
-    x = _sample(ops, label, n, rng)
+    x = _sample(ops, label, rng.randint(1, MAX_ARITY[label]), rng)
     lhs = boundary(coboundary(x))
-    rhs = coboundary(boundary(x)).scale(power_sign(x.operad.field, 1))
-    if lhs != rhs:
-        return _fail({"x": x.format()}, lhs, rhs)
-    return None
+    return {"x": x}, lhs, coboundary(boundary(x)).scale(power_sign(x.operad.field, 1))
 
 
 def _tensor2(pairs, field):
@@ -254,14 +213,10 @@ def _deconcat(x):
 
 def check_coassociativity(ops, label, rng):
     field = ops[label].field
-    n = _arity(label, rng, 0)
-    x = _sample(ops, label, n, rng)
+    x = _sample(ops, label, rng.randint(0, MAX_ARITY[label]), rng)
     pairs = aw_coproduct(x)
     lhs = _tensor3(pairs, field, expand_left=True)
-    rhs = _tensor3(pairs, field, expand_left=False)
-    if lhs != rhs:
-        return _tensor_fail(x, lhs, rhs)
-    return None
+    return {"x": x}, lhs, _tensor3(pairs, field, expand_left=False)
 
 
 def make_counit_check(side):
@@ -269,16 +224,14 @@ def make_counit_check(side):
     coproduct is the identity."""
     def check(ops, label, rng):
         field = ops[label].field
-        n = _arity(label, rng, 0)
+        n = rng.randint(0, MAX_ARITY[label])
         x = _sample(ops, label, n, rng)
         out = Element.zero(x.operad, n)
         for pair in aw_coproduct(x):
             c = counit(pair[side])
             if not field.is_zero(c):
                 out = out + pair[1 - side].scale(c)
-        if out != x:
-            return _fail({"x": x.format()}, out, x)
-        return None
+        return {"x": x}, out, x
 
     return check
 
@@ -295,32 +248,26 @@ def brace_or_zero(x, args):
     return brace(x, args)
 
 
-def check_dot_vs_odot(ops, label, rng):
-    field = ops[label].field
+def _pair(ops, label, rng):
+    """Inputs p and q of arities r, s drawn from 1..3, in the order r, s, p, q."""
     r = rng.randint(1, 3)
     s = rng.randint(1, 3)
-    p = _sample(ops, label, r, rng)
-    q = _sample(ops, label, s, rng)
-    lhs = dot_product(p, q)
-    rhs = odot_product(p, q).scale(power_sign(field, r * s))
-    if lhs != rhs:
-        return _fail({"p": p.format(), "q": q.format()}, lhs, rhs)
-    return None
+    return _sample(ops, label, r, rng), _sample(ops, label, s, rng)
+
+
+def check_dot_vs_odot(ops, label, rng):
+    p, q = _pair(ops, label, rng)
+    sign = power_sign(p.operad.field, p.arity * q.arity)
+    return {"p": p, "q": q}, dot_product(p, q), odot_product(p, q).scale(sign)
 
 
 def make_derivation_check(d):
     """``d`` is a graded derivation of the odot product."""
     def check(ops, label, rng):
-        field = ops[label].field
-        r = rng.randint(1, 3)
-        s = rng.randint(1, 3)
-        p = _sample(ops, label, r, rng)
-        q = _sample(ops, label, s, rng)
-        lhs = d(odot_product(p, q))
-        rhs = odot_product(d(p), q) + odot_product(p, d(q)).scale(power_sign(field, r))
-        if lhs != rhs:
-            return _fail({"p": p.format(), "q": q.format()}, lhs, rhs)
-        return None
+        p, q = _pair(ops, label, rng)
+        sign = power_sign(p.operad.field, p.arity)
+        rhs = odot_product(d(p), q) + odot_product(p, d(q)).scale(sign)
+        return {"p": p, "q": q}, d(odot_product(p, q)), rhs
 
     return check
 
@@ -375,70 +322,44 @@ def check_pre_jacobi(ops, label, rng):
     x = _sample(ops, label, rng.randint(s, 3), rng, max_terms=1)
     xs = [_sample(ops, label, rng.randint(1, 2), rng, max_terms=1) for _ in range(s)]
     ys = [_sample(ops, label, rng.randint(1, 2), rng, max_terms=1) for _ in range(r)]
-    mid = brace_or_zero(x, xs)
-    lhs = brace_or_zero(mid, ys)
-    rhs = prejacobi_rhs(x, xs, ys)
-    if lhs != rhs:
-        return _fail(
-            {
-                "x": x.format(),
-                "inner": [a.format() for a in xs],
-                "outer": [a.format() for a in ys],
-            },
-            lhs,
-            rhs,
-        )
-    return None
+    lhs = brace_or_zero(brace_or_zero(x, xs), ys)
+    return {"x": x, "inner": xs, "outer": ys}, lhs, prejacobi_rhs(x, xs, ys)
 
 
-def _boundary_brace_sides(ops, label, rng):
-    field = ops[label].field
-    n_args = rng.randint(1, 3)
-    arity = rng.randint(n_args + 1, min(n_args + 3, MAX_ARITY[label]))
-    p = _sample(ops, label, arity, rng, max_terms=1)
-    zs = [_sample(ops, label, rng.randint(1, 2), rng, max_terms=1) for _ in range(n_args)]
-    braced = brace(p, zs)
-    lhs = boundary(braced)
-    degs = [z.arity for z in zs]
-    inner_sum = Element.zero(p.operad, braced.arity - 1)
-    for s_idx in range(n_args):
-        dz = boundary(zs[s_idx])
-        if dz.is_zero():
-            continue
-        args = list(zs)
-        args[s_idx] = dz
-        delta = (
-            braced.arity
-            - zs[s_idx].arity
-            + sum(degs[i] - 1 for i in range(s_idx))
-        )
-        inner_sum = inner_sum + brace(p, args).scale(power_sign(field, delta))
-    return p, zs, lhs, inner_sum
+def make_boundary_brace_check(literal):
+    """boundary(p{zs}) against (boundary p){zs} plus the signed boundaries of
+    each z.  With ``literal``, (boundary p){zs} is replaced by the collapse
+    claim: 0 for even arity, else minus the top-face term (face p){zs}."""
+    def check(ops, label, rng):
+        field = ops[label].field
+        n_args = rng.randint(1, 3)
+        arity = rng.randint(n_args + 1, min(n_args + 3, MAX_ARITY[label]))
+        p = _sample(ops, label, arity, rng, max_terms=1)
+        zs = [_sample(ops, label, rng.randint(1, 2), rng, max_terms=1) for _ in range(n_args)]
+        braced = brace(p, zs)
+        degs = [z.arity for z in zs]
+        inner_sum = Element.zero(p.operad, braced.arity - 1)
+        for s_idx in range(n_args):
+            dz = boundary(zs[s_idx])
+            if dz.is_zero():
+                continue
+            args = list(zs)
+            args[s_idx] = dz
+            delta = (
+                braced.arity
+                - zs[s_idx].arity
+                + sum(degs[i] - 1 for i in range(s_idx))
+            )
+            inner_sum = inner_sum + brace(p, args).scale(power_sign(field, delta))
+        if not literal:
+            rhs = brace(boundary(p), zs) + inner_sum
+        elif p.arity % 2 == 0:
+            rhs = inner_sum
+        else:
+            rhs = inner_sum - brace(face(p, p.arity), zs)
+        return {"p": p, "args": zs}, boundary(braced), rhs
 
-
-def check_boundary_brace_literal(ops, label, rng):
-    """Collapse claim: the (boundary p){zs} part is 0 or a single top-face term."""
-    p, zs, lhs, inner_sum = _boundary_brace_sides(ops, label, rng)
-    if p.arity % 2 == 0:
-        rhs = inner_sum
-    else:
-        rhs = inner_sum - brace(face(p, p.arity), zs)
-    if lhs != rhs:
-        return _fail(
-            {"p": p.format(), "args": [z.format() for z in zs]}, lhs, rhs
-        )
-    return None
-
-
-def check_boundary_brace_termwise(ops, label, rng):
-    """Leibniz form: boundary(p{zs}) = (boundary p){zs} + signed inner boundaries."""
-    p, zs, lhs, inner_sum = _boundary_brace_sides(ops, label, rng)
-    rhs = brace(boundary(p), zs) + inner_sum
-    if lhs != rhs:
-        return _fail(
-            {"p": p.format(), "args": [z.format() for z in zs]}, lhs, rhs
-        )
-    return None
+    return check
 
 
 # ---------------------------------------------------------------------------
@@ -446,31 +367,19 @@ def check_boundary_brace_termwise(ops, label, rng):
 
 
 def check_coproduct_vs_deconcat(ops, label, rng):
-    field = ops[label].field
-    n = rng.randint(1, MAX_ARITY[label])
-    x = _sample(ops, label, n, rng, max_terms=1)
-    lhs = _tensor2(aw_coproduct(x), field)
-    rhs = _deconcat(x)
-    if lhs != rhs:
-        return _tensor_fail(x, lhs, rhs)
-    return None
+    x = _sample(ops, label, rng.randint(1, MAX_ARITY[label]), rng, max_terms=1)
+    return {"x": x}, _tensor2(aw_coproduct(x), ops[label].field), _deconcat(x)
 
 
 def check_odot_vs_concat(ops, label, rng):
     field = ops[label].field
-    r = rng.randint(1, 3)
-    s = rng.randint(1, 3)
-    p = _sample(ops, label, r, rng)
-    q = _sample(ops, label, s, rng)
-    lhs = odot_product(p, q)
-    rhs = Element(ops[label], r + s, [
+    p, q = _pair(ops, label, rng)
+    rhs = Element(ops[label], p.arity + q.arity, [
         (concat(kp, kq), field.mul(cp, cq))
         for kp, cp in p.terms.items()
         for kq, cq in q.terms.items()
     ])
-    if lhs != rhs:
-        return _fail({"p": p.format(), "q": q.format()}, lhs, rhs)
-    return None
+    return {"p": p, "q": q}, odot_product(p, q), rhs
 
 
 def make_cup_check(op):
@@ -479,11 +388,7 @@ def make_cup_check(op):
         s = rng.randint(1, max(1, 3 - r))
         p = random_element(op, r, rng)
         q = random_element(op, s, rng)
-        lhs = cup_product(p, q)
-        rhs = odot_product(p, q)
-        if lhs != rhs:
-            return _fail({"p": p.format(), "q": q.format()}, lhs, rhs)
-        return None
+        return {"p": p, "q": q}, cup_product(p, q), odot_product(p, q)
 
     return check
 
@@ -560,7 +465,7 @@ def batch_coproduct_exhaustive(ops, label, rng, trials):
             lhs = _tensor2(aw_coproduct(x), field)
             rhs = _deconcat(x)
             if lhs != rhs:
-                return "fail", 1, {"cases": checked}, _tensor_fail(x, lhs, rhs)
+                return "fail", 1, {"cases": checked}, _counterexample({"x": x}, lhs, rhs)
             checked += 1
     return "pass", 0, {"cases": checked}, None
 
@@ -581,16 +486,9 @@ def batch_gamma_shift_closed_form(ops, label, rng, trials):
                 via_gamma = gamma(x, args)
                 expect = Element.basis(operad, direct)
                 if via_gamma != expect:
-                    return (
-                        "fail",
-                        1,
-                        {"cases": checked},
-                        {
-                            "inputs": {"x": x.format(), "blocks": [repr(b) for b in blocks]},
-                            "lhs": via_gamma.format(),
-                            "rhs": expect.format(),
-                        },
-                    )
+                    inputs = {"x": x, "blocks": [repr(b) for b in blocks]}
+                    found = _counterexample(inputs, via_gamma, expect)
+                    return "fail", 1, {"cases": checked}, found
                 checked += 1
     return "pass", 0, {"cases": checked}, None
 
@@ -668,7 +566,8 @@ def _batch_catalog(field):
     """Every check, by suite, in report order.
 
     Per-trial entries are ``(name, fn, label, kind)``: ``fn(ops, label, rng)``
-    runs once per trial and returns None or a counterexample.  ``kind`` is
+    runs once per trial and returns ``(inputs, lhs, rhs)``; the trial is a
+    discrepancy when the two sides differ.  ``kind`` is
     "assert" (discrepancies are failures) or "report" (they are counted in
     ``details`` and the row is "reported").  Run-once entries are
     ``(name, fn, label)``: ``fn(ops, label, rng, trials)`` returns
@@ -690,13 +589,8 @@ def _batch_catalog(field):
         coincidence.append(("coboundary_vs_classical", make_batch_rank_comparison(op), label))
     return {
         "simplicial": [
-            *_each_operad("face_face_low", check_face_face_low),
-            *_each_operad("face_face_high", check_face_face_high),
-            *_each_operad("degen_degen_low", check_degen_degen_low),
-            *_each_operad("degen_degen_high", check_degen_degen_high),
-            *_each_operad("face_degen_low", check_face_degen_low),
-            *_each_operad("face_degen_mid", check_face_degen_mid),
-            *_each_operad("face_degen_high", check_face_degen_high),
+            *(entry for name, *row in SIMPLICIAL
+              for entry in _each_operad(name, make_simplicial_check(*row))),
             *_each_operad("face_gamma_compat", make_gamma_compat_check(face, multi_face), "report"),
             *_each_operad("degen_gamma_compat",
                           make_gamma_compat_check(degeneracy, multi_degeneracy), "report"),
@@ -717,8 +611,8 @@ def _batch_catalog(field):
             ("coboundary_derivation", make_derivation_check(coboundary), "assoc", "assert"),
             ("boundary_derivation", make_derivation_check(boundary), "assoc", "assert"),
             ("pre_jacobi", check_pre_jacobi, "assoc", "assert"),
-            ("boundary_brace_literal", check_boundary_brace_literal, "assoc", "assert"),
-            ("boundary_brace_termwise", check_boundary_brace_termwise, "assoc", "assert"),
+            ("boundary_brace_literal", make_boundary_brace_check(True), "assoc", "assert"),
+            ("boundary_brace_termwise", make_boundary_brace_check(False), "assoc", "assert"),
         ],
         "coincidence": coincidence,
         "cohomology": [
@@ -736,11 +630,12 @@ def _run_trials(fn, ops, operad_label, suite, name, seed, trials):
     failures = 0
     first = None
     for t in range(trials):
-        res = fn(ops, operad_label, random.Random(f"{seed}:{suite}:{name}:{operad_label}:{t}"))
-        if res is not None:
+        inputs, lhs, rhs = fn(
+            ops, operad_label, random.Random(f"{seed}:{suite}:{name}:{operad_label}:{t}"))
+        if lhs != rhs:
             failures += 1
             if first is None:
-                first = dict(res, trial=t)
+                first = dict(_counterexample(inputs, lhs, rhs), trial=t)
     return failures, first
 
 

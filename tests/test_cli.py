@@ -143,9 +143,16 @@ def test_domain_errors_exit_one(capsys):
     ("boundary", "--element", '{"arity":2,"terms":[{"basis":[1.7,2],"coeff":"1"}]}'),
     ("boundary", "--element", '{"arity":2,"terms":[{"basis":[true,2],"coeff":"1"}]}'),
     ("boundary", "--element", '{"arity":2,"terms":[{"basis":[2,1],"coeff":true}]}'),
+    *(("face", "--operad", f"endo:@{{tmp}}/{name}.json", "--element", "E[0->0]", "--at", "1")
+      for name in ("no_dim", "no_mul", "list", "unit_int")),
 ])
 def test_malformed_input_exits_one_without_traceback(argv, tmp_path):
     (tmp_path / "five.json").write_text("5\n")
+    # algebra JSON: missing "dim", missing "mul", not an object, unit not a list
+    (tmp_path / "no_dim.json").write_text('{"unit": [1], "mul": [[[1]]]}')
+    (tmp_path / "no_mul.json").write_text('{"dim": 1, "unit": [1]}')
+    (tmp_path / "list.json").write_text("[1]")
+    (tmp_path / "unit_int.json").write_text('{"dim": 1, "unit": 5, "mul": [[[1]]]}')
     argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
     done = subprocess.run([sys.executable, "-m", "operad_lab.cli", *argv],
                           capture_output=True, text=True, timeout=60)
@@ -162,6 +169,11 @@ def test_usage_errors_exit_64(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["not-a-command"])
     assert exc.value.code == 64
+    with pytest.raises(SystemExit) as exc:
+        main(["cohomology", "--operad", "assoc", "--differential", "boundary",
+              "--lo", "0", "--hi", "2", "--column-cap", "-1"])
+    assert exc.value.code == 64
+    assert "--column-cap: must be at least 0, got -1" in capsys.readouterr().err
     capsys.readouterr()
 
 

@@ -9,7 +9,9 @@ import json
 
 import pytest
 
-from operad_lab.verify import SUITES, run_verify, report_to_json
+from operad_lab.elements import Element
+from operad_lab.scalars import get_field
+from operad_lab.verify import SUITES, _run_trials, make_operads, run_verify, report_to_json
 
 PROFILE_TRIALS = 120
 
@@ -135,3 +137,42 @@ def test_report_bytes_pinned(seed, trials, field_label):
     text = report_to_json(run_verify(seed=seed, trials=trials, field_label=field_label))
     digest = hashlib.sha256(text.encode()).hexdigest()
     assert digest == REPORT_SHA256[(seed, trials, field_label)]
+
+
+def _stub(sides):
+    """A per-trial check returning ``sides[t]`` on trial t."""
+    calls = iter(sides)
+    return lambda ops, label, rng: next(calls)
+
+
+def test_tensor_counterexample_row():
+    ops = make_operads(get_field("q"))
+    x = Element.basis(ops["assoc"], (2, 1))
+    equal = {((0, ()), (2, (2, 1))): 1}
+    lhs = {((1, (1,)), (1, (1,))): 1, ((0, ()), (2, (2, 1))): 1}
+    rhs = {((2, (2, 1)), (0, ())): 2}
+    sides = [({"x": x}, equal, dict(equal)), ({"x": x}, lhs, rhs), ({"x": x}, rhs, lhs)]
+    failures, first = _run_trials(_stub(sides), ops, "assoc", "coalgebra", "stub", 0, 3)
+    assert failures == 2
+    assert first == {
+        "inputs": {"x": "(21)"},
+        "lhs": "[((0, ()), (2, (2, 1))), ((1, (1,)), (1, (1,)))]",
+        "rhs": "[((2, (2, 1)), (0, ()))]",
+        "trial": 1,
+    }
+
+
+def test_element_counterexample_row_formats_lists():
+    ops = make_operads(get_field("q"))
+    assoc = ops["assoc"]
+    x, one, two = (Element.basis(assoc, k) for k in ((2, 1), (1,), (1, 2)))
+    inputs = {"x": x, "blocks": [one, two], "slots": [1, 2], "i": 3}
+    sides = [(inputs, x, x), (inputs, two, Element.zero(assoc, 2))]
+    failures, first = _run_trials(_stub(sides), ops, "assoc", "simplicial", "stub", 0, 2)
+    assert failures == 1
+    assert first == {
+        "inputs": {"x": "(21)", "blocks": ["(1)", "(12)"], "slots": [1, 2], "i": 3},
+        "lhs": "(12)",
+        "rhs": "0",
+        "trial": 1,
+    }
