@@ -83,9 +83,11 @@ def differential_matrix(spec, degree):
     indexed by the degree-n basis, rows by the target-degree basis."""
     cols = spec.basis_at(degree)
     if len(cols) > spec.column_cap and not spec.allow_large:
+        counted = "1 column" if len(cols) == 1 else f"{len(cols)} columns"
+        verb = "exceeds" if len(cols) == 1 else "exceed"
         raise OperadError(
-            f"{len(cols)} columns at degree {degree} exceeds the cap "
-            f"{spec.column_cap}; pass allow_large to override"
+            f"{counted} at degree {degree} {verb} the cap {spec.column_cap}; "
+            "pass allow_large=True (--allow-large on the command line) to override"
         )
     rows = spec.basis_at(spec.target_degree(degree))
     row_index = {key: r for r, key in enumerate(rows)}

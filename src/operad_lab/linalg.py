@@ -1,9 +1,15 @@
 """Exact sparse linear algebra: rank, kernel dimension, sign comparison.
 
 Matrices are stored as canonical sorted triplet lists over an explicit field
-from :mod:`operad_lab.scalars`.  Elimination is exact (Fraction or modular);
-a dense path takes over when the matrix is more than a quarter full.
+from :mod:`operad_lab.scalars`.  A matrix is immutable, so its rank is
+computed once and memoised.  Elimination is exact and runs on plain ints for
+both fields: modular over GF(p), fraction-free over Q (each row's
+denominators cleared, rows kept primitive).  A dense path takes over when the
+matrix is more than a quarter full.  The field-generic sparse elimination
+that the int kernel replaced is kept in the tests as its oracle.
 """
+
+from math import gcd, lcm
 
 from .scalars import linear_combination, same_field
 
@@ -18,10 +24,11 @@ class SparseMatrix:
     """Immutable exact matrix in canonical triplet form.
 
     Entries are kept sorted by (row, col) with duplicates summed and zeros
-    dropped, so two equal matrices always have identical entry lists.
+    dropped, so two equal matrices always have identical entry lists.  The
+    rank is memoised in ``_rank``, which equality, hashing and ``repr`` ignore.
     """
 
-    __slots__ = ("n_rows", "n_cols", "field", "entries")
+    __slots__ = ("n_rows", "n_cols", "field", "entries", "_rank")
 
     def __init__(self, n_rows, n_cols, field, triples=()):
         if n_rows < 0 or n_cols < 0:
@@ -72,11 +79,18 @@ class SparseMatrix:
         )
 
     def rank(self):
+        try:
+            return self._rank
+        except AttributeError:
+            pass
         if self.nnz == 0:
-            return 0
-        if self.density > DENSE_DENSITY:
-            return _dense_rank(self.to_dense(), self.field)
-        return _sparse_rank(self)
+            rank = 0
+        elif self.density > DENSE_DENSITY:
+            rank = _dense_rank(self.to_dense(), self.field)
+        else:
+            rank = _integer_rank(self)
+        self._rank = rank
+        return rank
 
     def kernel_dim(self):
         r = self.rank()
@@ -131,15 +145,26 @@ def _dense_rank(rows, field):
     return rank
 
 
-def _sparse_rank(mat):
-    field = mat.field
+def _integer_rank(mat):
+    """Rank by sparse elimination on plain ints: columns ascending, the
+    shortest candidate row as pivot.  Over GF(p) the pivot row is scaled to a
+    leading 1 and each row is reduced mod p; over Q each row is first cleared
+    of denominators, then updated fraction-free as ``(a/g) row - (b/g) pivot``
+    with ``g = gcd(a, b)`` and divided by its content."""
     rows = {}
     for r, c, v in mat.entries:
         rows.setdefault(r, {})[c] = v
-    work = [d for d in rows.values() if d]
+    work = list(rows.values())
+    modulus = mat.field.p if mat.field.kind == "prime" else None
+    if modulus is None:
+        for row in work:
+            den = lcm(*(v.denominator for v in row.values()))
+            for c, v in row.items():
+                row[c] = v.numerator * (den // v.denominator)
+            _make_primitive(row)
     by_col = {}
-    for idx, d in enumerate(work):
-        for c in d:
+    for idx, row in enumerate(work):
+        for c in row:
             by_col.setdefault(c, set()).add(idx)
     eliminated = [False] * len(work)
     rank = 0
@@ -151,21 +176,54 @@ def _sparse_rank(mat):
         eliminated[pivot] = True
         rank += 1
         prow = work[pivot]
-        inv = field.inv(prow[col])
+        a = prow[col]
+        if modulus is not None and a != 1:
+            inv = pow(a, -1, modulus)
+            for c, v in prow.items():
+                prow[c] = v * inv % modulus
         for i in cands:
             if i == pivot:
                 continue
             row = work[i]
-            factor = field.mul(row[col], inv)
-            for c, v in prow.items():
-                nv = field.sub(row.get(c, field.zero), field.mul(factor, v))
-                if field.is_zero(nv):
-                    row.pop(c, None)
-                else:
-                    if c not in row:
-                        by_col.setdefault(c, set()).add(i)
-                    row[c] = nv
+            if modulus is None:
+                b = row[col]
+                g = gcd(a, b)
+                s, b = a // g, b // g
+                if s != 1:
+                    for c, v in row.items():
+                        row[c] = s * v
+                for c, v in prow.items():
+                    old = row.get(c)
+                    if old is None:
+                        by_col[c].add(i)
+                        row[c] = -b * v
+                    elif old == b * v:
+                        del row[c]
+                    else:
+                        row[c] = old - b * v
+                _make_primitive(row)
+            else:
+                nb = modulus - row[col]
+                for c, v in prow.items():
+                    old = row.get(c)
+                    if old is None:
+                        by_col[c].add(i)
+                        row[c] = nb * v % modulus
+                    else:
+                        nv = (old + nb * v) % modulus
+                        if nv:
+                            row[c] = nv
+                        else:
+                            del row[c]
     return rank
+
+
+def _make_primitive(row):
+    """Divide an int row by the gcd of its entries."""
+    content = gcd(*row.values())
+    if content > 1:
+        for c, v in row.items():
+            row[c] = v // content
 
 
 def equal_up_to_global_sign(a, b):

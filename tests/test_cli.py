@@ -177,6 +177,19 @@ def test_usage_errors_exit_64(capsys):
     capsys.readouterr()
 
 
+def test_column_cap_error_names_the_flag(capsys):
+    args = ("cohomology", "--operad", "assoc", "--differential", "boundary", "--lo", "0")
+    code, out, err = run(capsys, *args, "--hi", "3", "--column-cap", "0")
+    assert (code, out) == (1, "")
+    assert err == ("error: 1 column at degree 0 exceeds the cap 0; pass allow_large=True"
+                   " (--allow-large on the command line) to override\n")
+    code, _, err = run(capsys, *args, "--hi", "3", "--column-cap", "2")
+    assert code == 1
+    assert err.startswith("error: 6 columns at degree 3 exceed the cap 2;")
+    code, out, _ = run(capsys, *args, "--hi", "3", "--column-cap", "0", "--allow-large")
+    assert code == 0 and out.startswith("degree 0: dim 0")
+
+
 def test_verify_exit_codes(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "simplicial",
                        "--operad", "assoc", "--trials", "10")

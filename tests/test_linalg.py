@@ -1,14 +1,30 @@
-"""Exact sparse matrices: construction, rank, kernel dimension."""
+"""Exact sparse matrices: construction, rank, kernel dimension.
+
+The int elimination behind ``SparseMatrix.rank`` is compared with the
+field-generic sparse elimination it replaced (``_sparse_rank`` below, the
+oracle) and with the dense path, on random matrices and on the differential
+matrices of real complexes.
+"""
 
 import random
+from fractions import Fraction
 
 import pytest
 
-from operad_lab.linalg import LinalgError, SparseMatrix, equal_up_to_global_sign
+from operad_lab import ComplexSpec, EndoOperad, FinAlgebra, differential_matrix
+from operad_lab.cli import make_operad
+from operad_lab.linalg import (
+    LinalgError,
+    SparseMatrix,
+    _dense_rank,
+    _integer_rank,
+    equal_up_to_global_sign,
+)
 from operad_lab.scalars import get_field
 
 Q = get_field("q")
 F5 = get_field("gfp:5")
+ORACLE_FIELDS = ("q", "gfp:2", "gfp:5", "gfp:32003")
 
 
 def M(rows, cols, field, entries):
@@ -120,3 +136,150 @@ def test_equal_up_to_global_sign():
     assert equal_up_to_global_sign(z, z) == 1
     d = M(2, 3, Q, [])
     assert equal_up_to_global_sign(a, d) is None
+
+
+# --- the int kernel against the field-generic oracle -----------------------
+
+
+# The field-generic sparse elimination that ``SparseMatrix.rank`` ran before
+# the int kernel, kept verbatim: same pivots, arithmetic through the field.
+def _sparse_rank(mat):
+    field = mat.field
+    rows = {}
+    for r, c, v in mat.entries:
+        rows.setdefault(r, {})[c] = v
+    work = [d for d in rows.values() if d]
+    by_col = {}
+    for idx, d in enumerate(work):
+        for c in d:
+            by_col.setdefault(c, set()).add(idx)
+    eliminated = [False] * len(work)
+    rank = 0
+    for col in range(mat.n_cols):
+        cands = [i for i in by_col.get(col, ()) if not eliminated[i] and col in work[i]]
+        if not cands:
+            continue
+        pivot = min(cands, key=lambda i: len(work[i]))
+        eliminated[pivot] = True
+        rank += 1
+        prow = work[pivot]
+        inv = field.inv(prow[col])
+        for i in cands:
+            if i == pivot:
+                continue
+            row = work[i]
+            factor = field.mul(row[col], inv)
+            for c, v in prow.items():
+                nv = field.sub(row.get(c, field.zero), field.mul(factor, v))
+                if field.is_zero(nv):
+                    row.pop(c, None)
+                else:
+                    if c not in row:
+                        by_col.setdefault(c, set()).add(i)
+                    row[c] = nv
+    return rank
+
+
+def random_matrix(rng, field, rows, cols):
+    """A random matrix with some all-zero rows and columns; over Q the entries
+    include negatives and non-integral rationals."""
+    live_rows = [r for r in range(rows) if rng.random() < 0.8]
+    live_cols = [c for c in range(cols) if rng.random() < 0.8]
+    density = rng.choice((0.1, 0.3, 0.6, 1.0))
+    entries = []
+    for r in live_rows:
+        for c in live_cols:
+            if rng.random() < density:
+                if field.kind == "rational":
+                    value = Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 4, 7, 12)))
+                else:
+                    value = field.from_int(rng.randint(-field.p, field.p))
+                entries.append((r, c, value))
+    return SparseMatrix(rows, cols, field, entries)
+
+
+def product(a, b):
+    """The matrix product a b: its rank is at most the inner dimension, so
+    its rows are dependent whenever that is below the row count."""
+    field = a.field
+    right = {}
+    for r, c, v in b.entries:
+        right.setdefault(r, []).append((c, v))
+    triples = [(r, c, field.mul(u, v)) for r, k, u in a.entries for c, v in right.get(k, ())]
+    return SparseMatrix(a.n_rows, b.n_cols, field, triples)
+
+
+def assert_ranks_agree(m, dense=True):
+    expected = _sparse_rank(m)
+    assert _integer_rank(m) == expected, m
+    if dense:
+        assert _dense_rank(m.to_dense(), m.field) == expected, m
+    assert m.rank() == expected
+
+
+@pytest.mark.parametrize("label", ORACLE_FIELDS)
+def test_integer_rank_matches_oracles_on_random_matrices(label):
+    field = get_field(label)
+    rng = random.Random(label)
+    for _ in range(200):
+        rows, cols = rng.randint(0, 12), rng.randint(0, 12)
+        assert_ranks_agree(random_matrix(rng, field, rows, cols))
+        inner = rng.randint(0, min(rows, cols))
+        low_rank = product(random_matrix(rng, field, rows, inner),
+                           random_matrix(rng, field, inner, cols))
+        assert_ranks_agree(low_rank)
+
+
+def scaled_line(field):
+    """The ground field on e = 2: e*e = 2e and the unit is e/2."""
+    two = field.from_int(2)
+    return EndoOperad(FinAlgebra("2k", field, 1, (field.inv(two),), (((two,),),)))
+
+
+@pytest.mark.parametrize("selector,kinds,top,label", [
+    *(("assoc", ("boundary",), 7, label) for label in ("q", "gfp:2", "gfp:5")),
+    *(("shift", ("boundary",), 6, label) for label in ("q", "gfp:2", "gfp:5")),
+    *(("endo:m2", ("hochschild",), 4, label) for label in ("q", "gfp:2", "gfp:5")),
+    ("2k", ("boundary", "coboundary", "hochschild"), 6, "q"),
+])
+def test_integer_rank_matches_oracles_on_complexes(selector, kinds, top, label):
+    field = get_field(label)
+    op = scaled_line(field) if selector == "2k" else make_operad(selector, field)
+    for kind in kinds:
+        spec = ComplexSpec(op, kind, 0, top)
+        for n in range(top + 1):
+            m = differential_matrix(spec, n)
+            assert_ranks_agree(m, dense=m.n_rows * m.n_cols <= 5000)
+
+
+# --- the memoised rank -----------------------------------------------------
+
+
+def test_rank_is_memoised_and_invisible():
+    rng = random.Random(11)
+    for label in ORACLE_FIELDS:
+        field = get_field(label)
+        for _ in range(20):
+            m = random_matrix(rng, field, rng.randint(0, 12), rng.randint(0, 12))
+            twin = SparseMatrix(m.n_rows, m.n_cols, field, m.entries)
+            trusted = SparseMatrix._from_canonical(m.n_rows, m.n_cols, field, m.entries)
+            r = m.rank()
+            assert m == twin and hash(m) == hash(twin) and repr(m) == repr(twin)
+            assert [m.rank(), m.rank()] == [r, r]
+            assert m.kernel_dim() == m.kernel_dim() == m.n_cols - r
+            assert m == twin and hash(m) == hash(twin) and repr(m) == repr(twin)
+            assert twin.rank() == trusted.rank() == r
+            assert trusted._rank == r
+            assert m.transpose().rank() == r
+
+
+def test_constructors_leave_the_rank_unset(monkeypatch):
+    calls = []
+    monkeypatch.setattr("operad_lab.linalg._integer_rank",
+                        lambda mat: calls.append(mat) or 1)
+    m = M(5, 5, Q, [(0, 0, Q.one), (1, 0, Q.one)])  # sparse: density 0.08
+    trusted = SparseMatrix._from_canonical(5, 5, Q, m.entries)
+    for mat in (m, trusted):
+        assert not hasattr(mat, "_rank")
+        assert [mat.rank(), mat.kernel_dim(), mat.rank()] == [1, 4, 1]
+    assert calls == [m, trusted]
