@@ -4,9 +4,13 @@ A ComplexSpec bundles an operad instance, a differential kind, and a degree
 window.  Degrees are arities; the classical kind swaps in the algebra itself
 at degree 0 and the textbook coboundary (endomorphism operads only).
 
-Matrix columns are assembled from basis keys through the operad's
-``compose_basis``, with the signs of ``core.boundary`` and
-``core.coboundary``; those Element-level operators are the test oracle.
+Matrix columns are assembled from basis keys.  The operadic kinds go through
+the operad's ``compose_basis``, with the signs of ``core.boundary`` and
+``core.coboundary``.  The classical kind reads its columns of degree >= 1 off
+tables of the algebra's nonzero structure constants, each stored with its
+negation, so a column needs no field multiplication.  The Element-level
+operators (``core.boundary``, ``core.coboundary`` and
+``endo.classical_coboundary``) are the test oracle.
 """
 
 from .elements import Element, OperadError
@@ -19,7 +23,12 @@ DEFAULT_COLUMN_CAP = 20000
 
 
 class ComplexSpec:
-    """Operad instance + differential kind + inclusive degree range."""
+    """Operad instance + differential kind + inclusive degree range.
+
+    Whatever a column needs that does not depend on its key is built once,
+    here: the signed point or product for the operadic kinds, and the nonzero
+    structure constants for the classical one.
+    """
 
     def __init__(self, operad, differential, lo, hi, column_cap=DEFAULT_COLUMN_CAP, allow_large=False):
         if differential not in DIFFERENTIALS:
@@ -34,6 +43,26 @@ class ComplexSpec:
         self.hi = hi
         self.column_cap = column_cap
         self.allow_large = allow_large
+        field = operad.field
+        if differential == "hochschild":
+            # c = mul[a][b][t] != 0 with its negation, filed three ways:
+            # left[b] (a, t), merge[t] (a, b) and right[a] (b, t); scanning
+            # (a, b, t) in order keeps the term order of classical_coboundary
+            d = range(operad.algebra.dim)
+            self._left, self._merge, self._right = ([[] for _ in d] for _ in range(3))
+            for a in d:
+                for b in d:
+                    for t, c in enumerate(operad.algebra.mul[a][b]):
+                        if not field.is_zero(c):
+                            signed = (c, field.neg(c))
+                            self._left[b].append((a, t, signed))
+                            self._merge[t].append((a, b, signed))
+                            self._right[a].append((b, t, signed))
+        else:
+            # the point (boundary) or the product (coboundary), each weight
+            # stored with its negation, indexed by the parity of its sign
+            inserted = operad.unit_zero() if differential == "boundary" else operad.multiplication()
+            self._inserted = [(k, (c, field.neg(c))) for k, c in inserted.terms.items()]
 
     @property
     def ascending(self):
@@ -46,32 +75,51 @@ class ComplexSpec:
             return list(classical_keys(self.operad, degree))
         return list(self.operad.basis_keys(degree))
 
+    def dimension_at(self, degree):
+        """len(basis_at(degree)), counted without listing the basis."""
+        if degree < 0:
+            return 0
+        if self.differential == "hochschild" and degree == 0:
+            return self.operad.algebra.dim
+        return self.operad.dimension(degree)
+
     def column(self, key):
-        """The differential of one basis key, as a canonical {key: coeff} dict."""
+        """The differential of one basis key, as a canonical {key: coeff} dict.
+
+        A classical column of degree n >= 1 is read off the nonzero structure
+        constants: the left products into the output, the n signed input
+        merges and the signed right products, each coefficient a constant or
+        its negation.  Degree 0, the commutator map, is ``classical_coboundary``.
+        The operadic kinds compose the key with the point or the product
+        through ``compose_basis``, in the order and with the signs of
+        ``core.boundary`` / ``core.coboundary``.  The Element-level operators
+        are the oracle of both.
+        """
         operad = self.operad
         field = operad.field
         n = operad.arity_of(key)
         if self.differential == "hochschild":
-            return classical_coboundary(Element._sum(operad, n, [(key, field.one)])).terms
+            if n == 0:
+                return classical_coboundary(Element._sum(operad, 0, [(key, field.one)])).terms
+            inputs, j = key[:-1], key[-1]
+            pairs = [((u,) + inputs + (m,), c) for u, m, (c, _) in self._left[j]]
+            for p in range(1, n + 1):
+                head, tail, odd = inputs[: p - 1], inputs[p:] + (j,), p % 2
+                pairs += [(head + (u, v) + tail, w[odd]) for u, v, w in self._merge[inputs[p - 1]]]
+            odd = (n + 1) % 2
+            pairs += [(inputs + (u, m), w[odd]) for u, m, w in self._right[j]]
+            return linear_combination(field, pairs)
         if n == 0:
             return {}
-        # (odd, outer, slot, inner, weight) per composite, summed in the
-        # order and with the signs of core.boundary / core.coboundary
-        if self.differential == "boundary":
-            point = operad.unit_zero().terms.items()
-            composites = [(i % 2, key, i, pk, pc) for i in range(1, n + 1) for pk, pc in point]
-        else:
-            m = operad.multiplication().terms.items()
-            composites = [((n - 1) % 2, mk, 1, key, mc) for mk, mc in m]
-            composites += [(0, mk, 2, key, mc) for mk, mc in m]
-            composites += [(i % 2, key, i, mk, mc) for i in range(1, n + 1) for mk, mc in m]
-        mul, neg, compose_basis = field.mul, field.neg, operad.compose_basis
+        mul, compose_basis, inserted = field.mul, operad.compose_basis, self._inserted
         pairs = []
-        for odd, outer, slot, inner, weight in composites:
-            if odd:
-                weight = neg(weight)
-            for k, c in compose_basis(outer, slot, inner):
-                pairs.append((k, mul(weight, c)))
+        if self.differential == "coboundary":
+            for slot, odd in ((1, (n - 1) % 2), (2, 0)):
+                for mk, w in inserted:
+                    pairs += [(k, mul(w[odd], c)) for k, c in compose_basis(mk, slot, key)]
+        for i in range(1, n + 1):
+            for ik, w in inserted:
+                pairs += [(k, mul(w[i % 2], c)) for k, c in compose_basis(key, i, ik)]
         return linear_combination(field, pairs)
 
     def target_degree(self, degree):
@@ -80,15 +128,17 @@ class ComplexSpec:
 
 def differential_matrix(spec, degree):
     """Matrix of the chosen differential out of the stated degree; columns
-    indexed by the degree-n basis, rows by the target-degree basis."""
-    cols = spec.basis_at(degree)
-    if len(cols) > spec.column_cap and not spec.allow_large:
-        counted = "1 column" if len(cols) == 1 else f"{len(cols)} columns"
-        verb = "exceeds" if len(cols) == 1 else "exceed"
+    indexed by the degree-n basis, rows by the target-degree basis.  The
+    column cap is checked on the counted basis size, before any key is listed."""
+    n_cols = spec.dimension_at(degree)
+    if n_cols > spec.column_cap and not spec.allow_large:
+        counted = "1 column" if n_cols == 1 else f"{n_cols} columns"
+        verb = "exceeds" if n_cols == 1 else "exceed"
         raise OperadError(
             f"{counted} at degree {degree} {verb} the cap {spec.column_cap}; "
             "pass allow_large=True (--allow-large on the command line) to override"
         )
+    cols = spec.basis_at(degree)
     rows = spec.basis_at(spec.target_degree(degree))
     row_index = {key: r for r, key in enumerate(rows)}
     operad = spec.operad

@@ -220,13 +220,37 @@ def scaled_line(field):
     return EndoOperad(FinAlgebra("2k", field, 1, (field.inv(two),), (((two,),),)))
 
 
-@pytest.mark.parametrize("field", ["q", "gfp:5"])
-@pytest.mark.parametrize("selector,top", [
-    ("assoc", 6), ("shift", 6), ("endo:k", 6), ("endo:dual", 6), ("endo:m2", 4), ("2k", 6),
-])
+# k[x]/(x^2 - 2/3) on the basis 1, x: x*x = (2/3)*1, a structure constant
+# other than 0 and +-1
+FRACTIONAL_X2 = {"dim": 2, "unit": [1, 0], "mul": [[[1, 0], [0, 1]], [[0, 1], ["2/3", 0]]]}
+
+KEY_LEVEL_CASES = [
+    (selector, top, field)
+    for field in ("q", "gfp:5")
+    for selector, top in [("assoc", 6), ("shift", 6), ("endo:k", 6), ("endo:dual", 6),
+                          ("endo:m2", 4), ("2k", 6)]
+] + [
+    # the closed-form algebras below; T_2's unit [1,0,1] is not basis vector 0
+    (name, 4, field)
+    for name in ("group_c3", "triangular_t2", "truncated_x3")
+    for field in ("q", "gfp:2", "gfp:3")
+] + [("fractional_x2", 4, "q")]
+
+
+def key_level_operad(selector, field):
+    if selector == "2k":
+        return scaled_line(field)
+    if selector == "fractional_x2":
+        return EndoOperad(algebra_from_json(FRACTIONAL_X2, field, selector))
+    if selector in CLOSED_FORM_ALGEBRAS:
+        return EndoOperad(algebra_from_json(CLOSED_FORM_ALGEBRAS[selector], field, selector))
+    return make_operad(selector, field)
+
+
+@pytest.mark.parametrize("selector,top,field", KEY_LEVEL_CASES)
 def test_key_level_matrices_match_element_operators(selector, top, field):
     field = get_field(field)
-    op = scaled_line(field) if selector == "2k" else make_operad(selector, field)
+    op = key_level_operad(selector, field)
     kinds = ["boundary", "coboundary"] + (["hochschild"] if isinstance(op, EndoOperad) else [])
     for kind in kinds:
         spec = ComplexSpec(op, kind, 0, top)
@@ -298,6 +322,29 @@ def test_column_cap():
         differential_matrix(tight, 4)
     overridden = ComplexSpec(op, "boundary", 1, 4, column_cap=10, allow_large=True)
     assert differential_matrix(overridden, 4).n_cols == 24
+    # the classical degree 0 is the algebra itself: dim A columns, not 1
+    m2 = EndoOperad(matrix2(Q))
+    with pytest.raises(OperadError, match="^4 columns at degree 0 exceed the cap 3;"):
+        differential_matrix(ComplexSpec(m2, "hochschild", 0, 1, column_cap=3), 0)
+    assert differential_matrix(ComplexSpec(m2, "hochschild", 0, 1, column_cap=4), 0).n_cols == 4
+
+
+def test_column_cap_is_checked_before_listing_the_basis(monkeypatch):
+    # C(200, 5) = 2535650040 keys: listing them would exhaust memory, so the
+    # wrapped basis raises as soon as it is listed past the cap
+    op = ShiftOperad(Q, max_entry=200)
+    spec = ComplexSpec(op, "boundary", 5, 5)
+    listed = op.basis_keys
+
+    def bounded(arity):
+        for count, key in enumerate(listed(arity)):
+            if count > spec.column_cap:
+                raise RuntimeError("the basis was listed past the column cap")
+            yield key
+
+    monkeypatch.setattr(op, "basis_keys", bounded)
+    with pytest.raises(OperadError, match="^2535650040 columns at degree 5 exceed the cap 20000;"):
+        differential_matrix(spec, 5)
 
 
 def test_one_sided_warnings():
