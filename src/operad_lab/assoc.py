@@ -115,6 +115,7 @@ class AssocOperad:
 
     def __init__(self, field):
         self.field = field
+        self._point = self._product = None
 
     def signature(self):
         return ("assoc", self.field.signature())
@@ -132,10 +133,16 @@ class AssocOperad:
         return Element._sum(self, 1, [((1,), self.field.one)])
 
     def unit_zero(self):
-        return Element._sum(self, 0, [((), self.field.one)])
+        """The point, built on first use and shared after that."""
+        if self._point is None:
+            self._point = Element._sum(self, 0, [((), self.field.one)])
+        return self._point
 
     def multiplication(self):
-        return Element._sum(self, 2, [((1, 2), self.field.one)])
+        """The product (1, 2), built on first use and shared after that."""
+        if self._product is None:
+            self._product = Element._sum(self, 2, [((1, 2), self.field.one)])
+        return self._product
 
     def compose_basis(self, key, i, other):
         n = len(key)

@@ -126,20 +126,25 @@ class ComplexSpec:
         return degree + 1 if self.ascending else degree - 1
 
 
-def differential_matrix(spec, degree):
-    """Matrix of the chosen differential out of the stated degree; columns
-    indexed by the degree-n basis, rows by the target-degree basis.  The
-    column cap is checked on the counted basis size, before any key is listed."""
-    n_cols = spec.dimension_at(degree)
-    if n_cols > spec.column_cap and not spec.allow_large:
-        counted = "1 column" if n_cols == 1 else f"{n_cols} columns"
-        verb = "exceeds" if n_cols == 1 else "exceed"
+def _check_cap(spec, count, noun, degree):
+    if count > spec.column_cap and not spec.allow_large:
+        counted, verb = (f"1 {noun}", "exceeds") if count == 1 else (f"{count} {noun}s", "exceed")
         raise OperadError(
             f"{counted} at degree {degree} {verb} the cap {spec.column_cap}; "
             "pass allow_large=True (--allow-large on the command line) to override"
         )
+
+
+def differential_matrix(spec, degree):
+    """Matrix of the chosen differential out of the stated degree; columns
+    indexed by the degree-n basis, rows by the target-degree basis.  The
+    cap is checked on the counted sizes of both bases, columns first, before
+    any key is listed."""
+    target = spec.target_degree(degree)
+    _check_cap(spec, spec.dimension_at(degree), "column", degree)
+    _check_cap(spec, spec.dimension_at(target), "row", target)
     cols = spec.basis_at(degree)
-    rows = spec.basis_at(spec.target_degree(degree))
+    rows = spec.basis_at(target)
     row_index = {key: r for r, key in enumerate(rows)}
     operad = spec.operad
     triples = []
@@ -153,7 +158,7 @@ def differential_matrix(spec, degree):
     except KeyError as exc:
         raise OperadError(
             f"the {spec.differential} of {key!r} has the term {exc.args[0]!r}, which is "
-            f"outside the degree-{spec.target_degree(degree)} basis truncated at "
+            f"outside the degree-{target} basis truncated at "
             f"max-entry {operad.max_entry}"
         ) from exc
     # each column is canonical and lands in its own column index

@@ -21,21 +21,21 @@ from .scalars import power_sign
 
 def compose(x, i, y):
     """Partial composition x o_i y, bilinear in both arguments."""
-    if x.operad.signature() != y.operad.signature():
-        raise OperadError(f"mixed operads: {x.operad.label} vs {y.operad.label}")
+    operad = x.operad
+    if y.operad is not operad and y.operad.signature() != operad.signature():
+        raise OperadError(f"mixed operads: {operad.label} vs {y.operad.label}")
     if x.arity < 1:
         raise OperadError("arity-0 element has no composition slots")
     if not 1 <= i <= x.arity:
         raise OperadError(f"slot {i} out of range for arity {x.arity}")
-    operad = x.operad
-    mul = operad.field.mul
-    pairs = []
-    for bx, cx in x.terms.items():
-        for by, cy in y.terms.items():
-            coeff = mul(cx, cy)
-            for key, c in operad.compose_basis(bx, i, by):
-                pairs.append((key, mul(coeff, c)))
-    return Element._sum(operad, x.arity + y.arity - 1, pairs)
+    mul, compose_basis = operad.field.mul, operad.compose_basis
+    y_terms = y.terms.items()
+    return Element._sum(operad, x.arity + y.arity - 1, [
+        (key, mul(mul(cx, cy), c))
+        for bx, cx in x.terms.items()
+        for by, cy in y_terms
+        for key, c in compose_basis(bx, i, by)
+    ])
 
 
 def gamma(x, ys):
@@ -163,25 +163,30 @@ def aw_coproduct(x):
     face, and the extreme terms are point tensor factors.  Scalar weights
     ride on the left factors; summing left (x) right over the list gives the
     full coproduct.
+
+    Each chain is built once per term, one face per step: the left factor of
+    arity j is the one of arity j+1 with its top face ``face(., j+1)``, and
+    the right factor after j first faces is the one after j-1 with one more
+    ``face(., 1)``.  That is 2(n-1) faces per term.
     """
     operad = x.operad
     point = operad.unit_zero()
     n = x.arity
     if n == 0:
         return [(x, point)]
+    one = operad.field.one
     pairs = []
     for key, coeff in x.sorted_terms():
         weighted = Element._sum(operad, n, [(key, coeff)])
-        plain = Element._sum(operad, n, [(key, operad.field.one)])
+        plain = Element._sum(operad, n, [(key, one)])
+        lefts = [weighted]  # arities n, n-1, ..., 1
+        for a in range(n, 1, -1):
+            lefts.append(face(lefts[-1], a))
+        rights = [plain]  # after 0, 1, ..., n-1 first faces
+        for _ in range(1, n):
+            rights.append(face(rights[-1], 1))
         pairs.append((point.scale(coeff), plain))
-        for j in range(1, n):
-            left = weighted
-            for a in range(n, j, -1):
-                left = face(left, a)
-            right = plain
-            for _ in range(j):
-                right = face(right, 1)
-            pairs.append((left, right))
+        pairs.extend((lefts[n - j], rights[j]) for j in range(1, n))
         pairs.append((weighted, point))
     return pairs
 

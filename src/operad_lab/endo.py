@@ -178,6 +178,7 @@ class EndoOperad:
         self.algebra = algebra
         self.field = algebra.field
         self.label = f"endo:{algebra.name}"
+        self._point = self._product = None
 
     def signature(self):
         return ("endo", self.algebra.signature())
@@ -201,14 +202,21 @@ class EndoOperad:
         return Element._sum(self, 1, [((a, a), one) for a in range(self.algebra.dim)])
 
     def unit_zero(self):
-        return Element._sum(self, 0, [((), self.field.one)])
+        """The point, built on first use and shared after that."""
+        if self._point is None:
+            self._point = Element._sum(self, 0, [((), self.field.one)])
+        return self._point
 
     def multiplication(self):
-        mul = self.algebra.mul
-        d = range(self.algebra.dim)
-        return Element._sum(
-            self, 2, [((a, b, m), mul[a][b][m]) for a in d for b in d for m in d]
-        )
+        """The algebra's product as an arity-2 map, built on first use and
+        shared after that."""
+        if self._product is None:
+            mul = self.algebra.mul
+            d = range(self.algebra.dim)
+            self._product = Element._sum(
+                self, 2, [((a, b, m), mul[a][b][m]) for a in d for b in d for m in d]
+            )
+        return self._product
 
     def compose_basis(self, key, i, other):
         n = len(key) - 1

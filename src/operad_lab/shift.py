@@ -6,11 +6,15 @@ is (1, 2).  Composition splices a translated copy of the inner sequence into
 one slot of the outer one and pushes the tail up.
 """
 
+from operator import lt
+
 from .elements import Element, OperadError, json_int
 
 
 def is_increasing(key):
-    return all(a < b for a, b in zip(key, key[1:])) and all(a >= 1 for a in key)
+    """Strictly increasing and positive: an increasing tuple is positive
+    exactly when its first entry is."""
+    return all(map(lt, key, key[1:])) and (not key or key[0] >= 1)
 
 
 def compose_shift(x, i, y):
@@ -81,6 +85,7 @@ class ShiftOperad:
         self.field = field
         self.max_entry = max_entry
         self.label = "shift"
+        self._point = self._product = None
 
     def signature(self):
         return ("shift", self.field.signature())
@@ -98,10 +103,16 @@ class ShiftOperad:
         return Element._sum(self, 1, [((1,), self.field.one)])
 
     def unit_zero(self):
-        return Element._sum(self, 0, [((), self.field.one)])
+        """The point, built on first use and shared after that."""
+        if self._point is None:
+            self._point = Element._sum(self, 0, [((), self.field.one)])
+        return self._point
 
     def multiplication(self):
-        return Element._sum(self, 2, [((1, 2), self.field.one)])
+        """The product (1, 2), built on first use and shared after that."""
+        if self._product is None:
+            self._product = Element._sum(self, 2, [((1, 2), self.field.one)])
+        return self._product
 
     def compose_basis(self, key, i, other):
         if len(key) == 0:

@@ -326,25 +326,44 @@ def test_column_cap():
     m2 = EndoOperad(matrix2(Q))
     with pytest.raises(OperadError, match="^4 columns at degree 0 exceed the cap 3;"):
         differential_matrix(ComplexSpec(m2, "hochschild", 0, 1, column_cap=3), 0)
-    assert differential_matrix(ComplexSpec(m2, "hochschild", 0, 1, column_cap=4), 0).n_cols == 4
+    # its 4 columns pass a cap of 4, but its 4^2 rows are capped too
+    with pytest.raises(OperadError, match="^16 rows at degree 1 exceed the cap 4;"):
+        differential_matrix(ComplexSpec(m2, "hochschild", 0, 1, column_cap=4), 0)
+    assert differential_matrix(ComplexSpec(m2, "hochschild", 0, 1, column_cap=16), 0).n_cols == 4
 
 
-def test_column_cap_is_checked_before_listing_the_basis(monkeypatch):
-    # C(200, 5) = 2535650040 keys: listing them would exhaust memory, so the
-    # wrapped basis raises as soon as it is listed past the cap
+def _bounded_shift_spec(monkeypatch, differential, degree):
+    """A shift complex at max-entry 200 whose basis raises as soon as it is
+    listed past the cap: listing C(200, k) keys would exhaust memory."""
     op = ShiftOperad(Q, max_entry=200)
-    spec = ComplexSpec(op, "boundary", 5, 5)
+    spec = ComplexSpec(op, differential, degree, degree)
     listed = op.basis_keys
 
     def bounded(arity):
         for count, key in enumerate(listed(arity)):
             if count > spec.column_cap:
-                raise RuntimeError("the basis was listed past the column cap")
+                raise RuntimeError("the basis was listed past the cap")
             yield key
 
     monkeypatch.setattr(op, "basis_keys", bounded)
+    return spec
+
+
+def test_column_cap_is_checked_before_listing_the_basis(monkeypatch):
+    spec = _bounded_shift_spec(monkeypatch, "boundary", 5)
     with pytest.raises(OperadError, match="^2535650040 columns at degree 5 exceed the cap 20000;"):
         differential_matrix(spec, 5)
+
+
+def test_row_cap_is_checked_before_listing_the_basis(monkeypatch):
+    # C(200, 2) = 19900 columns pass the cap, but the coboundary's target
+    # basis has C(200, 3) = 1313400 keys
+    spec = _bounded_shift_spec(monkeypatch, "coboundary", 2)
+    with pytest.raises(OperadError, match=(
+        r"^1313400 rows at degree 3 exceed the cap 20000; pass allow_large=True "
+        r"\(--allow-large on the command line\) to override$"
+    )):
+        differential_matrix(spec, 2)
 
 
 def test_one_sided_warnings():

@@ -7,6 +7,7 @@ import pytest
 from operad_lab import (
     AssocOperad,
     Element,
+    EndoOperad,
     OperadError,
     ShiftOperad,
     aw_coproduct,
@@ -28,6 +29,7 @@ from operad_lab import (
     subset_restriction,
 )
 from operad_lab.core import random_element
+from operad_lab.endo import dual_numbers
 
 Q = get_field("q")
 ASSOC = AssocOperad(Q)
@@ -217,6 +219,83 @@ def test_aw_coproduct_arity_zero():
     left, right = pairs[0]
     assert left == ASSOC.unit_zero().scale(Q.from_int(2))
     assert right == ASSOC.unit_zero()
+
+
+def _quadratic_aw_coproduct(x):
+    """The coproduct with every chain rebuilt from scratch: n(n-1) faces per
+    term.  Oracle for the linear chains of ``aw_coproduct``."""
+    operad = x.operad
+    point = operad.unit_zero()
+    n = x.arity
+    if n == 0:
+        return [(x, point)]
+    pairs = []
+    for key, coeff in x.sorted_terms():
+        weighted = Element._sum(operad, n, [(key, coeff)])
+        plain = Element._sum(operad, n, [(key, operad.field.one)])
+        pairs.append((point.scale(coeff), plain))
+        for j in range(1, n):
+            left = weighted
+            for a in range(n, j, -1):
+                left = face(left, a)
+            right = plain
+            for _ in range(j):
+                right = face(right, 1)
+            pairs.append((left, right))
+        pairs.append((weighted, point))
+    return pairs
+
+
+def _constant_operads(field):
+    return [AssocOperad(field), ShiftOperad(field, max_entry=12),
+            EndoOperad(dual_numbers(field))]
+
+
+@pytest.mark.parametrize("label", ["q", "gfp:5"])
+def test_aw_coproduct_matches_quadratic_chains(label):
+    field = get_field(label)
+    rng = random.Random(f"aw:{label}")
+    for operad in _constant_operads(field):
+        for n in range(6):
+            for _ in range(3):
+                # three keys (repeats merge) with coefficients 2, -3 and 4
+                x = Element._sum(operad, n, [
+                    (operad.random_basis(n, rng), field.from_int(c)) for c in (2, -3, 4)
+                ])
+                fast, slow = aw_coproduct(x), _quadratic_aw_coproduct(x)
+                assert len(fast) == len(slow) == (len(x.terms) * (n + 1) if n else 1)
+                for (fl, fr), (sl, sr) in zip(fast, slow):
+                    assert (fl, fr) == (sl, sr)
+                    assert list(fl.terms.items()) == list(sl.terms.items())
+                    assert list(fr.terms.items()) == list(sr.terms.items())
+
+
+def fresh_point_and_product(operad):
+    """The point and the product built from scratch, never shared."""
+    one = operad.field.one
+    if isinstance(operad, EndoOperad):
+        mul, d = operad.algebra.mul, range(operad.algebra.dim)
+        product = [((a, b, m), mul[a][b][m]) for a in d for b in d for m in d]
+    else:
+        product = [((1, 2), one)]
+    return Element._sum(operad, 0, [((), one)]), Element._sum(operad, 2, product)
+
+
+@pytest.mark.parametrize("operad", _constant_operads(Q), ids=lambda op: op.label)
+def test_point_and_product_are_built_once(operad):
+    point, product = operad.unit_zero(), operad.multiplication()
+    assert operad.unit_zero() is point and operad.multiplication() is product
+    assert (point, product) == fresh_point_and_product(operad)
+
+
+def test_compose_across_instances_with_equal_signatures():
+    other = AssocOperad(get_field("q"))
+    assert other is not ASSOC
+    x, y = B((2, 1)), Element.basis(other, (1, 2))
+    assert compose(x, 1, y) == B((2, 3, 1))
+    assert compose(y, 2, x) == B((1, 3, 2))
+    with pytest.raises(OperadError, match="mixed operads"):
+        compose(x, 1, Element.basis(AssocOperad(get_field("gfp:5")), (1, 2)))
 
 
 def test_counit():

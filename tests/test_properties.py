@@ -1,9 +1,9 @@
 """Property tests on random basis keys, run when hypothesis is installed.
 
 Text and JSON round trips for keys and elements of all three operads, the
-closed-form assoc face against delete-then-standardize, the int rank
-kernel against the field-generic elimination and the dense path, and a fuzz
-of the command line.
+closed-form assoc face against delete-then-standardize, the shift key test
+against its two-pass form, the int rank kernel against the field-generic
+elimination and the dense path, and a fuzz of the command line.
 """
 
 import contextlib
@@ -29,7 +29,9 @@ from operad_lab.assoc import delete_and_standardize, standardize
 from operad_lab.cli import main
 from operad_lab.endo import dual_numbers, matrix2
 from operad_lab.linalg import SparseMatrix, _dense_rank, _integer_rank
+from operad_lab.shift import is_increasing
 from test_linalg import ORACLE_FIELDS, _sparse_rank, product
+from test_shift import _two_pass_is_increasing
 
 Q = get_field("q")
 F5 = get_field("gfp:5")
@@ -107,6 +109,13 @@ def test_element_json_round_trip(label):
 def test_closed_form_face_matches_standardize(case):
     word, i = case
     assert delete_and_standardize(word, i) == standardize(word[: i - 1] + word[i:])
+
+
+@PROPERTY
+@given(st.lists(st.integers(-3, 12), max_size=8).map(tuple)
+       | st.sets(st.integers(-3, 12), max_size=8).map(lambda s: tuple(sorted(s))))
+def test_is_increasing_matches_two_pass_form(key):
+    assert is_increasing(key) == _two_pass_is_increasing(key)
 
 
 def matrices(field, rows=st.integers(0, 10), cols=st.integers(0, 10)):

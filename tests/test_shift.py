@@ -26,6 +26,17 @@ def test_is_increasing():
     assert not is_increasing((3, 2))
 
 
+def _two_pass_is_increasing(key):
+    """Reference form of the key test: every step rises and every entry is
+    positive."""
+    return all(a < b for a, b in zip(key, key[1:])) and all(a >= 1 for a in key)
+
+
+@pytest.mark.parametrize("key", [(), (0,), (1,), (1, 1), (-1, 2), (3, 2), (1, 2, 2)])
+def test_is_increasing_matches_two_pass_form(key):
+    assert is_increasing(key) == _two_pass_is_increasing(key)
+
+
 def test_compose_goldens():
     assert compose_shift((1, 2), 1, (1, 2)) == (1, 2, 3)
     assert compose_shift((1, 2), 2, (1, 2)) == (1, 2, 3)

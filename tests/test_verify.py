@@ -9,9 +9,13 @@ import json
 
 import pytest
 
+from operad_lab.assoc import AssocOperad
 from operad_lab.elements import Element
+from operad_lab.endo import EndoOperad
 from operad_lab.scalars import get_field
+from operad_lab.shift import ShiftOperad
 from operad_lab.verify import SUITES, _run_trials, make_operads, run_verify, report_to_json
+from test_core import fresh_point_and_product
 
 PROFILE_TRIALS = 120
 
@@ -95,6 +99,22 @@ def test_same_seed_same_bytes():
     assert a == b
     assert a.endswith("\n")
     assert json.loads(a)["seed"] == 7
+
+
+def test_shared_point_and_product_survive_a_run(monkeypatch):
+    # every operad built during the run, with its point and product
+    created = []
+    for cls in (AssocOperad, ShiftOperad, EndoOperad):
+        def recording_init(self, *args, _init=cls.__init__, **kwargs):
+            _init(self, *args, **kwargs)
+            created.append(self)
+        monkeypatch.setattr(cls, "__init__", recording_init)
+    run_verify(seed=0, trials=2)
+    assert {type(op) for op in created} == {AssocOperad, ShiftOperad, EndoOperad}
+    for op in created:
+        point, product = fresh_point_and_product(op)
+        assert op.unit_zero().terms == point.terms
+        assert op.multiplication().terms == product.terms
 
 
 def test_suite_and_operad_filters():
