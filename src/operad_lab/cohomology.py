@@ -174,8 +174,10 @@ def betti(spec):
     unknown, so that degree is reported one-sided and flagged (degree 0 of an
     ascending complex is genuinely closed, not flagged).
     """
-    degrees = list(range(spec.lo, spec.hi + 1))
-    mats = {n: differential_matrix(spec, n) for n in degrees}
+    # the window is walked lazily, so the cap refuses a huge one at its first
+    # oversized degree; the degree list exists only once every matrix does
+    mats = {n: differential_matrix(spec, n) for n in range(spec.lo, spec.hi + 1)}
+    degrees = list(mats)
     dims = []
     ranks = []
     warnings = []

@@ -2,11 +2,12 @@
 
 Matrices are stored as canonical sorted triplet lists over an explicit field
 from :mod:`operad_lab.scalars`.  A matrix is immutable, so its rank is
-computed once and memoised.  Elimination is exact and runs on plain ints for
-both fields: modular over GF(p), fraction-free over Q (each row's
-denominators cleared, rows kept primitive).  A dense path takes over when the
-matrix is more than a quarter full.  The field-generic sparse elimination
-that the int kernel replaced is kept in the tests as its oracle.
+computed once and memoised.  The sparse rank is a column reduction on plain
+ints: columns in ascending order, each pivot keyed by its largest row index,
+modular over GF(p) and fraction-free over Q (each column's denominators
+cleared, columns kept primitive).  A dense path takes over when the matrix is
+more than a quarter full.  The int row-pivot elimination and the
+field-generic elimination before it are kept in the tests as oracles.
 """
 
 from math import gcd, lcm
@@ -146,84 +147,79 @@ def _dense_rank(rows, field):
 
 
 def _integer_rank(mat):
-    """Rank by sparse elimination on plain ints: columns ascending, the
-    shortest candidate row as pivot.  Over GF(p) the pivot row is scaled to a
-    leading 1 and each row is reduced mod p; over Q each row is first cleared
-    of denominators, then updated fraction-free as ``(a/g) row - (b/g) pivot``
-    with ``g = gcd(a, b)`` and divided by its content."""
-    rows = {}
+    """Rank by column reduction on plain ints, each pivot keyed by its largest
+    ("lowest") row index, as in the standard reduction of persistent homology.
+
+    Columns are visited in ascending order.  While a column is nonzero and its
+    lowest row already has a pivot, that pivot is subtracted; a column that
+    stays nonzero becomes the pivot of its lowest row, and the rank is the
+    number of pivots.  Over GF(p) each pivot is scaled to a leading 1 and
+    updates are reduced mod p.  Over Q each column is first cleared of
+    denominators and kept primitive, and updated fraction-free as
+    ``(a/g) col - (b/g) pivot`` with ``g = gcd(a, b)``.  The columns are fresh
+    dicts, so the matrix is left untouched."""
+    cols = {}
     for r, c, v in mat.entries:
-        rows.setdefault(r, {})[c] = v
-    work = list(rows.values())
+        cols.setdefault(c, {})[r] = v
     modulus = mat.field.p if mat.field.kind == "prime" else None
-    if modulus is None:
-        for row in work:
-            den = lcm(*(v.denominator for v in row.values()))
-            for c, v in row.items():
-                row[c] = v.numerator * (den // v.denominator)
-            _make_primitive(row)
-    by_col = {}
-    for idx, row in enumerate(work):
-        for c in row:
-            by_col.setdefault(c, set()).add(idx)
-    eliminated = [False] * len(work)
-    rank = 0
-    for col in range(mat.n_cols):
-        cands = [i for i in by_col.get(col, ()) if not eliminated[i] and col in work[i]]
-        if not cands:
-            continue
-        pivot = min(cands, key=lambda i: len(work[i]))
-        eliminated[pivot] = True
-        rank += 1
-        prow = work[pivot]
-        a = prow[col]
-        if modulus is not None and a != 1:
-            inv = pow(a, -1, modulus)
-            for c, v in prow.items():
-                prow[c] = v * inv % modulus
-        for i in cands:
-            if i == pivot:
-                continue
-            row = work[i]
+    pivots = {}
+    for c in sorted(cols):
+        col = cols.pop(c)
+        if modulus is None:
+            den = lcm(*(v.denominator for v in col.values()))
+            for r, v in col.items():
+                col[r] = v.numerator * (den // v.denominator)
+            _make_primitive(col)
+        low = max(col)
+        while low in pivots:
+            pivot = pivots[low]
+            b = col[low]
             if modulus is None:
-                b = row[col]
+                a = pivot[low]
                 g = gcd(a, b)
                 s, b = a // g, b // g
                 if s != 1:
-                    for c, v in row.items():
-                        row[c] = s * v
-                for c, v in prow.items():
-                    old = row.get(c)
+                    for r, v in col.items():
+                        col[r] = s * v
+                for r, v in pivot.items():
+                    old = col.get(r)
                     if old is None:
-                        by_col[c].add(i)
-                        row[c] = -b * v
+                        col[r] = -b * v
                     elif old == b * v:
-                        del row[c]
+                        del col[r]
                     else:
-                        row[c] = old - b * v
-                _make_primitive(row)
+                        col[r] = old - b * v
+                _make_primitive(col)
             else:
-                nb = modulus - row[col]
-                for c, v in prow.items():
-                    old = row.get(c)
+                nb = modulus - b
+                for r, v in pivot.items():
+                    old = col.get(r)
                     if old is None:
-                        by_col[c].add(i)
-                        row[c] = nb * v % modulus
+                        col[r] = nb * v % modulus
                     else:
                         nv = (old + nb * v) % modulus
                         if nv:
-                            row[c] = nv
+                            col[r] = nv
                         else:
-                            del row[c]
-    return rank
+                            del col[r]
+            if not col:
+                break
+            low = max(col)
+        else:
+            if modulus is not None and col[low] != 1:
+                inv = pow(col[low], -1, modulus)
+                for r, v in col.items():
+                    col[r] = v * inv % modulus
+            pivots[low] = col
+    return len(pivots)
 
 
-def _make_primitive(row):
-    """Divide an int row by the gcd of its entries."""
-    content = gcd(*row.values())
+def _make_primitive(col):
+    """Divide an int column by the gcd of its entries."""
+    content = gcd(*col.values())
     if content > 1:
-        for c, v in row.items():
-            row[c] = v // content
+        for r, v in col.items():
+            col[r] = v // content
 
 
 def equal_up_to_global_sign(a, b):

@@ -190,6 +190,19 @@ def test_column_cap_error_names_the_flag(capsys):
     assert code == 0 and out.startswith("degree 0: dim 0")
 
 
+@pytest.mark.parametrize("operad,kind,message", [
+    ("assoc", "boundary", "40320 columns at degree 8 exceed the cap 20000;"),
+    ("endo:m2", "hochschild", "65536 rows at degree 7 exceed the cap 20000;"),
+])
+def test_huge_degree_window_stops_at_the_first_oversized_degree(capsys, operad, kind, message):
+    # the window is walked lazily: no list of 10^11 degrees is ever built
+    code, out, err = run(capsys, "cohomology", "--operad", operad, "--differential", kind,
+                         "--lo", "0", "--hi", "99999999999")
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {message}")
+    assert err.count("\n") == 1
+
+
 def test_verify_exit_codes(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "simplicial",
                        "--operad", "assoc", "--trials", "10")

@@ -1,13 +1,15 @@
 """Exact sparse matrices: construction, rank, kernel dimension.
 
-The int elimination behind ``SparseMatrix.rank`` is compared with the
-field-generic sparse elimination it replaced (``_sparse_rank`` below, the
-oracle) and with the dense path, on random matrices and on the differential
-matrices of real complexes.
+The column reduction behind ``SparseMatrix.rank`` (``_integer_rank``) is
+compared with two eliminations it replaced, kept below as oracles: the int
+row-pivot elimination (``_row_pivot_rank``) and the field-generic one before
+it (``_sparse_rank``), and with the dense path, on random matrices and on the
+differential matrices of real complexes.
 """
 
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
@@ -138,7 +140,7 @@ def test_equal_up_to_global_sign():
     assert equal_up_to_global_sign(a, d) is None
 
 
-# --- the int kernel against the field-generic oracle -----------------------
+# --- the column reduction against the oracles ------------------------------
 
 
 # The field-generic sparse elimination that ``SparseMatrix.rank`` ran before
@@ -180,6 +182,90 @@ def _sparse_rank(mat):
     return rank
 
 
+# The int row-pivot elimination that ``_integer_rank`` ran before the column
+# reduction, kept verbatim: columns ascending, the shortest candidate row as
+# pivot, modular over GF(p) and fraction-free over Q.
+def _row_pivot_rank(mat):
+    """Rank by sparse elimination on plain ints: columns ascending, the
+    shortest candidate row as pivot.  Over GF(p) the pivot row is scaled to a
+    leading 1 and each row is reduced mod p; over Q each row is first cleared
+    of denominators, then updated fraction-free as ``(a/g) row - (b/g) pivot``
+    with ``g = gcd(a, b)`` and divided by its content."""
+    rows = {}
+    for r, c, v in mat.entries:
+        rows.setdefault(r, {})[c] = v
+    work = list(rows.values())
+    modulus = mat.field.p if mat.field.kind == "prime" else None
+    if modulus is None:
+        for row in work:
+            den = lcm(*(v.denominator for v in row.values()))
+            for c, v in row.items():
+                row[c] = v.numerator * (den // v.denominator)
+            _make_primitive(row)
+    by_col = {}
+    for idx, row in enumerate(work):
+        for c in row:
+            by_col.setdefault(c, set()).add(idx)
+    eliminated = [False] * len(work)
+    rank = 0
+    for col in range(mat.n_cols):
+        cands = [i for i in by_col.get(col, ()) if not eliminated[i] and col in work[i]]
+        if not cands:
+            continue
+        pivot = min(cands, key=lambda i: len(work[i]))
+        eliminated[pivot] = True
+        rank += 1
+        prow = work[pivot]
+        a = prow[col]
+        if modulus is not None and a != 1:
+            inv = pow(a, -1, modulus)
+            for c, v in prow.items():
+                prow[c] = v * inv % modulus
+        for i in cands:
+            if i == pivot:
+                continue
+            row = work[i]
+            if modulus is None:
+                b = row[col]
+                g = gcd(a, b)
+                s, b = a // g, b // g
+                if s != 1:
+                    for c, v in row.items():
+                        row[c] = s * v
+                for c, v in prow.items():
+                    old = row.get(c)
+                    if old is None:
+                        by_col[c].add(i)
+                        row[c] = -b * v
+                    elif old == b * v:
+                        del row[c]
+                    else:
+                        row[c] = old - b * v
+                _make_primitive(row)
+            else:
+                nb = modulus - row[col]
+                for c, v in prow.items():
+                    old = row.get(c)
+                    if old is None:
+                        by_col[c].add(i)
+                        row[c] = nb * v % modulus
+                    else:
+                        nv = (old + nb * v) % modulus
+                        if nv:
+                            row[c] = nv
+                        else:
+                            del row[c]
+    return rank
+
+
+def _make_primitive(row):
+    """Divide an int row by the gcd of its entries."""
+    content = gcd(*row.values())
+    if content > 1:
+        for c, v in row.items():
+            row[c] = v // content
+
+
 def random_matrix(rng, field, rows, cols):
     """A random matrix with some all-zero rows and columns; over Q the entries
     include negatives and non-integral rationals."""
@@ -211,6 +297,7 @@ def product(a, b):
 
 def assert_ranks_agree(m, dense=True):
     expected = _sparse_rank(m)
+    assert _row_pivot_rank(m) == expected, m
     assert _integer_rank(m) == expected, m
     if dense:
         assert _dense_rank(m.to_dense(), m.field) == expected, m
@@ -271,6 +358,26 @@ def test_rank_is_memoised_and_invisible():
             assert twin.rank() == trusted.rank() == r
             assert trusted._rank == r
             assert m.transpose().rank() == r
+
+
+def test_rank_leaves_its_input_alone():
+    """The kernel reduces its own copies of the columns: the entries of a
+    ranked matrix stay the same object, equal value for value (and type for
+    type, so no Fraction turns into an int) to a twin that was never ranked."""
+    rng = random.Random(13)
+    for label in ORACLE_FIELDS:
+        field = get_field(label)
+        for _ in range(30):
+            seed, rows, cols = rng.random(), rng.randint(1, 12), rng.randint(1, 12)
+            m = random_matrix(random.Random(seed), field, rows, cols)
+            twin = random_matrix(random.Random(seed), field, rows, cols)
+            entries, digest = m.entries, hash(m)
+            _integer_rank(m)
+            m.rank()
+            assert m.entries is entries
+            assert m == twin and hash(m) == hash(twin) == digest
+            assert [type(v) for *_, v in m.entries] == [type(v) for *_, v in twin.entries]
+            assert twin.rank() == m.rank()
 
 
 def test_constructors_leave_the_rank_unset(monkeypatch):
