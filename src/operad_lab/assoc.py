@@ -11,7 +11,7 @@ inner one, then inverts the resulting word; ``compose_formula`` is a direct
 three-case closed formula.  The two are checked against each other.
 """
 
-from .elements import Element, OperadError, json_int
+from .elements import Operad, OperadError
 
 
 def is_permutation(word):
@@ -108,20 +108,10 @@ def deconcat_coproduct(word):
     return out
 
 
-class AssocOperad:
+class AssocOperad(Operad):
     """Operad instance whose arity-n basis is the n! permutations."""
 
     label = "assoc"
-
-    def __init__(self, field):
-        self.field = field
-        self._point = self._product = None
-
-    def signature(self):
-        return ("assoc", self.field.signature())
-
-    def arity_of(self, key):
-        return len(key)
 
     def validate_basis(self, key, arity):
         key = tuple(key)
@@ -129,50 +119,22 @@ class AssocOperad:
             raise OperadError(f"bad permutation key {key!r} for arity {arity}")
         return key
 
-    def unit_one(self):
-        return Element._sum(self, 1, [((1,), self.field.one)])
-
-    def unit_zero(self):
-        """The point, built on first use and shared after that."""
-        if self._point is None:
-            self._point = Element._sum(self, 0, [((), self.field.one)])
-        return self._point
-
-    def multiplication(self):
-        """The product (1, 2), built on first use and shared after that."""
-        if self._product is None:
-            self._product = Element._sum(self, 2, [((1, 2), self.field.one)])
-        return self._product
-
     def compose_basis(self, key, i, other):
-        n = len(key)
-        if n == 0:
-            raise OperadError("arity-0 element has no composition slots")
-        if not 1 <= i <= n:
-            raise OperadError(f"slot {i} out of range for arity {n}")
-        if len(other) == 0:
-            if n == 1:
-                return [((), self.field.one)]
-            return [(delete_and_standardize(key, i), self.field.one)]
-        return [(compose_formula(key, i, other), self.field.one)]
+        if other:
+            return [(compose_formula(key, i, other), self.field.one)]
+        return [(delete_and_standardize(key, i), self.field.one)]
 
     def basis_keys(self, arity):
-        if arity == 0:
-            yield ()
-            return
         from itertools import permutations
 
-        for p in permutations(range(1, arity + 1)):
-            yield p
+        return permutations(range(1, arity + 1))
 
     def dimension(self, arity):
         from math import factorial
 
-        return 1 if arity == 0 else factorial(arity)
+        return factorial(arity)
 
     def random_basis(self, arity, rng):
-        if arity == 0:
-            return ()
         word = list(range(1, arity + 1))
         rng.shuffle(word)
         return tuple(word)
@@ -195,9 +157,3 @@ class AssocOperad:
         if key is None or not is_permutation(key):
             raise OperadError(f"{text!r} is not a permutation")
         return key
-
-    def basis_to_json(self, key):
-        return list(key)
-
-    def basis_from_json(self, data):
-        return tuple(json_int(v, "basis entry") for v in data)

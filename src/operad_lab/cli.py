@@ -42,6 +42,20 @@ VERIFY_FAIL_EXIT = 2
 
 DEFAULT_SHIFT_MAX_ENTRY = 8
 
+# name -> (help, parameters in call order, operation); ``at`` is an int slot,
+# ``args`` the repeatable ``--with`` list, any other parameter one element
+ALGEBRA_COMMANDS = {
+    "compose": ("partial composition left at slot i with right", ("left", "at", "right"), compose),
+    "face": ("compose with the arity-0 point at one slot", ("element", "at"), face),
+    "degen": ("compose with the binary product at one slot", ("element", "at"), degeneracy),
+    "boundary": ("alternating sum of faces", ("element",), boundary),
+    "coboundary": ("Hochschild-style degree +1 differential", ("element",), coboundary),
+    "brace": ("right brace element{args...}", ("element", "args"), brace),
+    "dot": ("signed gamma product of two elements", ("left", "right"), dot_product),
+    "odot": ("signed brace product of two elements", ("left", "right"), odot_product),
+    "coproduct": ("prefix/suffix face splitting of an element", ("element",), aw_coproduct),
+}
+
 
 class CliParser(argparse.ArgumentParser):
     def error(self, message):
@@ -118,7 +132,7 @@ def emit_element(x, as_json):
         print(element_text(x))
 
 
-def emit_pairs(pairs, operad, as_json):
+def emit_pairs(pairs, as_json):
     if as_json:
         print(dumps(pairs_to_json(pairs)), end="")
     else:
@@ -140,49 +154,17 @@ def build_parser():
                        description="exact operad calculator and identity verifier")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("compose", help="partial composition left at slot i with right")
-    add_common(p)
-    p.add_argument("--left", required=True)
-    p.add_argument("--at", type=int, required=True)
-    p.add_argument("--right", required=True)
-
-    p = sub.add_parser("face", help="compose with the arity-0 point at one slot")
-    add_common(p)
-    p.add_argument("--element", required=True)
-    p.add_argument("--at", type=int, required=True)
-
-    p = sub.add_parser("degen", help="compose with the binary product at one slot")
-    add_common(p)
-    p.add_argument("--element", required=True)
-    p.add_argument("--at", type=int, required=True)
-
-    p = sub.add_parser("boundary", help="alternating sum of faces")
-    add_common(p)
-    p.add_argument("--element", required=True)
-
-    p = sub.add_parser("coboundary", help="Hochschild-style degree +1 differential")
-    add_common(p)
-    p.add_argument("--element", required=True)
-
-    p = sub.add_parser("brace", help="right brace element{args...}")
-    add_common(p)
-    p.add_argument("--element", required=True)
-    p.add_argument("--with", dest="args", action="append", required=True,
-                   metavar="ELEMENT", help="brace argument (repeatable, in order)")
-
-    p = sub.add_parser("dot", help="signed gamma product of two elements")
-    add_common(p)
-    p.add_argument("--left", required=True)
-    p.add_argument("--right", required=True)
-
-    p = sub.add_parser("odot", help="signed brace product of two elements")
-    add_common(p)
-    p.add_argument("--left", required=True)
-    p.add_argument("--right", required=True)
-
-    p = sub.add_parser("coproduct", help="prefix/suffix face splitting of an element")
-    add_common(p)
-    p.add_argument("--element", required=True)
+    for name, (help_text, params, _) in ALGEBRA_COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        add_common(p)
+        for param in params:
+            if param == "at":
+                p.add_argument("--at", type=int, required=True)
+            elif param == "args":
+                p.add_argument("--with", dest="args", action="append", required=True,
+                               metavar="ELEMENT", help="brace argument (repeatable, in order)")
+            else:
+                p.add_argument(f"--{param}", required=True)
 
     p = sub.add_parser("cohomology", help="kernel/rank dimensions of a complex")
     add_common(p)
@@ -206,38 +188,20 @@ def build_parser():
     return parser
 
 
+def command_argument(args, param, operad):
+    """One parameter of an ALGEBRA_COMMANDS entry, parsed."""
+    value = getattr(args, param)
+    if param == "at":
+        return value
+    if param == "args":
+        return [parse_element(t, operad) for t in value]
+    return parse_element(value, operad)
+
+
 def run_algebra_command(args):
     field = get_field(args.field)
     operad = make_operad(args.operad, field, max_entry=args.max_entry)
-    cmd = args.command
-    if cmd == "compose":
-        left = parse_element(args.left, operad)
-        right = parse_element(args.right, operad)
-        emit_element(compose(left, args.at, right), args.json)
-    elif cmd == "face":
-        emit_element(face(parse_element(args.element, operad), args.at), args.json)
-    elif cmd == "degen":
-        emit_element(degeneracy(parse_element(args.element, operad), args.at), args.json)
-    elif cmd == "boundary":
-        emit_element(boundary(parse_element(args.element, operad)), args.json)
-    elif cmd == "coboundary":
-        emit_element(coboundary(parse_element(args.element, operad)), args.json)
-    elif cmd == "brace":
-        base = parse_element(args.element, operad)
-        braces = [parse_element(t, operad) for t in args.args]
-        emit_element(brace(base, braces), args.json)
-    elif cmd == "dot":
-        left = parse_element(args.left, operad)
-        right = parse_element(args.right, operad)
-        emit_element(dot_product(left, right), args.json)
-    elif cmd == "odot":
-        left = parse_element(args.left, operad)
-        right = parse_element(args.right, operad)
-        emit_element(odot_product(left, right), args.json)
-    elif cmd == "coproduct":
-        x = parse_element(args.element, operad)
-        emit_pairs(aw_coproduct(x), operad, args.json)
-    elif cmd == "cohomology":
+    if args.command == "cohomology":
         kwargs = {"allow_large": args.allow_large}
         if args.column_cap is not None:
             kwargs["column_cap"] = args.column_cap
@@ -250,6 +214,13 @@ def run_algebra_command(args):
                 print(f"degree {degree}: dim {dim} (rank of outgoing map {rank})")
             for warning in report["warnings"]:
                 print(f"warning: {warning}")
+        return 0
+    _, params, operation = ALGEBRA_COMMANDS[args.command]
+    result = operation(*[command_argument(args, param, operad) for param in params])
+    if args.command == "coproduct":
+        emit_pairs(result, args.json)
+    else:
+        emit_element(result, args.json)
     return 0
 
 

@@ -6,15 +6,15 @@ at degree 0 and the textbook coboundary (endomorphism operads only).
 
 Matrix columns are assembled from basis keys.  The operadic kinds go through
 the operad's ``compose_basis``, with the signs of ``core.boundary`` and
-``core.coboundary``.  The classical kind reads its columns of degree >= 1 off
-tables of the algebra's nonzero structure constants, each stored with its
-negation, so a column needs no field multiplication.  The Element-level
-operators (``core.boundary``, ``core.coboundary`` and
+``core.coboundary``.  The classical kind reads every column, degree 0
+included, off tables of the algebra's nonzero structure constants, each
+stored with its negation, so a column needs no field multiplication.  The
+Element-level operators (``core.boundary``, ``core.coboundary`` and
 ``endo.classical_coboundary``) are the test oracle.
 """
 
-from .elements import Element, OperadError
-from .endo import EndoOperad, classical_coboundary, classical_keys
+from .elements import OperadError
+from .endo import EndoOperad, classical_keys
 from .linalg import SparseMatrix
 from .scalars import linear_combination
 
@@ -86,12 +86,13 @@ class ComplexSpec:
     def column(self, key):
         """The differential of one basis key, as a canonical {key: coeff} dict.
 
-        A classical column of degree n >= 1 is read off the nonzero structure
+        A classical column of degree n is read off the nonzero structure
         constants: the left products into the output, the n signed input
         merges and the signed right products, each coefficient a constant or
-        its negation.  Degree 0, the commutator map, is ``classical_coboundary``.
-        The operadic kinds compose the key with the point or the product
-        through ``compose_basis``, in the order and with the signs of
+        its negation.  At degree 0 the key (j,) is e_j, there are no merges,
+        and the column is the commutator map x -> x e_j - e_j x.  The
+        operadic kinds compose the key with the point or the product through
+        ``compose_basis``, in the order and with the signs of
         ``core.boundary`` / ``core.coboundary``.  The Element-level operators
         are the oracle of both.
         """
@@ -99,8 +100,6 @@ class ComplexSpec:
         field = operad.field
         n = operad.arity_of(key)
         if self.differential == "hochschild":
-            if n == 0:
-                return classical_coboundary(Element._sum(operad, 0, [(key, field.one)])).terms
             inputs, j = key[:-1], key[-1]
             pairs = [((u,) + inputs + (m,), c) for u, m, (c, _) in self._left[j]]
             for p in range(1, n + 1):
@@ -126,11 +125,11 @@ class ComplexSpec:
         return degree + 1 if self.ascending else degree - 1
 
 
-def _check_cap(spec, count, noun, degree):
+def _check_cap(spec, count, noun, where):
     if count > spec.column_cap and not spec.allow_large:
         counted, verb = (f"1 {noun}", "exceeds") if count == 1 else (f"{count} {noun}s", "exceed")
         raise OperadError(
-            f"{counted} at degree {degree} {verb} the cap {spec.column_cap}; "
+            f"{counted} {where} {verb} the cap {spec.column_cap}; "
             "pass allow_large=True (--allow-large on the command line) to override"
         )
 
@@ -141,8 +140,8 @@ def differential_matrix(spec, degree):
     cap is checked on the counted sizes of both bases, columns first, before
     any key is listed."""
     target = spec.target_degree(degree)
-    _check_cap(spec, spec.dimension_at(degree), "column", degree)
-    _check_cap(spec, spec.dimension_at(target), "row", target)
+    _check_cap(spec, spec.dimension_at(degree), "column", f"at degree {degree}")
+    _check_cap(spec, spec.dimension_at(target), "row", f"at degree {target}")
     cols = spec.basis_at(degree)
     rows = spec.basis_at(target)
     row_index = {key: r for r, key in enumerate(rows)}
@@ -175,8 +174,16 @@ def betti(spec):
     ascending complex is genuinely closed, not flagged).
     """
     # the window is walked lazily, so the cap refuses a huge one at its first
-    # oversized degree; the degree list exists only once every matrix does
-    mats = {n: differential_matrix(spec, n) for n in range(spec.lo, spec.hi + 1)}
+    # oversized degree; the degree list exists only once every matrix does.
+    # A truncated shift basis is empty above max-entry, where no size cap
+    # fires, so the cap also bounds the degrees with empty source and target.
+    mats = {}
+    empty = 0
+    for n in range(spec.lo, spec.hi + 1):
+        mats[n] = mat = differential_matrix(spec, n)
+        if not (mat.n_cols or mat.n_rows):
+            empty += 1
+            _check_cap(spec, empty, "empty degree", f"up to degree {n}")
     degrees = list(mats)
     dims = []
     ranks = []

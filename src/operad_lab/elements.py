@@ -3,8 +3,9 @@
 An Element is a finite sum ``sum c_b * b`` of basis keys of a single arity,
 attached to one operad instance (which owns the field).  Arithmetic is plain
 linear algebra; all operadic structure lives in :mod:`operad_lab.core` and in
-the per-operad modules.  The JSON readers of keys, elements, dense maps and
-algebras share the integer and coefficient checks defined here.
+the per-operad modules, which subclass the ``Operad`` base defined here.  The
+JSON readers of keys, elements, dense maps and algebras share the integer and
+coefficient checks defined here.
 """
 
 from itertools import chain
@@ -146,6 +147,47 @@ class Element:
             c = field.format(coeff)
             parts.append(word if c == "1" else f"{c}*{word}")
         return " + ".join(parts)
+
+
+class Operad:
+    """What the operad instances share: a field, tuple keys whose length is
+    their arity, the unit (1,), the product (1, 2), the point () and the
+    JSON list codec of keys.  An instance sets ``label`` and defines
+    ``validate_basis``, ``compose_basis``, ``basis_keys``, ``dimension``,
+    ``random_basis``, ``format_basis`` and ``parse_basis``; ``core`` needs
+    nothing else.  ``compose_basis`` is called only on a key of arity >= 1
+    and a slot in range, which ``core.compose`` checks."""
+
+    def __init__(self, field):
+        self.field = field
+        self._point = self._product = None
+
+    def signature(self):
+        return (self.label, self.field.signature())
+
+    def arity_of(self, key):
+        return len(key)
+
+    def unit_one(self):
+        return Element._sum(self, 1, [((1,), self.field.one)])
+
+    def unit_zero(self):
+        """The point, built on first use and shared after that."""
+        if self._point is None:
+            self._point = Element._sum(self, 0, [((), self.field.one)])
+        return self._point
+
+    def multiplication(self):
+        """The product (1, 2), built on first use and shared after that."""
+        if self._product is None:
+            self._product = Element._sum(self, 2, [((1, 2), self.field.one)])
+        return self._product
+
+    def basis_to_json(self, key):
+        return list(key)
+
+    def basis_from_json(self, data):
+        return tuple(json_int(v, "basis entry") for v in data)
 
 
 def equal_up_to_sign(x, y):

@@ -13,7 +13,7 @@ degree-0 term of the classical Hochschild complex and carry no operadic slots.
 
 import json
 
-from .elements import Element, OperadError, json_int, json_scalar
+from .elements import Element, Operad, OperadError, json_int, json_scalar
 from .scalars import power_sign
 
 
@@ -171,14 +171,16 @@ def load_algebra(spec_text, field):
     raise OperadError(f"unknown algebra {spec_text!r} (want k, dual, m2, or @file.json)")
 
 
-class EndoOperad:
-    """Operad of multilinear maps A^(x)n -> A in the elementary basis."""
+class EndoOperad(Operad):
+    """Operad of multilinear maps A^(x)n -> A in the elementary basis.
+
+    Its signature, arities, unit and product depend on the algebra; the
+    point and the key codec are the base's."""
 
     def __init__(self, algebra):
+        super().__init__(algebra.field)
         self.algebra = algebra
-        self.field = algebra.field
         self.label = f"endo:{algebra.name}"
-        self._point = self._product = None
 
     def signature(self):
         return ("endo", self.algebra.signature())
@@ -200,12 +202,6 @@ class EndoOperad:
     def unit_one(self):
         one = self.field.one
         return Element._sum(self, 1, [((a, a), one) for a in range(self.algebra.dim)])
-
-    def unit_zero(self):
-        """The point, built on first use and shared after that."""
-        if self._point is None:
-            self._point = Element._sum(self, 0, [((), self.field.one)])
-        return self._point
 
     def multiplication(self):
         """The algebra's product as an arity-2 map, built on first use and
@@ -236,12 +232,9 @@ class EndoOperad:
         return [(new_key, self.field.one)]
 
     def compose_with_point(self, key, i):
-        """Plug the algebra unit into slot i of an elementary map."""
+        """Plug the algebra unit into slot i of an elementary map; the slot
+        was checked by ``compose_basis``."""
         n = len(key) - 1
-        if n < 1:
-            raise OperadError("arity-0 element has no composition slots")
-        if not 1 <= i <= n:
-            raise OperadError(f"slot {i} out of range for arity {n}")
         f = self.field
         alg = self.algebra
         inputs, out = key[:-1], key[-1]
@@ -298,12 +291,6 @@ class EndoOperad:
         if key is None:
             raise OperadError(f"bad map key {text!r}")
         return self.validate_basis(key, self.arity_of(key))
-
-    def basis_to_json(self, key):
-        return list(key)
-
-    def basis_from_json(self, data):
-        return tuple(json_int(v, "basis entry") for v in data)
 
 
 def classical_keys(operad, degree):

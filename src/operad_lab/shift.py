@@ -8,7 +8,7 @@ one slot of the outer one and pushes the tail up.
 
 from operator import lt
 
-from .elements import Element, OperadError, json_int
+from .elements import Operad, OperadError
 
 
 def is_increasing(key):
@@ -72,26 +72,20 @@ def degeneracy_shift(x, i):
     return x[:i] + (x[i - 1] + 1,) + tuple(a + 1 for a in x[i:])
 
 
-class ShiftOperad:
+class ShiftOperad(Operad):
     """Operad instance on strictly increasing positive integer tuples.
 
     ``max_entry`` only bounds basis enumeration and random sampling; the
     operations themselves are unbounded.
     """
 
+    label = "shift"
+
     def __init__(self, field, max_entry=8):
         if max_entry < 2:
             raise OperadError("max_entry must be at least 2")
-        self.field = field
+        super().__init__(field)
         self.max_entry = max_entry
-        self.label = "shift"
-        self._point = self._product = None
-
-    def signature(self):
-        return ("shift", self.field.signature())
-
-    def arity_of(self, key):
-        return len(key)
 
     def validate_basis(self, key, arity):
         key = tuple(key)
@@ -99,34 +93,13 @@ class ShiftOperad:
             raise OperadError(f"bad increasing-sequence key {key!r} for arity {arity}")
         return key
 
-    def unit_one(self):
-        return Element._sum(self, 1, [((1,), self.field.one)])
-
-    def unit_zero(self):
-        """The point, built on first use and shared after that."""
-        if self._point is None:
-            self._point = Element._sum(self, 0, [((), self.field.one)])
-        return self._point
-
-    def multiplication(self):
-        """The product (1, 2), built on first use and shared after that."""
-        if self._product is None:
-            self._product = Element._sum(self, 2, [((1, 2), self.field.one)])
-        return self._product
-
     def compose_basis(self, key, i, other):
-        if len(key) == 0:
-            raise OperadError("arity-0 element has no composition slots")
         return [(compose_shift(key, i, other), self.field.one)]
 
     def basis_keys(self, arity):
         from itertools import combinations
 
-        if arity == 0:
-            yield ()
-            return
-        for combo in combinations(range(1, self.max_entry + 1), arity):
-            yield combo
+        return combinations(range(1, self.max_entry + 1), arity)
 
     def dimension(self, arity):
         from math import comb
@@ -134,8 +107,6 @@ class ShiftOperad:
         return comb(self.max_entry, arity)
 
     def random_basis(self, arity, rng):
-        if arity == 0:
-            return ()
         top = max(self.max_entry, arity)
         return tuple(sorted(rng.sample(range(1, top + 1), arity)))
 
@@ -153,9 +124,3 @@ class ShiftOperad:
         if key is None or not is_increasing(key):
             raise OperadError(f"{text!r} is not strictly increasing and positive")
         return key
-
-    def basis_to_json(self, key):
-        return list(key)
-
-    def basis_from_json(self, data):
-        return tuple(json_int(v, "basis entry") for v in data)

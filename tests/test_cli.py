@@ -193,6 +193,8 @@ def test_column_cap_error_names_the_flag(capsys):
 @pytest.mark.parametrize("operad,kind,message", [
     ("assoc", "boundary", "40320 columns at degree 8 exceed the cap 20000;"),
     ("endo:m2", "hochschild", "65536 rows at degree 7 exceed the cap 20000;"),
+    # shift bases are empty above max-entry 8: the cap bounds the empty degrees
+    ("shift", "boundary", "20001 empty degrees up to degree 20010 exceed the cap 20000;"),
 ])
 def test_huge_degree_window_stops_at_the_first_oversized_degree(capsys, operad, kind, message):
     # the window is walked lazily: no list of 10^11 degrees is ever built

@@ -366,6 +366,22 @@ def test_row_cap_is_checked_before_listing_the_basis(monkeypatch):
         differential_matrix(spec, 2)
 
 
+def test_empty_degrees_are_capped():
+    # at max-entry 2 the boundary complex is empty from degree 4 on, so
+    # degrees 4, 5 and 6 are the three empty ones past the cap 2
+    op = ShiftOperad(Q, max_entry=2)
+    with pytest.raises(OperadError, match=(
+        r"^3 empty degrees up to degree 6 exceed the cap 2; pass allow_large=True "
+        r"\(--allow-large on the command line\) to override$"
+    )):
+        betti(ComplexSpec(op, "boundary", 0, 10, column_cap=2))
+    # two empty degrees are within the cap; the flag lifts it
+    within = betti(ComplexSpec(op, "boundary", 0, 5, column_cap=2))
+    assert within["dims"] == [0, 1, 1, 0, 0, 0]
+    lifted = betti(ComplexSpec(op, "boundary", 0, 10, column_cap=2, allow_large=True))
+    assert lifted["degrees"] == list(range(11)) and lifted["dims"] == within["dims"] + [0] * 5
+
+
 def test_one_sided_warnings():
     op = EndoOperad(dual_numbers(F3))
     ascending = betti(ComplexSpec(op, "hochschild", 1, 2))

@@ -1,6 +1,7 @@
 """Operad-level operations: gamma, faces, differentials, braces, coproduct."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -286,6 +287,28 @@ def test_point_and_product_are_built_once(operad):
     point, product = operad.unit_zero(), operad.multiplication()
     assert operad.unit_zero() is point and operad.multiplication() is product
     assert (point, product) == fresh_point_and_product(operad)
+
+
+def _dual_signature():
+    one, zero = Fraction(1), Fraction(0)
+    return ("algebra", "dual", ("rational",), 2, (one, zero),
+            (((one, zero), (zero, one)), ((zero, one), (zero, zero))))
+
+
+@pytest.mark.parametrize("operad,signature", [
+    (AssocOperad(Q), ("assoc", ("rational",))),
+    (ShiftOperad(Q, max_entry=12), ("shift", ("rational",))),
+    (EndoOperad(dual_numbers(Q)), ("endo", _dual_signature())),
+], ids=["assoc", "shift", "endo:dual"])
+def test_compose_domain_errors_and_signature(operad, signature):
+    # the instances check no slot of their own: core.compose does, once
+    point, one, product = operad.unit_zero(), operad.unit_one(), operad.multiplication()
+    with pytest.raises(OperadError, match="^arity-0 element has no composition slots$"):
+        compose(point, 1, one)
+    for i in (0, 3):
+        with pytest.raises(OperadError, match=f"^slot {i} out of range for arity 2$"):
+            compose(product, i, one)
+    assert operad.signature() == signature
 
 
 def test_compose_across_instances_with_equal_signatures():
