@@ -59,9 +59,14 @@ def compose_blocks(tau, i, sigma):
 def compose_formula(tau, i, sigma):
     """Closed-formula composition: values above tau(i) shift by l-1 and the
     inner word lands at positions i..i+l-1 on values tau(i)..tau(i)+l-1."""
+    if not 1 <= i <= len(tau):
+        raise OperadError(f"slot {i} out of range for arity {len(tau)}")
+    return _compose(tau, i, sigma)
+
+
+def _compose(tau, i, sigma):
+    """``compose_formula`` on a slot known to be in range."""
     n, l = len(tau), len(sigma)
-    if not 1 <= i <= n:
-        raise OperadError(f"slot {i} out of range for arity {n}")
     anchor = tau[i - 1]
 
     def shifted(v):
@@ -83,6 +88,11 @@ def delete_and_standardize(word, i):
     standardize, in closed form: every letter above v moves down by one."""
     if not 1 <= i <= len(word):
         raise OperadError(f"position {i} out of range for arity {len(word)}")
+    return _delete(word, i)
+
+
+def _delete(word, i):
+    """``delete_and_standardize`` on a position known to be in range."""
     v = word[i - 1]
     return tuple([a - 1 if a > v else a for a in word[: i - 1] + word[i:]])
 
@@ -121,8 +131,8 @@ class AssocOperad(Operad):
 
     def compose_basis(self, key, i, other):
         if other:
-            return [(compose_formula(key, i, other), self.field.one)]
-        return [(delete_and_standardize(key, i), self.field.one)]
+            return [(_compose(key, i, other), self.field.one)]
+        return [(_delete(key, i), self.field.one)]
 
     def basis_keys(self, arity):
         from itertools import permutations

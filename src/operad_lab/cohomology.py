@@ -11,6 +11,11 @@ included, off tables of the algebra's nonzero structure constants, each
 stored with its negation, so a column needs no field multiplication.  The
 Element-level operators (``core.boundary``, ``core.coboundary`` and
 ``endo.classical_coboundary``) are the test oracle.
+
+A matrix is built column-major, the order ``SparseMatrix`` stores: the
+column keys are walked lazily, one at a time, and each column's entries are
+sorted by row as it is made, so neither the column basis nor the whole
+matrix's triples are ever listed or sorted.
 """
 
 from .elements import OperadError
@@ -68,15 +73,20 @@ class ComplexSpec:
     def ascending(self):
         return self.differential != "boundary"
 
-    def basis_at(self, degree):
+    def keys_at(self, degree):
+        """The degree-n basis keys in basis order, yielded lazily."""
         if degree < 0:
-            return []
+            return ()
         if self.differential == "hochschild":
-            return list(classical_keys(self.operad, degree))
-        return list(self.operad.basis_keys(degree))
+            return classical_keys(self.operad, degree)
+        return self.operad.basis_keys(degree)
+
+    def basis_at(self, degree):
+        return list(self.keys_at(degree))
 
     def dimension_at(self, degree):
-        """len(basis_at(degree)), counted without listing the basis."""
+        """The number of keys ``keys_at(degree)`` yields, counted without
+        listing them."""
         if degree < 0:
             return 0
         if self.differential == "hochschild" and degree == 0:
@@ -138,30 +148,39 @@ def differential_matrix(spec, degree):
     """Matrix of the chosen differential out of the stated degree; columns
     indexed by the degree-n basis, rows by the target-degree basis.  The
     cap is checked on the counted sizes of both bases, columns first, before
-    any key is listed."""
+    any key is listed.  Only the row basis is listed, into its index; the
+    columns are walked lazily and handed over in canonical order."""
     target = spec.target_degree(degree)
-    _check_cap(spec, spec.dimension_at(degree), "column", f"at degree {degree}")
+    n_cols = spec.dimension_at(degree)
+    _check_cap(spec, n_cols, "column", f"at degree {degree}")
     _check_cap(spec, spec.dimension_at(target), "row", f"at degree {target}")
-    cols = spec.basis_at(degree)
-    rows = spec.basis_at(target)
-    row_index = {key: r for r, key in enumerate(rows)}
-    operad = spec.operad
-    triples = []
+    row_index = {key: r for r, key in enumerate(spec.keys_at(target))}
+    return SparseMatrix._from_canonical(
+        len(row_index), n_cols, spec.operad.field, _triples(spec, degree, row_index, n_cols)
+    )
+
+
+def _triples(spec, degree, row_index, n_cols):
+    """The (row, col, value) triples of the matrix, column by column, each
+    column's sorted by row: the canonical order of ``SparseMatrix``."""
+    c = -1
     # The shift basis is truncated at max-entry and is not closed under the
     # coboundary.  The row lookup stays unguarded inside the loop, which runs
     # once per term of every image.
     try:
-        for c, key in enumerate(cols):
-            for bkey, coeff in spec.column(key).items():
-                triples.append((row_index[bkey], c, coeff))
+        for c, key in enumerate(spec.keys_at(degree)):
+            for r, v in sorted([(row_index[k], v) for k, v in spec.column(key).items()]):
+                yield r, c, v
     except KeyError as exc:
         raise OperadError(
             f"the {spec.differential} of {key!r} has the term {exc.args[0]!r}, which is "
-            f"outside the degree-{target} basis truncated at "
-            f"max-entry {operad.max_entry}"
+            f"outside the degree-{spec.target_degree(degree)} basis truncated at "
+            f"max-entry {spec.operad.max_entry}"
         ) from exc
-    # each column is canonical and lands in its own column index
-    return SparseMatrix._from_canonical(len(rows), len(cols), operad.field, triples)
+    if c + 1 != n_cols:
+        raise OperadError(
+            f"the degree-{degree} basis has {c + 1} keys, but its dimension is {n_cols}"
+        )
 
 
 def betti(spec):

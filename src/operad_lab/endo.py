@@ -215,11 +215,6 @@ class EndoOperad(Operad):
         return self._product
 
     def compose_basis(self, key, i, other):
-        n = len(key) - 1
-        if n < 1:
-            raise OperadError("arity-0 element has no composition slots")
-        if not 1 <= i <= n:
-            raise OperadError(f"slot {i} out of range for arity {n}")
         if other == ():
             return self.compose_with_point(key, i)
         if len(other) == 1:
@@ -233,7 +228,7 @@ class EndoOperad(Operad):
 
     def compose_with_point(self, key, i):
         """Plug the algebra unit into slot i of an elementary map; the slot
-        was checked by ``compose_basis``."""
+        was checked by ``core.compose``."""
         n = len(key) - 1
         f = self.field
         alg = self.algebra

@@ -1,16 +1,20 @@
 """Exact sparse linear algebra: rank, kernel dimension, sign comparison.
 
-Matrices are stored as canonical sorted triplet lists over an explicit field
-from :mod:`operad_lab.scalars`.  A matrix is immutable, so its rank is
-computed once and memoised.  The sparse rank is a column reduction on plain
-ints: columns in ascending order, each pivot keyed by its largest row index,
-modular over GF(p) and fraction-free over Q (each column's denominators
-cleared, columns kept primitive).  A dense path takes over when the matrix is
-more than a quarter full.  The int row-pivot elimination and the
-field-generic elimination before it are kept in the tests as oracles.
+Matrices are stored column-major, as canonical triplet tuples sorted by
+(column, row), over an explicit field from :mod:`operad_lab.scalars`.  A
+matrix is immutable, so its rank is computed once and memoised.  The sparse
+rank is a column reduction on plain ints that reads the entries once and
+reduces one column at a time: columns in ascending order, each pivot keyed
+by its largest row index, modular over GF(p) and fraction-free over Q (each
+column's denominators cleared, columns kept primitive).  A dense path takes
+over when the matrix is more than a quarter full.  The int row-pivot
+elimination and the field-generic elimination before it are kept in the
+tests as oracles.
 """
 
+from itertools import groupby
 from math import gcd, lcm
+from operator import itemgetter
 
 from .scalars import linear_combination, same_field
 
@@ -24,9 +28,10 @@ class LinalgError(ValueError):
 class SparseMatrix:
     """Immutable exact matrix in canonical triplet form.
 
-    Entries are kept sorted by (row, col) with duplicates summed and zeros
-    dropped, so two equal matrices always have identical entry lists.  The
-    rank is memoised in ``_rank``, which equality, hashing and ``repr`` ignore.
+    Entries are ``(row, col, value)`` triples kept column-major, sorted by
+    (col, row), with duplicates summed and zeros dropped, so two equal
+    matrices always have identical entry tuples.  The rank is memoised in
+    ``_rank``, which equality, hashing and ``repr`` ignore.
     """
 
     __slots__ = ("n_rows", "n_cols", "field", "entries", "_rank")
@@ -42,21 +47,22 @@ class SparseMatrix:
             for r, c, v in triples:
                 if not (0 <= r < n_rows and 0 <= c < n_cols):
                     raise LinalgError(f"entry ({r},{c}) outside {n_rows}x{n_cols}")
-                yield (r, c), v
+                yield (c, r), v
 
         self.entries = tuple(
-            (r, c, v) for (r, c), v in sorted(linear_combination(field, cells()).items())
+            (r, c, v) for (c, r), v in sorted(linear_combination(field, cells()).items())
         )
 
     @classmethod
     def _from_canonical(cls, n_rows, n_cols, field, triples):
-        """Trusted constructor: ``triples`` are in range, with no repeated
-        cell and no zero value, so they are only sorted."""
+        """Trusted constructor: ``triples`` (any iterable) are in range and
+        already in canonical order, sorted by (col, row), with no repeated
+        cell and no zero value, so they are stored as they come."""
         out = cls.__new__(cls)
         out.n_rows = n_rows
         out.n_cols = n_cols
         out.field = field
-        out.entries = tuple(sorted(triples))
+        out.entries = tuple(triples)
         return out
 
     @property
@@ -150,21 +156,20 @@ def _integer_rank(mat):
     """Rank by column reduction on plain ints, each pivot keyed by its largest
     ("lowest") row index, as in the standard reduction of persistent homology.
 
-    Columns are visited in ascending order.  While a column is nonzero and its
+    The column-major entries are read once, one run of a column at a time,
+    so columns are visited in ascending order and only the column being
+    reduced exists besides the pivots.  While a column is nonzero and its
     lowest row already has a pivot, that pivot is subtracted; a column that
     stays nonzero becomes the pivot of its lowest row, and the rank is the
     number of pivots.  Over GF(p) each pivot is scaled to a leading 1 and
     updates are reduced mod p.  Over Q each column is first cleared of
     denominators and kept primitive, and updated fraction-free as
-    ``(a/g) col - (b/g) pivot`` with ``g = gcd(a, b)``.  The columns are fresh
-    dicts, so the matrix is left untouched."""
-    cols = {}
-    for r, c, v in mat.entries:
-        cols.setdefault(c, {})[r] = v
+    ``(a/g) col - (b/g) pivot`` with ``g = gcd(a, b)``.  Each column is a
+    fresh dict, so the matrix is left untouched."""
     modulus = mat.field.p if mat.field.kind == "prime" else None
     pivots = {}
-    for c in sorted(cols):
-        col = cols.pop(c)
+    for _, run in groupby(mat.entries, itemgetter(1)):
+        col = {r: v for r, _, v in run}
         if modulus is None:
             den = lcm(*(v.denominator for v in col.values()))
             for r, v in col.items():

@@ -19,9 +19,14 @@ def is_increasing(key):
 
 def compose_shift(x, i, y):
     """Splice y (translated to start at x[i-1]) into slot i of x."""
-    n = len(x)
-    if not 1 <= i <= n:
-        raise OperadError(f"slot {i} out of range for arity {n}")
+    if not 1 <= i <= len(x):
+        raise OperadError(f"slot {i} out of range for arity {len(x)}")
+    return _splice(x, i, y)
+
+
+def _splice(x, i, y):
+    """``compose_shift`` on a slot known to be in range; the result is still
+    checked to be increasing."""
     prefix = x[: i - 1]
     if len(y) == 0:
         body = ()
@@ -94,7 +99,7 @@ class ShiftOperad(Operad):
         return key
 
     def compose_basis(self, key, i, other):
-        return [(compose_shift(key, i, other), self.field.one)]
+        return [(_splice(key, i, other), self.field.one)]
 
     def basis_keys(self, arity):
         from itertools import combinations

@@ -9,7 +9,9 @@ the Element-level operators, column by column, and betti() against closed
 forms for three more algebras in three characteristics.
 """
 
+import gc
 import itertools
+import tracemalloc
 
 import pytest
 
@@ -30,6 +32,7 @@ from operad_lab import (
     get_field,
 )
 from operad_lab.cli import make_operad
+from operad_lab.cohomology import DIFFERENTIALS
 from operad_lab.endo import algebra_from_json, dual_numbers, ground_field_algebra, matrix2
 from operad_lab.linalg import equal_up_to_global_sign
 
@@ -380,6 +383,69 @@ def test_empty_degrees_are_capped():
     assert within["dims"] == [0, 1, 1, 0, 0, 0]
     lifted = betti(ComplexSpec(op, "boundary", 0, 10, column_cap=2, allow_large=True))
     assert lifted["degrees"] == list(range(11)) and lifted["dims"] == within["dims"] + [0] * 5
+
+
+@pytest.mark.parametrize("selector,max_entry,top", [
+    ("assoc", 8, 6), ("shift", 8, 10), ("shift", 3, 5),
+    ("endo:k", 8, 6), ("endo:dual", 8, 6), ("endo:m2", 8, 4),
+])
+def test_dimension_counts_the_keys(selector, max_entry, top):
+    # differential_matrix sizes a matrix by dimension_at and walks keys_at
+    # lazily; the two agree on every preset and kind, below degree 0, at the
+    # classical degree 0 (the algebra itself) and above a truncated shift
+    op = make_operad(selector, Q, max_entry)
+    kinds = DIFFERENTIALS if isinstance(op, EndoOperad) else ("boundary", "coboundary")
+    for kind in kinds:
+        spec = ComplexSpec(op, kind, 0, top)
+        for n in range(-1, top + 1):
+            keys = list(spec.keys_at(n))
+            assert spec.dimension_at(n) == len(keys) == len(set(keys)), (kind, n)
+            assert spec.basis_at(n) == keys
+    assert ComplexSpec(op, "boundary", 0, 1).basis_at(-1) == []
+    if isinstance(op, EndoOperad):
+        spec = ComplexSpec(op, "hochschild", 0, 1)
+        assert spec.basis_at(0) == [(j,) for j in range(op.algebra.dim)]
+
+
+@pytest.mark.parametrize("off", [1, -1])
+def test_column_count_must_match_the_dimension(off):
+    # a spec whose dimension is off at degree 4: the walk counts the columns
+    # it yields and refuses the matrix, with an error that survives python -O
+    class OffSpec(ComplexSpec):
+        def dimension_at(self, degree):
+            return super().dimension_at(degree) + (off if degree == 4 else 0)
+
+    spec = OffSpec(AssocOperad(Q), "boundary", 0, 4)
+    with pytest.raises(OperadError, match=(
+        f"^the degree-4 basis has 24 keys, but its dimension is {24 + off}$"
+    )):
+        differential_matrix(spec, 4)
+    assert differential_matrix(spec, 3).n_cols == 6
+
+
+def test_assembly_and_rank_hold_little_besides_the_matrix():
+    # Column-major assembly keeps only the row index and one column besides
+    # the growing entry tuple, and the rank only one column besides its
+    # pivots.  Sorting a list of every triple (assembly), or grouping the
+    # entries into one dict per column (rank), costs about 0.38 and 0.77 of
+    # the matrix's own size on this matrix (5040 columns, nnz 20076); the
+    # column-major code stays near 0.05 and 0.10.
+    spec = ComplexSpec(AssocOperad(F5), "boundary", 0, 7)
+    differential_matrix(spec, 3)  # build the point and the caches first
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        mat = differential_matrix(spec, 7)
+        held, build_peak = (size - base for size in tracemalloc.get_traced_memory())
+        tracemalloc.reset_peak()
+        rank = mat.rank()
+        rank_peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert (mat.nnz, rank) == (20076, 620)
+    assert (build_peak - held) / held < 0.2
+    assert (rank_peak - held) / held < 0.35
 
 
 def test_one_sided_warnings():

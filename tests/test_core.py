@@ -29,8 +29,10 @@ from operad_lab import (
     power_sign,
     subset_restriction,
 )
+from operad_lab.assoc import compose_formula, delete_and_standardize
 from operad_lab.core import random_element
 from operad_lab.endo import dual_numbers
+from operad_lab.shift import compose_shift
 
 Q = get_field("q")
 ASSOC = AssocOperad(Q)
@@ -309,6 +311,32 @@ def test_compose_domain_errors_and_signature(operad, signature):
         with pytest.raises(OperadError, match=f"^slot {i} out of range for arity 2$"):
             compose(product, i, one)
     assert operad.signature() == signature
+
+
+@pytest.mark.parametrize("operad", [
+    AssocOperad(Q), ShiftOperad(Q, max_entry=7), EndoOperad(dual_numbers(Q)),
+], ids=lambda op: op.label)
+def test_compose_basis_matches_the_checked_helpers(operad):
+    # compose_basis runs unchecked key-level bodies; on every key up to arity
+    # 5, every slot, and the point and the product, it agrees with the
+    # checked entry points: assoc's and shift's public helpers, and for endo
+    # (which has no key-level helper) core.compose on basis elements
+    one = operad.field.one
+    inserted = [()] + list(operad.multiplication().terms)
+    for n in range(1, 6):
+        for key in operad.basis_keys(n):
+            for i in range(1, n + 1):
+                for other in inserted:
+                    got = operad.compose_basis(key, i, other)
+                    if isinstance(operad, AssocOperad):
+                        word = compose_formula(key, i, other) if other else \
+                            delete_and_standardize(key, i)
+                        assert got == [(word, one)]
+                    elif isinstance(operad, ShiftOperad):
+                        assert got == [(compose_shift(key, i, other), one)]
+                    else:
+                        x, y = (Element.basis(operad, k) for k in (key, other))
+                        assert dict(got) == compose(x, i, y).terms
 
 
 def test_compose_across_instances_with_equal_signatures():

@@ -140,6 +140,47 @@ def test_equal_up_to_global_sign():
     assert equal_up_to_global_sign(a, d) is None
 
 
+# --- the column-major order ------------------------------------------------
+
+
+def test_entries_are_column_major():
+    rng = random.Random(17)
+    for label in ORACLE_FIELDS:
+        field = get_field(label)
+        for _ in range(20):
+            m = random_matrix(rng, field, rng.randint(0, 12), rng.randint(0, 12))
+            cells = [(c, r) for r, c, _ in m.entries]
+            assert cells == sorted(set(cells))
+    m = M(2, 2, Q, [(0, 1, Q.one), (1, 0, Q.from_int(2)), (0, 0, Q.from_int(3))])
+    assert m.entries == ((0, 0, Q.from_int(3)), (1, 0, Q.from_int(2)), (0, 1, Q.one))
+
+
+def test_trusted_constructor_keeps_its_input_order():
+    # it stores any iterable as it comes, a generator included, sorting nothing
+    triples = [(1, 1, Q.one), (0, 0, Q.from_int(2)), (1, 0, Q.from_int(3))]
+    trusted = SparseMatrix._from_canonical(2, 2, Q, (t for t in triples))
+    assert trusted.entries == tuple(triples)
+
+
+def test_trusted_and_public_matrices_agree():
+    rng = random.Random(19)
+    for label in ORACLE_FIELDS:
+        field = get_field(label)
+        for _ in range(20):
+            m = random_matrix(rng, field, rng.randint(0, 12), rng.randint(0, 12))
+            trusted = SparseMatrix._from_canonical(m.n_rows, m.n_cols, field, iter(m.entries))
+            negated = SparseMatrix._from_canonical(
+                m.n_rows, m.n_cols, field, [(r, c, field.neg(v)) for r, c, v in m.entries])
+            assert trusted == m and hash(trusted) == hash(m)
+            assert trusted.transpose() == m.transpose()
+            assert hash(trusted.transpose()) == hash(m.transpose())
+            # -m equals m when m is zero or the field has characteristic 2
+            sign = 1 if negated == m else -1
+            assert equal_up_to_global_sign(trusted, m) == 1
+            assert equal_up_to_global_sign(negated, m) == sign
+            assert equal_up_to_global_sign(m.transpose(), negated.transpose()) == sign
+
+
 # --- the column reduction against the oracles ------------------------------
 
 
