@@ -16,11 +16,17 @@ A matrix is built column-major, the order ``SparseMatrix`` stores: the
 column keys are walked lazily, one at a time, and each column's entries are
 sorted by row as it is made, so neither the column basis nor the whole
 matrix's triples are ever listed or sorted.
+
+``betti`` builds the matrices of its whole window before it ranks any, so
+the ranking can pass what one degree learned to the next (see
+``linalg.rank_complex``): the rank of d_{n-1} bounds that of d_n, and on
+the ascending kinds the pivot rows of d_{n-1} name columns of d_n that are
+skipped unread.
 """
 
 from .elements import OperadError
 from .endo import EndoOperad, classical_keys
-from .linalg import SparseMatrix
+from .linalg import SparseMatrix, rank_complex
 from .scalars import linear_combination
 
 DIFFERENTIALS = ("boundary", "coboundary", "hochschild")
@@ -80,9 +86,6 @@ class ComplexSpec:
         if self.differential == "hochschild":
             return classical_keys(self.operad, degree)
         return self.operad.basis_keys(degree)
-
-    def basis_at(self, degree):
-        return list(self.keys_at(degree))
 
     def dimension_at(self, degree):
         """The number of keys ``keys_at(degree)`` yields, counted without
@@ -186,6 +189,9 @@ def _triples(spec, degree, row_index, n_cols):
 def betti(spec):
     """Cohomology dimensions over the degree window.
 
+    Every matrix of the window is built first, then all are ranked at once,
+    in degree order, by ``linalg.rank_complex``.
+
     dim H(n) = kernel_dim(matrix at n) minus the rank of the incoming
     differential.  The incoming matrix lives at n-1 for ascending kinds and
     n+1 for the boundary; at the open end of the window the incoming rank is
@@ -203,6 +209,7 @@ def betti(spec):
         if not (mat.n_cols or mat.n_rows):
             empty += 1
             _check_cap(spec, empty, "empty degree", f"up to degree {n}")
+    rank_complex(mats.values(), spec.ascending)
     degrees = list(mats)
     dims = []
     ranks = []

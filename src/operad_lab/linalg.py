@@ -6,8 +6,13 @@ matrix is immutable, so its rank is computed once and memoised.  The sparse
 rank is a column reduction on plain ints that reads the entries once and
 reduces one column at a time: columns in ascending order, each pivot keyed
 by its largest row index, modular over GF(p) and fraction-free over Q (each
-column's denominators cleared, columns kept primitive).  A dense path takes
-over when the matrix is more than a quarter full.  The int row-pivot
+column's denominators cleared, columns kept primitive).  The reduction
+stops once it holds as many pivots as a given bound, and skips a given set
+of columns unread.  ``SparseMatrix.rank`` bounds it by the matrix's shape
+and skips nothing; a dense path takes over when the matrix is more than a
+quarter full.  ``rank_complex`` ranks the differentials of one complex in
+degree order, and d∘d = 0 tightens the bound of each degree and, on an
+ascending complex, clears columns of the next.  The int row-pivot
 elimination and the field-generic elimination before it are kept in the
 tests as oracles.
 """
@@ -80,11 +85,6 @@ class SparseMatrix:
             rows[r][c] = v
         return rows
 
-    def transpose(self):
-        return SparseMatrix(
-            self.n_cols, self.n_rows, self.field, [(c, r, v) for r, c, v in self.entries]
-        )
-
     def rank(self):
         try:
             return self._rank
@@ -95,7 +95,7 @@ class SparseMatrix:
         elif self.density > DENSE_DENSITY:
             rank = _dense_rank(self.to_dense(), self.field)
         else:
-            rank = _integer_rank(self)
+            rank = len(_reduce(self, min(self.n_rows, self.n_cols)))
         self._rank = rank
         return rank
 
@@ -152,23 +152,57 @@ def _dense_rank(rows, field):
     return rank
 
 
-def _integer_rank(mat):
-    """Rank by column reduction on plain ints, each pivot keyed by its largest
-    ("lowest") row index, as in the standard reduction of persistent homology.
+def rank_complex(mats, ascending):
+    """Rank the differentials of one complex, given in ascending degree
+    order with no degree missing, and memoise each rank.
+
+    Since d∘d = 0, the image of one differential lies in the kernel of the
+    next, so rank(d_n) is at most ``side - rank(d_{n-1})``, where ``side``
+    is the dimension of the space d_n and d_{n-1} share: the columns of d_n
+    on an ascending complex, its rows on the boundary.  Each reduction stops at that bound,
+    or at the shape of its matrix for the first degree.  On an ascending
+    complex, row r of d_{n-1} and column r of d_n are the same key.  A
+    reduced column of d_{n-1} whose lowest row is r is a cocycle ending at
+    key r, so column r of d_n lies in the span of the columns before it and
+    reduces to zero: it is skipped unread ("clearing", or the twist of
+    persistent homology).  Every matrix takes the int column reduction,
+    whatever its density, since clearing reads that reduction's pivots."""
+    rank, cleared = 0, ()
+    for mat in mats:
+        side = mat.n_cols if ascending else mat.n_rows
+        pivots = _reduce(mat, min(mat.n_rows, mat.n_cols, side - rank), cleared)
+        mat._rank = rank = len(pivots)
+        # the boundary clears nothing: its pivots go before the next
+        # reduction starts, not after it
+        cleared = pivots if ascending else ()
+        del pivots
+
+
+def _reduce(mat, bound, cleared=()):
+    """Column reduction on plain ints, each pivot keyed by its largest
+    ("lowest") row index, as in the standard reduction of persistent
+    homology.  Returns the pivots, ``{lowest row: reduced column}``, whose
+    count is the rank when ``bound`` is at least the rank.
 
     The column-major entries are read once, one run of a column at a time,
     so columns are visited in ascending order and only the column being
-    reduced exists besides the pivots.  While a column is nonzero and its
-    lowest row already has a pivot, that pivot is subtracted; a column that
-    stays nonzero becomes the pivot of its lowest row, and the rank is the
-    number of pivots.  Over GF(p) each pivot is scaled to a leading 1 and
-    updates are reduced mod p.  Over Q each column is first cleared of
-    denominators and kept primitive, and updated fraction-free as
-    ``(a/g) col - (b/g) pivot`` with ``g = gcd(a, b)``.  Each column is a
-    fresh dict, so the matrix is left untouched."""
+    reduced exists besides the pivots.  A column whose index is in
+    ``cleared`` is stepped over without being built.  While a column is
+    nonzero and its lowest row already has a pivot, that pivot is
+    subtracted; a column that stays nonzero becomes the pivot of its lowest
+    row, and the reduction stops once it holds ``bound`` pivots.  Over
+    GF(p) each pivot is scaled to a leading 1 and updates are reduced mod
+    p.  Over Q each column is first cleared of denominators and kept
+    primitive, and updated fraction-free as ``(a/g) col - (b/g) pivot``
+    with ``g = gcd(a, b)``.  Each column is a fresh dict, so the matrix is
+    left untouched."""
     modulus = mat.field.p if mat.field.kind == "prime" else None
     pivots = {}
-    for _, run in groupby(mat.entries, itemgetter(1)):
+    if bound <= 0:
+        return pivots
+    for c, run in groupby(mat.entries, itemgetter(1)):
+        if c in cleared:
+            continue
         col = {r: v for r, _, v in run}
         if modulus is None:
             den = lcm(*(v.denominator for v in col.values()))
@@ -216,7 +250,9 @@ def _integer_rank(mat):
                 for r, v in col.items():
                     col[r] = v * inv % modulus
             pivots[low] = col
-    return len(pivots)
+            if len(pivots) == bound:
+                break
+    return pivots
 
 
 def _make_primitive(col):

@@ -1,26 +1,31 @@
 """Exact sparse matrices: construction, rank, kernel dimension.
 
-The column reduction behind ``SparseMatrix.rank`` (``_integer_rank``) is
-compared with two eliminations it replaced, kept below as oracles: the int
-row-pivot elimination (``_row_pivot_rank``) and the field-generic one before
-it (``_sparse_rank``), and with the dense path, on random matrices and on the
-differential matrices of real complexes.
+The column reduction behind ``SparseMatrix.rank`` (``_reduce``) is compared
+with two eliminations it replaced, kept below as oracles: the int row-pivot
+elimination (``_row_pivot_rank``) and the field-generic one before it
+(``_sparse_rank``), and with the dense path, on random matrices and on the
+differential matrices of real complexes.  ``rank_complex``, which bounds
+each reduction by the rank of the previous degree and clears columns, is
+compared with ``rank()`` and ``_row_pivot_rank`` on random chain complexes,
+and the columns it reads on real complexes are counted.
 """
 
+import itertools
 import random
 from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
 
-from operad_lab import ComplexSpec, EndoOperad, FinAlgebra, differential_matrix
+from operad_lab import ComplexSpec, EndoOperad, FinAlgebra, differential_matrix, linalg
 from operad_lab.cli import make_operad
 from operad_lab.linalg import (
     LinalgError,
     SparseMatrix,
     _dense_rank,
-    _integer_rank,
+    _reduce,
     equal_up_to_global_sign,
+    rank_complex,
 )
 from operad_lab.scalars import get_field
 
@@ -31,6 +36,16 @@ ORACLE_FIELDS = ("q", "gfp:2", "gfp:5", "gfp:32003")
 
 def M(rows, cols, field, entries):
     return SparseMatrix(rows, cols, field, entries)
+
+
+def transpose(m):
+    return SparseMatrix(m.n_cols, m.n_rows, m.field, [(c, r, v) for r, c, v in m.entries])
+
+
+def integer_rank(m):
+    """The int column reduction bounded only by the shape, as ``rank()``
+    runs it on a sparse matrix."""
+    return len(_reduce(m, min(m.n_rows, m.n_cols)))
 
 
 def test_construction_merges_and_drops_zeros():
@@ -89,7 +104,7 @@ def test_zero_and_identity():
 
 def test_transpose():
     m = M(2, 3, Q, [(0, 1, Q.from_int(5)), (1, 2, Q.from_int(-1))])
-    t = m.transpose()
+    t = transpose(m)
     assert t.n_rows == 3 and t.n_cols == 2
     assert t.to_dense()[1][0] == Q.from_int(5)
     assert m.rank() == t.rank()
@@ -172,13 +187,13 @@ def test_trusted_and_public_matrices_agree():
             negated = SparseMatrix._from_canonical(
                 m.n_rows, m.n_cols, field, [(r, c, field.neg(v)) for r, c, v in m.entries])
             assert trusted == m and hash(trusted) == hash(m)
-            assert trusted.transpose() == m.transpose()
-            assert hash(trusted.transpose()) == hash(m.transpose())
+            assert transpose(trusted) == transpose(m)
+            assert hash(transpose(trusted)) == hash(transpose(m))
             # -m equals m when m is zero or the field has characteristic 2
             sign = 1 if negated == m else -1
             assert equal_up_to_global_sign(trusted, m) == 1
             assert equal_up_to_global_sign(negated, m) == sign
-            assert equal_up_to_global_sign(m.transpose(), negated.transpose()) == sign
+            assert equal_up_to_global_sign(transpose(m), transpose(negated)) == sign
 
 
 # --- the column reduction against the oracles ------------------------------
@@ -223,7 +238,7 @@ def _sparse_rank(mat):
     return rank
 
 
-# The int row-pivot elimination that ``_integer_rank`` ran before the column
+# The int row-pivot elimination that the int kernel ran before the column
 # reduction, kept verbatim: columns ascending, the shortest candidate row as
 # pivot, modular over GF(p) and fraction-free over Q.
 def _row_pivot_rank(mat):
@@ -339,7 +354,7 @@ def product(a, b):
 def assert_ranks_agree(m, dense=True):
     expected = _sparse_rank(m)
     assert _row_pivot_rank(m) == expected, m
-    assert _integer_rank(m) == expected, m
+    assert integer_rank(m) == expected, m
     if dense:
         assert _dense_rank(m.to_dense(), m.field) == expected, m
     assert m.rank() == expected
@@ -398,7 +413,7 @@ def test_rank_is_memoised_and_invisible():
             assert m == twin and hash(m) == hash(twin) and repr(m) == repr(twin)
             assert twin.rank() == trusted.rank() == r
             assert trusted._rank == r
-            assert m.transpose().rank() == r
+            assert transpose(m).rank() == r
 
 
 def test_rank_leaves_its_input_alone():
@@ -413,7 +428,7 @@ def test_rank_leaves_its_input_alone():
             m = random_matrix(random.Random(seed), field, rows, cols)
             twin = random_matrix(random.Random(seed), field, rows, cols)
             entries, digest = m.entries, hash(m)
-            _integer_rank(m)
+            _reduce(m, min(rows, cols))
             m.rank()
             assert m.entries is entries
             assert m == twin and hash(m) == hash(twin) == digest
@@ -423,11 +438,161 @@ def test_rank_leaves_its_input_alone():
 
 def test_constructors_leave_the_rank_unset(monkeypatch):
     calls = []
-    monkeypatch.setattr("operad_lab.linalg._integer_rank",
-                        lambda mat: calls.append(mat) or 1)
+    monkeypatch.setattr("operad_lab.linalg._reduce",
+                        lambda mat, bound, cleared=(): calls.append(mat) or {0: {0: 1}})
     m = M(5, 5, Q, [(0, 0, Q.one), (1, 0, Q.one)])  # sparse: density 0.08
     trusted = SparseMatrix._from_canonical(5, 5, Q, m.entries)
     for mat in (m, trusted):
         assert not hasattr(mat, "_rank")
         assert [mat.rank(), mat.kernel_dim(), mat.rank()] == [1, 4, 1]
     assert calls == [m, trusted]
+
+
+# --- ranking a whole complex -----------------------------------------------
+
+
+def random_complex(rng, field, ascending):
+    """Differentials d_0, ..., d_{k-1} of a random complex with d∘d = 0, in
+    ascending degree order; reversed, the same matrices make a boundary
+    complex, whose d_{n-1} d_n = 0.
+
+    Each space splits into an image B (of the previous differential, or of
+    a degree outside the list), a part L mapped one to one onto the next
+    image, and homology H, which is often nonzero, so the rank bound is not
+    always tight.  Placed at random positions, the block-diagonal complex is
+    then conjugated space by space by random unitriangular changes of basis,
+    each a product of elementary operations in one direction: row a += x row
+    b in the differential into the space, column b -= x column a in the one
+    out of it."""
+    dims = [rng.randint(0, 6) for _ in range(rng.randint(1, 5) + 1)]
+    # each space lists its positions in the order B, L, H
+    order = [rng.sample(range(dim), dim) for dim in dims]
+    image = rng.randint(0, dims[0])
+    mats = []
+    for n in range(len(dims) - 1):
+        mapped = rng.randint(0, min(dims[n] - image, dims[n + 1]))
+        dense = [[field.zero] * dims[n] for _ in range(dims[n + 1])]
+        for j in range(mapped):
+            dense[order[n + 1][j]][order[n][image + j]] = field.from_int(rng.randint(1, 9))
+        mats.append(dense)
+        image = mapped
+    for n, dim in enumerate(dims):
+        upper = rng.random() < 0.5
+        for _ in range(2 * dim):
+            a, b = rng.sample(range(dim), 2) if dim > 1 else (0, 0)
+            if a == b or (a < b) != upper:
+                continue
+            x = random_scalar(rng, field)
+            if n > 0:
+                into = mats[n - 1]
+                into[a] = [field.add(u, field.mul(x, v)) for u, v in zip(into[a], into[b])]
+            if n < len(mats):
+                for row in mats[n]:
+                    row[b] = field.sub(row[b], field.mul(x, row[a]))
+    mats = [SparseMatrix(len(dense), dim, field, [
+        (r, c, v) for r, row in enumerate(dense) for c, v in enumerate(row)])
+        for dense, dim in zip(mats, dims)]
+    return mats if ascending else mats[::-1]
+
+
+def random_scalar(rng, field):
+    if field.kind == "rational":
+        return Fraction(rng.randint(-5, 5), rng.choice((1, 2, 3)))
+    return field.from_int(rng.randint(0, field.p - 1))
+
+
+def check_rank_complex(mats, ascending):
+    """rank_complex memoises, for each matrix, the rank that ``rank()`` and
+    the row-pivot oracle give on a fresh copy; returns the sum of the
+    homology dimensions inside the list, zero when every bound was tight."""
+    fresh = [SparseMatrix._from_canonical(m.n_rows, m.n_cols, m.field, m.entries)
+             for m in mats]
+    rank_complex(mats, ascending)
+    ranks = [m._rank for m in mats]
+    assert ranks == [m.rank() for m in fresh] == [_row_pivot_rank(m) for m in fresh]
+    for d, d_next in zip(mats, mats[1:]):
+        later, earlier = (d_next, d) if ascending else (d, d_next)
+        assert product(later, earlier).nnz == 0
+    shared = [m.n_cols if ascending else m.n_rows for m in mats[1:]]
+    return sum(side - r - s for side, r, s in zip(shared, ranks, ranks[1:]))
+
+
+@pytest.mark.parametrize("label", ("q", "gfp:2", "gfp:5"))
+def test_rank_complex_matches_rank_on_random_complexes(label):
+    field = get_field(label)
+    rng = random.Random(f"complex {label}")
+    homology = 0
+    for _ in range(60):
+        for ascending in (True, False):
+            homology += check_rank_complex(random_complex(rng, field, ascending), ascending)
+    assert homology > 0
+
+
+def spy_on_column_reads(monkeypatch):
+    """Patch the kernel's ``groupby`` to record, under the id of the entries
+    it reduces, the index of every column whose entries it reads; a column
+    it skips or never reaches is not listed.  The function returned lists
+    them for a matrix; one whose reduction had nothing to do read nothing."""
+    reads = {}
+
+    def record(c, run, cols):
+        cols.append(c)
+        yield from run
+
+    def groupby(entries, key):
+        cols = reads.setdefault(id(entries), [])
+        for c, run in itertools.groupby(entries, key):
+            yield c, record(c, run, cols)
+
+    monkeypatch.setattr(linalg, "groupby", groupby)
+    return lambda m: reads.get(id(m.entries), [])
+
+
+def nonzero_columns(m):
+    return sorted({c for _, c, _ in m.entries})
+
+
+def columns(m, keep):
+    kept = {c: i for i, c in enumerate(keep)}
+    return SparseMatrix(m.n_rows, len(keep), m.field,
+                        [(r, kept[c], v) for r, c, v in m.entries if c in kept])
+
+
+def test_each_reduction_stops_at_its_rank_bound(monkeypatch):
+    # assoc boundary 0..7: d_7 (720 rows) lies in the kernel of d_6, of rank
+    # 100, so its rank is at most 620, and it is reached by its first 720
+    # nonzero columns: those are all the reduction reads of its 5040
+    spec = ComplexSpec(make_operad("assoc", F5), "boundary", 0, 7)
+    mats = [differential_matrix(spec, n) for n in range(8)]
+    read_by = spy_on_column_reads(monkeypatch)
+    rank_complex(mats, ascending=False)
+    monkeypatch.undo()
+    reads = [read_by(m) for m in mats]
+    assert [m._rank for m in mats] == [0, 1, 0, 2, 4, 20, 100, 620]
+    assert (mats[7].n_rows, mats[7].n_cols) == (720, 5040)
+    read = nonzero_columns(mats[7])[:720]
+    assert reads[7] == read
+    assert _row_pivot_rank(columns(mats[7], read)) == 620
+    assert _row_pivot_rank(columns(mats[7], read[:-1])) == 619
+    for m, cols in zip(mats, reads):
+        assert cols == nonzero_columns(m)[:len(cols)]
+
+
+def test_clearing_skips_the_pivot_rows_of_the_previous_degree(monkeypatch):
+    # endo:m2 Hochschild 0..4 over Q: column r of d_n is skipped when r is
+    # the lowest row of a reduced column of d_{n-1}; no skipped column is
+    # read, and every other one is read in order until the bound is reached
+    spec = ComplexSpec(make_operad("endo:m2", Q), "hochschild", 0, 4)
+    mats = [differential_matrix(spec, n) for n in range(5)]
+    cleared = [set(_reduce(m, min(m.n_rows, m.n_cols))) for m in mats]
+    read_by = spy_on_column_reads(monkeypatch)
+    rank_complex(mats, ascending=True)
+    monkeypatch.undo()
+    reads = [read_by(m) for m in mats]
+    assert [m._rank for m in mats] == [3, 13, 51, 205, 819]
+    assert [len(c) for c in cleared[:4]] == [3, 13, 51, 205]
+    for n in range(1, 5):
+        assert not cleared[n - 1] & set(reads[n]), n
+        kept = [c for c in nonzero_columns(mats[n]) if c not in cleared[n - 1]]
+        assert reads[n] == kept[:len(reads[n])], n
+    assert reads[0] == nonzero_columns(mats[0])

@@ -3,11 +3,13 @@
 Text and JSON round trips for keys and elements of all three operads, the
 closed-form assoc face against delete-then-standardize, the shift key test
 against its two-pass form, the int rank kernel against the field-generic
-elimination and the dense path, and a fuzz of the command line.
+elimination and the dense path, the ranks of a whole random chain complex
+against ``rank()`` and the row-pivot oracle, and a fuzz of the command line.
 """
 
 import contextlib
 import io
+import random
 from fractions import Fraction
 
 import pytest
@@ -28,9 +30,16 @@ from operad_lab import (
 from operad_lab.assoc import delete_and_standardize, standardize
 from operad_lab.cli import main
 from operad_lab.endo import dual_numbers, matrix2
-from operad_lab.linalg import SparseMatrix, _dense_rank, _integer_rank
+from operad_lab.linalg import SparseMatrix, _dense_rank
 from operad_lab.shift import is_increasing
-from test_linalg import ORACLE_FIELDS, _sparse_rank, product
+from test_linalg import (
+    ORACLE_FIELDS,
+    _sparse_rank,
+    check_rank_complex,
+    integer_rank,
+    product,
+    random_complex,
+)
 from test_shift import _two_pass_is_increasing
 
 Q = get_field("q")
@@ -150,8 +159,21 @@ def test_integer_rank_matches_generic_and_dense(label):
     @given(st.one_of(matrices(field), low_rank_matrices(field)))
     def check(m):
         expected = _sparse_rank(m)
-        assert _integer_rank(m) == expected
+        assert integer_rank(m) == expected
         assert _dense_rank(m.to_dense(), field) == expected
+
+    check()
+
+
+@pytest.mark.parametrize("label", ("q", "gfp:2", "gfp:5"))
+def test_rank_complex_matches_rank_and_row_pivots(label):
+    field = get_field(label)
+
+    @PROPERTY
+    @given(st.integers(0, 2**32), st.booleans())
+    def check(seed, ascending):
+        mats = random_complex(random.Random(seed), field, ascending)
+        check_rank_complex(mats, ascending)
 
     check()
 
