@@ -8,7 +8,7 @@ calculator and a randomized identity verifier.
 """
 
 from .scalars import RationalField, PrimeField, get_field, power_sign, ScalarError
-from .elements import Element, OperadError, equal_up_to_sign
+from .elements import Element, OperadError
 from .linalg import SparseMatrix, equal_up_to_global_sign
 from .assoc import AssocOperad, standardize, compose_blocks, compose_formula, concat
 from .shift import ShiftOperad, compose_shift, gamma_shift
@@ -52,7 +52,6 @@ __all__ = [
     "ScalarError",
     "Element",
     "OperadError",
-    "equal_up_to_sign",
     "SparseMatrix",
     "equal_up_to_global_sign",
     "AssocOperad",

@@ -8,7 +8,7 @@ import json
 import sys
 
 from .assoc import AssocOperad
-from .cohomology import ComplexSpec, betti
+from .cohomology import DIFFERENTIALS, ComplexSpec, betti
 from .core import (
     aw_coproduct,
     boundary,
@@ -168,8 +168,7 @@ def build_parser():
 
     p = sub.add_parser("cohomology", help="kernel/rank dimensions of a complex")
     add_common(p)
-    p.add_argument("--differential", default="hochschild",
-                   choices=("boundary", "coboundary", "hochschild"))
+    p.add_argument("--differential", default="hochschild", choices=DIFFERENTIALS)
     p.add_argument("--lo", type=int, required=True)
     p.add_argument("--hi", type=int, required=True)
     p.add_argument("--column-cap", type=nonnegative_int, default=None)

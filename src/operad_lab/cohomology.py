@@ -138,9 +138,20 @@ class ComplexSpec:
         return degree + 1 if self.ascending else degree - 1
 
 
+def _count_text(count):
+    """``count`` in decimal, or a power of ten below it when the count has
+    more digits than Python converts to text (4300 by default)."""
+    try:
+        return str(count)
+    except ValueError:
+        # 2^(bits-1) <= count, and 0.301 < log10(2)
+        return f"more than 10^{(count.bit_length() - 1) * 301 // 1000}"
+
+
 def _check_cap(spec, count, noun, where):
     if count > spec.column_cap and not spec.allow_large:
-        counted, verb = (f"1 {noun}", "exceeds") if count == 1 else (f"{count} {noun}s", "exceed")
+        counted, verb = (f"1 {noun}", "exceeds") if count == 1 else (
+            f"{_count_text(count)} {noun}s", "exceed")
         raise OperadError(
             f"{counted} {where} {verb} the cap {spec.column_cap}; "
             "pass allow_large=True (--allow-large on the command line) to override"
@@ -217,24 +228,13 @@ def betti(spec):
     for n in degrees:
         k = mats[n].kernel_dim()
         ranks.append(mats[n].rank())
-        if spec.ascending:
-            if n == spec.lo:
-                incoming = 0
-                if n > 0:
-                    warnings.append(
-                        f"degree {n}: incoming rank at degree {n - 1} not computed (one-sided)"
-                    )
-            else:
-                incoming = mats[n - 1].rank()
-        else:
-            if n == spec.hi:
-                incoming = 0
-                warnings.append(
-                    f"degree {n}: incoming rank at degree {n + 1} not computed (one-sided)"
-                )
-            else:
-                incoming = mats[n + 1].rank()
-        dims.append(k - incoming)
+        # the incoming differential leaves degree m, n-1 or n+1
+        m = 2 * n - spec.target_degree(n)
+        if m in mats:
+            k -= mats[m].rank()
+        elif m >= 0:
+            warnings.append(f"degree {n}: incoming rank at degree {m} not computed (one-sided)")
+        dims.append(k)
     return {
         "field": spec.operad.field.label,
         "operad": spec.operad.label,

@@ -238,13 +238,13 @@ def block_sign_exponent(arities):
     return sum(t * (s - r) for r, t in enumerate(arities, start=1))
 
 
-def random_element(operad, arity, rng, max_terms=2, max_coeff=3):
+def random_element(operad, arity, rng, max_terms=2):
     """Small random linear combination of basis keys, for property tests."""
     field = operad.field
     n_terms = rng.randint(1, max_terms)
     pairs = []
     for _ in range(n_terms):
         key = operad.random_basis(arity, rng)
-        c = field.from_int(rng.randint(1, max_coeff) * rng.choice((1, -1)))
+        c = field.from_int(rng.randint(1, 3) * rng.choice((1, -1)))
         pairs.append((key, c))
     return Element._sum(operad, arity, pairs)

@@ -188,12 +188,3 @@ class Operad:
 
     def basis_from_json(self, data):
         return tuple(json_int(v, "basis entry") for v in data)
-
-
-def equal_up_to_sign(x, y):
-    """Return +1 if x == y, -1 if x == -y, else None (zero pair gives +1)."""
-    if x == y:
-        return 1
-    if x == -y:
-        return -1
-    return None

@@ -21,7 +21,7 @@ class FinAlgebra:
     """Finite-dimensional unital associative algebra given by structure
     constants: mul[i][j][k] is the e_k coefficient of e_i * e_j."""
 
-    def __init__(self, name, field, dim, unit, mul, check=True):
+    def __init__(self, name, field, dim, unit, mul):
         if dim < 1:
             raise OperadError("algebra dimension must be >= 1")
         self.name = name
@@ -41,8 +41,7 @@ class FinAlgebra:
         if self.theta_index is None:
             raise OperadError("unit vector is zero")
         self.theta_scale = field.inv(self.unit[self.theta_index])
-        if check:
-            self._check_axioms()
+        self._check_axioms()
 
     def _check_axioms(self):
         f = self.field

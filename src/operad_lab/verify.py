@@ -12,6 +12,13 @@ identity as ``(inputs, lhs, rhs)``: ``inputs`` maps names to Elements,
 lists of them, or ints, and each side is an Element or a tensor (a
 ``{key: coeff}`` dict).  ``_run_trials`` compares the sides, and
 ``_counterexample`` renders the first pair that differs.
+
+A run-once check returns ``(failures, details, counterexample)``, its
+counterexample also rendered by ``_counterexample``; an exhaustive one is a
+generator of ``(inputs, lhs, rhs)`` cases run by ``_exhaustive``.
+``run_verify`` alone turns an outcome into the row's status: "fail" when
+there are failures, "reported" when a report-only check shows a
+counterexample, "pass" otherwise.
 """
 
 import itertools
@@ -281,38 +288,21 @@ def prejacobi_rhs(x, xs, ys):
         x.arity - s + sum(a.arity for a in xs) - r + sum(a.arity for a in ys)
     )
     total = Element.zero(x.operad, total_arity)
-    for bounds in itertools.product(range(r + 1), repeat=2 * s):
-        cuts_lo = bounds[0::2]
-        cuts_hi = bounds[1::2]
-        ok = True
-        prev = 0
-        for a in range(s):
-            if not (prev <= cuts_lo[a] <= cuts_hi[a]):
-                ok = False
-                break
-            prev = cuts_hi[a]
-        if not ok:
-            continue
+    # the cuts lo_1 <= hi_1 <= lo_2 <= ... <= hi_s, flattened in that order
+    for bounds in itertools.combinations_with_replacement(range(r + 1), 2 * s):
         exponent = 0
-        for a in range(s):
-            tail = sum(ys[q].arity - 1 for q in range(cuts_hi[a], r))
-            exponent += (xs[a].arity - 1) * tail
         args = []
         cursor = 0
-        dead = False
-        for a in range(s):
-            lo, hi = cuts_lo[a], cuts_hi[a]
-            args.extend(ys[cursor:lo])
-            inner = brace_or_zero(xs[a], ys[lo:hi])
-            if inner.is_zero() and (hi - lo) > xs[a].arity:
-                dead = True
+        for inner, lo, hi in zip(xs, bounds[0::2], bounds[1::2]):
+            if hi - lo > inner.arity:
                 break
-            args.append(inner)
+            exponent += (inner.arity - 1) * sum(y.arity - 1 for y in ys[hi:])
+            args.extend(ys[cursor:lo])
+            args.append(brace(inner, ys[lo:hi]))
             cursor = hi
-        if dead:
-            continue
-        args.extend(ys[cursor:])
-        total = total + brace_or_zero(x, args).scale(power_sign(field, exponent))
+        else:
+            args.extend(ys[cursor:])
+            total = total + brace_or_zero(x, args).scale(power_sign(field, exponent))
     return total
 
 
@@ -394,7 +384,7 @@ def make_cup_check(op):
 
 
 # ---------------------------------------------------------------------------
-# batch checks: run once, return (status, failures, details, counterexample)
+# run-once checks: return (failures, details, counterexample)
 
 
 def batch_coderivation(ops, label, rng, trials):
@@ -437,12 +427,8 @@ def batch_coderivation(ops, label, rng, trials):
             else:
                 viable[bd] = good
             if not viable[bd] and counterexample is None:
-                counterexample = {
-                    "inputs": {"x": x.format(), "bidegree": list(bd)},
-                    "lhs": repr(sorted(l_part)),
-                    "rhs": repr(sorted(a_part) + sorted(b_part)),
-                }
-    dead = sorted(bd for bd, signs in viable.items() if not signs)
+                counterexample = _counterexample({"x": x, "bidegree": list(bd)}, l_part,
+                                                 repr(sorted(a_part) + sorted(b_part)))
     details = {
         "sign_patterns": {
             f"{bd[0]},{bd[1]}": sorted(list(s) for s in signs)
@@ -450,34 +436,39 @@ def batch_coderivation(ops, label, rng, trials):
         },
         "elements_checked": trials,
     }
-    failures = len(dead)
-    status = "pass" if failures == 0 else "fail"
-    return status, failures, details, counterexample
+    return sum(not signs for signs in viable.values()), details, counterexample
 
 
-def batch_coproduct_exhaustive(ops, label, rng, trials):
-    field = ops[label].field
-    operad = ops[label]
-    checked = 0
+def _exhaustive(cases):
+    """A run-once check over the ``(inputs, lhs, rhs)`` triples that
+    ``cases(operad)`` yields: it counts them and stops at the first pair of
+    sides that differ."""
+    def run(ops, label, rng, trials):
+        checked = 0
+        for inputs, lhs, rhs in cases(ops[label]):
+            if lhs != rhs:
+                return 1, {"cases": checked}, _counterexample(inputs, lhs, rhs)
+            checked += 1
+        return 0, {"cases": checked}, None
+
+    return run
+
+
+def coproduct_cases(operad):
+    """Every basis element of arity 1..5: its coproduct against deconcatenation."""
     for n in range(1, 6):
         for key in operad.basis_keys(n):
             x = Element.basis(operad, key)
-            lhs = _tensor2(aw_coproduct(x), field)
-            rhs = _deconcat(x)
-            if lhs != rhs:
-                return "fail", 1, {"cases": checked}, _counterexample({"x": x}, lhs, rhs)
-            checked += 1
-    return "pass", 0, {"cases": checked}, None
+            yield {"x": x}, _tensor2(aw_coproduct(x), operad.field), _deconcat(x)
 
 
-def batch_gamma_shift_closed_form(ops, label, rng, trials):
-    operad = ops[label]
-    field = operad.field
+def gamma_shift_cases(operad):
+    """Every key of 1..3 entries below 6, composed with every tuple of blocks
+    of at most 2 entries below 5: ``gamma`` against ``gamma_shift``."""
     block_keys = [()]
     for t in (1, 2):
         block_keys.extend(itertools.combinations(range(1, 5), t))
     block_elements = {b: Element.basis(operad, b) for b in block_keys}
-    checked = 0
     for n in (1, 2, 3):
         for key in itertools.combinations(range(1, 6), n):
             x = Element.basis(operad, key)
@@ -485,13 +476,8 @@ def batch_gamma_shift_closed_form(ops, label, rng, trials):
                 direct = gamma_shift(key, blocks)
                 via_gamma = gamma(x, [block_elements[b] for b in blocks])
                 # gamma_shift raises on a non-increasing key, so direct is valid
-                expect = Element._sum(operad, len(direct), [(direct, field.one)])
-                if via_gamma != expect:
-                    inputs = {"x": x, "blocks": [repr(b) for b in blocks]}
-                    found = _counterexample(inputs, via_gamma, expect)
-                    return "fail", 1, {"cases": checked}, found
-                checked += 1
-    return "pass", 0, {"cases": checked}, None
+                expect = Element._sum(operad, len(direct), [(direct, operad.field.one)])
+                yield {"x": x, "blocks": [repr(b) for b in blocks]}, via_gamma, expect
 
 
 def make_batch_rank_comparison(op):
@@ -504,35 +490,22 @@ def make_batch_rank_comparison(op):
             mat_c = differential_matrix(classical, n)
             sign = equal_up_to_global_sign(mat_o, mat_c)
             if sign is None:
-                return (
-                    "fail",
-                    1,
-                    {"degrees": degrees},
-                    {
-                        "inputs": {"degree": n},
-                        "lhs": f"operadic rank {mat_o.rank()}",
-                        "rhs": f"classical rank {mat_c.rank()}",
-                    },
-                )
+                return 1, {"degrees": degrees}, _counterexample(
+                    {"degree": n}, f"operadic rank {mat_o.rank()}", f"classical rank {mat_c.rank()}")
             degrees.append({"degree": n, "sign": sign, "rank": mat_o.rank()})
-        return "pass", 0, {"degrees": degrees}, None
+        return 0, {"degrees": degrees}, None
 
     return run
 
 
 def make_batch_betti(op, lo, hi, expected):
     def run(ops, label, rng, trials):
-        spec = ComplexSpec(op, "hochschild", lo, hi, allow_large=True)
-        report = betti(spec)
+        report = betti(ComplexSpec(op, "hochschild", lo, hi, allow_large=True))
         got = report["dims"]
         if got != list(expected):
-            return (
-                "fail",
-                1,
-                {"dims": got, "expected": list(expected)},
-                {"inputs": {"degrees": report["degrees"]}, "lhs": repr(got), "rhs": repr(list(expected))},
-            )
-        return "pass", 0, {"dims": got, "ranks": report["ranks"]}, None
+            return 1, {"dims": got, "expected": list(expected)}, _counterexample(
+                {"degrees": report["degrees"]}, repr(got), repr(list(expected)))
+        return 0, {"dims": got, "ranks": report["ranks"]}, None
 
     return run
 
@@ -541,16 +514,10 @@ def batch_field_independence(ops, label, rng, trials):
     dims = {}
     for field_label in ("q", "gfp:32003"):
         op = EndoOperad(dual_numbers(get_field(field_label)))
-        spec = ComplexSpec(op, "hochschild", 0, 3, allow_large=True)
-        dims[field_label] = betti(spec)["dims"]
+        dims[field_label] = betti(ComplexSpec(op, "hochschild", 0, 3, allow_large=True))["dims"]
     if dims["q"] != dims["gfp:32003"]:
-        return (
-            "fail",
-            1,
-            {"dims": dims},
-            {"inputs": {}, "lhs": repr(dims["q"]), "rhs": repr(dims["gfp:32003"])},
-        )
-    return "pass", 0, {"dims": dims["q"]}, None
+        return 1, {"dims": dims}, _counterexample({}, repr(dims["q"]), repr(dims["gfp:32003"]))
+    return 0, {"dims": dims["q"]}, None
 
 
 # ---------------------------------------------------------------------------
@@ -572,7 +539,8 @@ def _batch_catalog(field):
     "assert" (discrepancies are failures) or "report" (they are counted in
     ``details`` and the row is "reported").  Run-once entries are
     ``(name, fn, label)``: ``fn(ops, label, rng, trials)`` returns
-    ``(status, failures, details, counterexample)``.
+    ``(failures, details, counterexample)``, and ``run_verify`` derives the
+    status from it as it does for the per-trial rows.
     """
     presets = {
         "endo:k": EndoOperad(ground_field_algebra(field)),
@@ -582,8 +550,8 @@ def _batch_catalog(field):
     coincidence = [
         ("coproduct_vs_deconcat", check_coproduct_vs_deconcat, "assoc", "assert"),
         ("odot_vs_concat", check_odot_vs_concat, "assoc", "assert"),
-        ("coproduct_vs_deconcat_exhaustive", batch_coproduct_exhaustive, "assoc"),
-        ("gamma_closed_form", batch_gamma_shift_closed_form, "shift"),
+        ("coproduct_vs_deconcat_exhaustive", _exhaustive(coproduct_cases), "assoc"),
+        ("gamma_closed_form", _exhaustive(gamma_shift_cases), "shift"),
     ]
     for label, op in presets.items():
         coincidence.append(("cup_vs_odot", make_cup_check(op), label, "assert"))
@@ -673,15 +641,13 @@ def run_verify(seed=DEFAULT_SEED, trials=DEFAULT_TRIALS, field_label=DEFAULT_FIE
                 continue
             if len(entry) == 4:
                 found, counterexample = _run_trials(fn, ops, label, suite, name, seed, trials)
-                if entry[3] == "assert":
-                    failures, details = found, None
-                    status = "pass" if found == 0 else "fail"
-                else:
-                    failures, details = 0, {"discrepancies": found}
-                    status = "pass" if found == 0 else "reported"
+                failures, details = (found, None) if entry[3] == "assert" else (
+                    0, {"discrepancies": found})
             else:
                 rng = random.Random(f"{seed}:{suite}:{name}:{label}:batch")
-                status, failures, details, counterexample = fn(ops, label, rng, trials)
+                failures, details, counterexample = fn(ops, label, rng, trials)
+            # a "report" check shows its first discrepancy without failing
+            status = "fail" if failures else "reported" if counterexample else "pass"
             row = {
                 "suite": suite,
                 "check": name,

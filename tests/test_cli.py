@@ -190,6 +190,25 @@ def test_column_cap_error_names_the_flag(capsys):
     assert code == 0 and out.startswith("degree 0: dim 0")
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("--operad", "assoc", "--differential", "boundary", "--lo", "1700", "--hi", "1700"),
+     "more than 10^4754 columns at degree 1700 exceed the cap 20000;"),
+    (("--operad", "endo:m2", "--lo", "8000", "--hi", "8000"),
+     "more than 10^4816 columns at degree 8000 exceed the cap 20000;"),
+    (("--operad", "shift", "--max-entry", "100000", "--differential", "boundary",
+      "--lo", "50000", "--hi", "50000"),
+     "more than 10^30097 columns at degree 50000 exceed the cap 20000;"),
+], ids=("assoc", "endo-m2", "shift"))
+def test_cap_refuses_a_count_too_long_to_print(argv, message):
+    # these counts have more digits than Python converts an int to text
+    done = subprocess.run([sys.executable, "-m", "operad_lab.cli", "cohomology", *argv],
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr.startswith(f"error: {message}")
+    assert len(done.stderr.splitlines()) == 1
+    assert "Traceback" not in done.stderr
+
+
 @pytest.mark.parametrize("operad,kind,message", [
     ("assoc", "boundary", "40320 columns at degree 8 exceed the cap 20000;"),
     ("endo:m2", "hochschild", "65536 rows at degree 7 exceed the cap 20000;"),

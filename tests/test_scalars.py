@@ -1,5 +1,6 @@
 """Field arithmetic, parsing, and formatting."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from operad_lab.scalars import (
     PrimeField,
     RationalField,
     ScalarError,
+    _is_prime,
     get_field,
     power_sign,
 )
@@ -96,3 +98,20 @@ def test_power_sign():
 def test_large_prime_accepted():
     f = PrimeField(32003)
     assert f.mul(f.inv(1234), 1234) == 1
+
+
+def test_is_prime_matches_a_sieve():
+    limit = 10**5
+    sieve = [False, False] + [True] * (limit - 2)
+    for n in range(2, math.isqrt(limit) + 1):
+        if sieve[n]:
+            sieve[n * n::n] = [False] * len(range(n * n, limit, n))
+    assert [n for n in range(-3, limit) if _is_prime(n)] == [n for n in range(limit) if sieve[n]]
+
+
+def test_is_prime_on_strong_pseudoprimes_and_the_largest_modulus():
+    # strong pseudoprimes to the bases 2; 2, 3; and 2, 3, 5
+    for n in (2047, 1373653, 25326001):
+        assert not _is_prime(n)
+    assert _is_prime(2**31 - 1)
+    assert not _is_prime(2**31 - 3)

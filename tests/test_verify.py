@@ -14,6 +14,7 @@ from operad_lab.elements import Element
 from operad_lab.endo import EndoOperad
 from operad_lab.scalars import get_field
 from operad_lab.shift import ShiftOperad
+from operad_lab import verify
 from operad_lab.verify import SUITES, _run_trials, make_operads, run_verify, report_to_json
 from test_core import fresh_point_and_product
 
@@ -196,3 +197,82 @@ def test_element_counterexample_row_formats_lists():
         "rhs": "0",
         "trial": 1,
     }
+
+
+# Each run-once check forced to fail, with the row it must then report.
+# The module globals a check looks up when it runs are patched one at a time.
+
+def _shift_dims(when):
+    def patch(real):
+        def betti(spec):
+            report = real(spec)
+            if when(spec):
+                report = dict(report, dims=[d + 1 for d in report["dims"]])
+            return report
+        return betti
+    return patch
+
+
+def _deconcat_drops_21(real):
+    return lambda x: {} if (2, 1) in x.terms else real(x)
+
+
+def _gamma_shift_moves_2_1(real):
+    return lambda key, blocks: (3,) if (key, blocks) == ((2,), ((1,),)) else real(key, blocks)
+
+
+def _failed_row(suite, check, operad, details, counterexample):
+    return {"suite": suite, "check": check, "operad": operad, "trials": 1,
+            "failures": 1, "status": "fail", "details": details,
+            "counterexample": counterexample}
+
+
+FORCED_FAILURES = {
+    "rank_comparison": (
+        "equal_up_to_global_sign", lambda real: lambda a, b: None,
+        dict(suites=["coincidence"], operads=["endo:m2@gfp:5"]),
+        _failed_row("coincidence", "coboundary_vs_classical", "endo:m2@gfp:5", {"degrees": []},
+                    {"inputs": {"degree": 1}, "lhs": "operadic rank 13",
+                     "rhs": "classical rank 13"}),
+    ),
+    "betti": (
+        "betti", _shift_dims(lambda spec: True),
+        dict(suites=["cohomology"], operads=["endo:dual@gfp:3"]),
+        _failed_row("cohomology", "betti_dual_numbers", "endo:dual@gfp:3",
+                    {"dims": [3, 2, 2, 2], "expected": [2, 1, 1, 1]},
+                    {"inputs": {"degrees": [0, 1, 2, 3]}, "lhs": "[3, 2, 2, 2]",
+                     "rhs": "[2, 1, 1, 1]"}),
+    ),
+    "coproduct_exhaustive": (
+        "_deconcat", _deconcat_drops_21,
+        dict(suites=["coincidence"], operads=["assoc"], field_label="q"),
+        _failed_row("coincidence", "coproduct_vs_deconcat_exhaustive", "assoc", {"cases": 2},
+                    {"inputs": {"x": "(21)"},
+                     "lhs": "[((0, ()), (2, (2, 1))), ((1, (1,)), (1, (1,))),"
+                            " ((2, (2, 1)), (0, ()))]",
+                     "rhs": "[]"}),
+    ),
+    "gamma_closed_form": (
+        "gamma_shift", _gamma_shift_moves_2_1,
+        dict(suites=["coincidence"], operads=["shift"], field_label="q"),
+        _failed_row("coincidence", "gamma_closed_form", "shift", {"cases": 12},
+                    {"inputs": {"x": "(2)", "blocks": ["(1,)"]}, "lhs": "(2)", "rhs": "(3)"}),
+    ),
+    "field_independence": (
+        "betti", _shift_dims(lambda spec: spec.operad.field.label == "q"),
+        dict(suites=["cohomology"], operads=["endo:dual"]),
+        _failed_row("cohomology", "field_independence", "endo:dual",
+                    {"dims": {"q": [3, 2, 2, 2], "gfp:32003": [2, 1, 1, 1]}},
+                    {"inputs": {}, "lhs": "[3, 2, 2, 2]", "rhs": "[2, 1, 1, 1]"}),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FORCED_FAILURES))
+def test_forced_failure_row(monkeypatch, case):
+    target, wrap, kwargs, expected = FORCED_FAILURES[case]
+    monkeypatch.setattr(verify, target, wrap(getattr(verify, target)))
+    report = run_verify(seed=0, trials=1, **kwargs)
+    rows = [row for row in report["checks"] if row["check"] == expected["check"]]
+    assert rows == [expected]
+    assert report["status"] == "fail"
