@@ -4,11 +4,10 @@ Exit codes: 0 success, 1 domain error, 2 verification failure, 64 usage error.
 """
 
 import argparse
-import json
 import sys
 
 from .assoc import AssocOperad
-from .cohomology import DIFFERENTIALS, ComplexSpec, betti
+from .cohomology import DEFAULT_COLUMN_CAP, DIFFERENTIALS, ComplexSpec, betti
 from .core import (
     aw_coproduct,
     boundary,
@@ -20,7 +19,7 @@ from .core import (
     face,
     odot_product,
 )
-from .elements import Element, OperadError
+from .elements import Element, OperadError, read_json
 from .endo import EndoOperad, load_algebra, multimap_to_element
 from .linalg import LinalgError
 from .scalars import ScalarError, get_field
@@ -86,14 +85,9 @@ def make_operad(selector, field, max_entry=DEFAULT_SHIFT_MAX_ENTRY):
 def parse_element(text, operad):
     """Parse an element argument: basis text, inline JSON, or @file.json."""
     s = text.strip()
-    if s.startswith("@"):
-        with open(s[1:], "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        return _element_from_data(data, operad)
-    if s.startswith("{"):
-        return _element_from_data(json.loads(s), operad)
-    key = operad.parse_basis(s)
-    return Element.basis(operad, key)
+    if s.startswith(("@", "{")):
+        return _element_from_data(read_json(s), operad)
+    return Element.basis(operad, operad.parse_basis(s))
 
 
 def _element_from_data(data, operad):
@@ -171,7 +165,7 @@ def build_parser():
     p.add_argument("--differential", default="hochschild", choices=DIFFERENTIALS)
     p.add_argument("--lo", type=int, required=True)
     p.add_argument("--hi", type=int, required=True)
-    p.add_argument("--column-cap", type=nonnegative_int, default=None)
+    p.add_argument("--column-cap", type=nonnegative_int, default=DEFAULT_COLUMN_CAP)
     p.add_argument("--allow-large", action="store_true")
 
     p = sub.add_parser("verify", help="run randomized identity suites")
@@ -201,11 +195,8 @@ def run_algebra_command(args):
     field = get_field(args.field)
     operad = make_operad(args.operad, field, max_entry=args.max_entry)
     if args.command == "cohomology":
-        kwargs = {"allow_large": args.allow_large}
-        if args.column_cap is not None:
-            kwargs["column_cap"] = args.column_cap
-        spec = ComplexSpec(operad, args.differential, args.lo, args.hi, **kwargs)
-        report = betti(spec)
+        report = betti(ComplexSpec(operad, args.differential, args.lo, args.hi,
+                                   column_cap=args.column_cap, allow_large=args.allow_large))
         if args.json:
             print(dumps(report), end="")
         else:
@@ -261,7 +252,7 @@ def main(argv=None):
         if args.command == "verify":
             return run_verify_command(args)
         return run_algebra_command(args)
-    except (OperadError, ScalarError, LinalgError, OSError, json.JSONDecodeError) as exc:
+    except (OperadError, ScalarError, LinalgError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return DOMAIN_EXIT
 

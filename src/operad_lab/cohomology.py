@@ -2,12 +2,13 @@
 
 A ComplexSpec bundles an operad instance, a differential kind, and a degree
 window.  Degrees are arities; the classical kind swaps in the algebra itself
-at degree 0 and the textbook coboundary (endomorphism operads only).
+at degree 0, whose keys (j,) ``ComplexSpec.keys_at`` enumerates, and the
+textbook coboundary (endomorphism operads only).
 
 Matrix columns are assembled from basis keys.  The operadic kinds go through
 the operad's ``compose_basis``, with the signs of ``core.boundary`` and
 ``core.coboundary``.  The classical kind reads every column, degree 0
-included, off tables of the algebra's nonzero structure constants, each
+included, off tables filed from ``FinAlgebra.nonzero``, each constant
 stored with its negation, so a column needs no field multiplication.  The
 Element-level operators (``core.boundary``, ``core.coboundary`` and
 ``endo.classical_coboundary``) are the test oracle.
@@ -25,7 +26,7 @@ skipped unread.
 """
 
 from .elements import OperadError
-from .endo import EndoOperad, classical_keys
+from .endo import EndoOperad
 from .linalg import SparseMatrix, rank_complex
 from .scalars import linear_combination
 
@@ -61,14 +62,13 @@ class ComplexSpec:
             # (a, b, t) in order keeps the term order of classical_coboundary
             d = range(operad.algebra.dim)
             self._left, self._merge, self._right = ([[] for _ in d] for _ in range(3))
-            for a in d:
-                for b in d:
-                    for t, c in enumerate(operad.algebra.mul[a][b]):
-                        if not field.is_zero(c):
-                            signed = (c, field.neg(c))
-                            self._left[b].append((a, t, signed))
-                            self._merge[t].append((a, b, signed))
-                            self._right[a].append((b, t, signed))
+            for a, plane in enumerate(operad.algebra.nonzero):
+                for b, row in enumerate(plane):
+                    for t, c in row:
+                        signed = (c, field.neg(c))
+                        self._left[b].append((a, t, signed))
+                        self._merge[t].append((a, b, signed))
+                        self._right[a].append((b, t, signed))
         else:
             # the point (boundary) or the product (coboundary), each weight
             # stored with its negation, indexed by the parity of its sign
@@ -80,11 +80,12 @@ class ComplexSpec:
         return self.differential != "boundary"
 
     def keys_at(self, degree):
-        """The degree-n basis keys in basis order, yielded lazily."""
+        """The degree-n basis keys in basis order, yielded lazily.  Degree 0
+        of the classical kind is the algebra: the key (j,) is e_j."""
         if degree < 0:
             return ()
-        if self.differential == "hochschild":
-            return classical_keys(self.operad, degree)
+        if self.differential == "hochschild" and degree == 0:
+            return ((j,) for j in range(self.operad.algebra.dim))
         return self.operad.basis_keys(degree)
 
     def dimension_at(self, degree):

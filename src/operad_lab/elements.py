@@ -4,10 +4,11 @@ An Element is a finite sum ``sum c_b * b`` of basis keys of a single arity,
 attached to one operad instance (which owns the field).  Arithmetic is plain
 linear algebra; all operadic structure lives in :mod:`operad_lab.core` and in
 the per-operad modules, which subclass the ``Operad`` base defined here.  The
-JSON readers of keys, elements, dense maps and algebras share the integer and
-coefficient checks defined here.
+JSON readers of keys, elements, dense maps and algebras share the reader and
+the integer and coefficient checks defined here.
 """
 
+import json
 from itertools import chain
 
 from .scalars import linear_combination
@@ -15,6 +16,24 @@ from .scalars import linear_combination
 
 class OperadError(ValueError):
     """Domain error: bad arity, bad slot, malformed basis key, mixed operads."""
+
+
+def read_json(text):
+    """The JSON value of ``text``, or of the UTF-8 file it names as
+    ``@path``.  Undecodable bytes, nesting too deep for the parser and
+    malformed JSON each raise one ``OperadError``; a file that cannot be
+    opened raises ``OSError``."""
+    try:
+        if text.startswith("@"):
+            with open(text[1:], "r", encoding="utf-8") as fh:
+                return json.load(fh)
+        return json.loads(text)
+    except UnicodeDecodeError as exc:
+        raise OperadError(f"{text[1:]} is not UTF-8 text: {exc}") from None
+    except RecursionError:
+        raise OperadError("JSON nested too deeply to read") from None
+    except json.JSONDecodeError as exc:
+        raise OperadError(str(exc)) from None
 
 
 def json_int(value, what):
@@ -73,9 +92,8 @@ class Element:
         return cls(operad, arity, {})
 
     @classmethod
-    def basis(cls, operad, key, coeff=None):
-        c = operad.field.one if coeff is None else coeff
-        return cls(operad, operad.arity_of(key), {key: c})
+    def basis(cls, operad, key):
+        return cls(operad, operad.arity_of(key), {key: operad.field.one})
 
     # -- linear structure --------------------------------------------------
 

@@ -8,12 +8,16 @@ that point evaluates f on the algebra unit and projects back to the line via
 a fixed normalized functional.
 
 Keys of length 1, (j,), encode algebra elements e_j themselves; they form the
-degree-0 term of the classical Hochschild complex and carry no operadic slots.
+degree-0 term of the classical Hochschild complex, whose keys
+``cohomology.ComplexSpec`` enumerates, and carry no operadic slots.
+
+``FinAlgebra.nonzero`` lists the nonzero structure constants.  All code reads
+them there except the oracle ``classical_coboundary``, which reads ``mul``.
 """
 
-import json
+from itertools import product
 
-from .elements import Element, Operad, OperadError, json_int, json_scalar
+from .elements import Element, Operad, OperadError, json_int, json_scalar, read_json
 from .scalars import power_sign
 
 
@@ -33,6 +37,10 @@ class FinAlgebra:
             len(p) != dim or any(len(r) != dim for r in p) for p in self.mul
         ):
             raise OperadError("structure constant shapes do not match dim")
+        # nonzero[a][b] = ((t, c), ...): the terms c e_t of e_a e_b, t ascending
+        self.nonzero = tuple(tuple(
+            tuple((t, c) for t, c in enumerate(row) if not field.is_zero(c)) for row in plane
+        ) for plane in self.mul)
         # normalized functional used to close the bottom of the complex:
         # the coordinate at the first basis index where the unit is nonzero
         self.theta_index = next(
@@ -44,7 +52,6 @@ class FinAlgebra:
         self._check_axioms()
 
     def _check_axioms(self):
-        f = self.field
         d = self.dim
         for i in range(d):
             for j in range(d):
@@ -78,15 +85,9 @@ class FinAlgebra:
                 if f.is_zero(bj):
                     continue
                 coeff = f.mul(ai, bj)
-                for k in range(self.dim):
-                    c = self.mul[i][j][k]
-                    if not f.is_zero(c):
-                        out[k] = f.add(out[k], f.mul(coeff, c))
+                for k, c in self.nonzero[i][j]:
+                    out[k] = f.add(out[k], f.mul(coeff, c))
         return tuple(out)
-
-    def theta(self, vec):
-        """Normalized linear functional with theta(unit) = 1."""
-        return self.field.mul(vec[self.theta_index], self.theta_scale)
 
     def signature(self):
         return ("algebra", self.name, self.field.signature(), self.dim, self.unit, self.mul)
@@ -154,20 +155,17 @@ def algebra_to_json(alg):
     }
 
 
+PRESETS = {"k": ground_field_algebra, "dual": dual_numbers, "m2": matrix2}
+
+
 def load_algebra(spec_text, field):
     """Resolve an algebra from a preset name or an @file.json reference."""
     s = spec_text.strip()
-    if s == "k":
-        return ground_field_algebra(field)
-    if s == "dual":
-        return dual_numbers(field)
-    if s == "m2":
-        return matrix2(field)
+    if s in PRESETS:
+        return PRESETS[s](field)
     if s.startswith("@"):
-        with open(s[1:], "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        return algebra_from_json(data, field, name=s[1:])
-    raise OperadError(f"unknown algebra {spec_text!r} (want k, dual, m2, or @file.json)")
+        return algebra_from_json(read_json(s), field, name=s[1:])
+    raise OperadError(f"unknown algebra {spec_text!r} (want {', '.join(PRESETS)}, or @file.json)")
 
 
 class EndoOperad(Operad):
@@ -206,51 +204,40 @@ class EndoOperad(Operad):
         """The algebra's product as an arity-2 map, built on first use and
         shared after that."""
         if self._product is None:
-            mul = self.algebra.mul
-            d = range(self.algebra.dim)
-            self._product = Element._sum(
-                self, 2, [((a, b, m), mul[a][b][m]) for a in d for b in d for m in d]
-            )
+            self._product = Element._sum(self, 2, [
+                ((a, b, t), c)
+                for a, plane in enumerate(self.algebra.nonzero)
+                for b, row in enumerate(plane)
+                for t, c in row
+            ])
         return self._product
 
     def compose_basis(self, key, i, other):
+        inputs, out = key[:-1], key[-1]
         if other == ():
-            return self.compose_with_point(key, i)
+            # plug the algebra unit into slot i; at arity 1 the value e_out is
+            # projected to the arity-0 line by theta, the unit coordinate at
+            # theta_index scaled so that theta(unit) = 1
+            alg = self.algebra
+            u = alg.unit[inputs[i - 1]]
+            if self.field.is_zero(u):
+                return []
+            if len(inputs) > 1:
+                return [(inputs[: i - 1] + inputs[i:] + (out,), u)]
+            return [((), self.field.mul(u, alg.theta_scale))] if out == alg.theta_index else []
         if len(other) == 1:
             raise OperadError(f"degree-0 key {other!r} carries no operadic slot data")
-        inputs, out = key[:-1], key[-1]
         g_inputs, g_out = other[:-1], other[-1]
         if g_out != inputs[i - 1]:
             return []
         new_key = inputs[: i - 1] + g_inputs + inputs[i:] + (out,)
         return [(new_key, self.field.one)]
 
-    def compose_with_point(self, key, i):
-        """Plug the algebra unit into slot i of an elementary map; the slot
-        was checked by ``core.compose``."""
-        n = len(key) - 1
-        f = self.field
-        alg = self.algebra
-        inputs, out = key[:-1], key[-1]
-        u = alg.unit[inputs[i - 1]]
-        if f.is_zero(u):
-            return []
-        if n == 1:
-            # evaluate on the unit and project to the arity-0 line
-            coeff = f.mul(u, alg.theta(alg.basis_vector(out)))
-            return [((), coeff)] if not f.is_zero(coeff) else []
-        new_key = inputs[: i - 1] + inputs[i:] + (out,)
-        return [(new_key, u)]
-
     def basis_keys(self, arity):
+        """The elementary keys in lexicographic order; the point at arity 0."""
         if arity == 0:
-            yield ()
-            return
-        d = self.algebra.dim
-        from itertools import product
-
-        for combo in product(range(d), repeat=arity + 1):
-            yield combo
+            return iter([()])
+        return product(range(self.algebra.dim), repeat=arity + 1)
 
     def dimension(self, arity):
         return 1 if arity == 0 else self.algebra.dim ** (arity + 1)
@@ -285,15 +272,6 @@ class EndoOperad(Operad):
         if key is None:
             raise OperadError(f"bad map key {text!r}")
         return self.validate_basis(key, self.arity_of(key))
-
-
-def classical_keys(operad, degree):
-    """Basis of the classical complex: degree 0 is the algebra itself."""
-    if degree == 0:
-        for j in range(operad.algebra.dim):
-            yield (j,)
-        return
-    yield from operad.basis_keys(degree)
 
 
 def classical_coboundary(x):
@@ -354,16 +332,13 @@ def cup_product(x, y):
         raise OperadError("cup product needs two maps over one endomorphism operad")
     if x.arity < 1 or y.arity < 1:
         raise OperadError("cup product defined here for arities >= 1")
-    alg, f = operad.algebra, operad.field
+    nonzero, f = operad.algebra.nonzero, operad.field
     pairs = []
     for kx, cx in x.terms.items():
         for ky, cy in y.terms.items():
             base = f.mul(cx, cy)
-            for m in range(alg.dim):
-                c = alg.mul[kx[-1]][ky[-1]][m]
-                if f.is_zero(c):
-                    continue
-                pairs.append((kx[:-1] + ky[:-1] + (m,), f.mul(base, c)))
+            pairs += [(kx[:-1] + ky[:-1] + (m,), f.mul(base, c))
+                      for m, c in nonzero[kx[-1]][ky[-1]]]
     return Element._sum(operad, x.arity + y.arity, pairs)
 
 
@@ -384,14 +359,9 @@ def multimap_to_element(operad, arity, coeffs):
     expected = d ** (arity + 1)
     if len(coeffs) != expected:
         raise OperadError(f"arity-{arity} dense map needs {expected} coefficients")
-    terms = {}
-    from itertools import product
-
-    for flat, key in enumerate(product(range(d), repeat=arity + 1)):
-        c = json_scalar(f, coeffs[flat])
-        if not f.is_zero(c):
-            terms[key] = c
-    return Element(operad, arity, terms)
+    return Element(operad, arity, [
+        (key, json_scalar(f, c)) for key, c in zip(operad.basis_keys(arity), coeffs)
+    ])
 
 
 def element_to_multimap(elem):
@@ -407,9 +377,7 @@ def element_to_multimap(elem):
             else:
                 vec[key[0]] = f.add(vec[key[0]], coeff)
         return {"arity": 0, "coeffs": [f.format(v) for v in vec]}
-    out = []
-    from itertools import product
-
-    for key in product(range(d), repeat=elem.arity + 1):
-        out.append(f.format(elem.terms.get(key, f.zero)))
-    return {"arity": elem.arity, "coeffs": out}
+    return {
+        "arity": elem.arity,
+        "coeffs": [f.format(elem.terms.get(key, f.zero)) for key in operad.basis_keys(elem.arity)],
+    }

@@ -90,9 +90,7 @@ class SparseMatrix:
             return self._rank
         except AttributeError:
             pass
-        if self.nnz == 0:
-            rank = 0
-        elif self.density > DENSE_DENSITY:
+        if self.density > DENSE_DENSITY:
             rank = _dense_rank(self.to_dense(), self.field)
         else:
             rank = len(_reduce(self, min(self.n_rows, self.n_cols)))

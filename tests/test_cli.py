@@ -145,6 +145,11 @@ def test_domain_errors_exit_one(capsys):
     ("boundary", "--element", '{"arity":2,"terms":[{"basis":[2,1],"coeff":true}]}'),
     *(("face", "--operad", f"endo:@{{tmp}}/{name}.json", "--element", "E[0->0]", "--at", "1")
       for name in ("no_dim", "no_mul", "list", "unit_int")),
+    # JSON that is not UTF-8, or nested deeper than the parser recurses
+    ("boundary", "--element", "@{tmp}/not_utf8.json"),
+    ("cohomology", "--operad", "endo:@{tmp}/not_utf8.json", "--lo", "0", "--hi", "1"),
+    ("boundary", "--element", '{"terms":' + "[" * 1000 + "]" * 1000 + "}"),
+    ("face", "--operad", "endo:@{tmp}/deep.json", "--element", "E[0->0]", "--at", "1"),
 ])
 def test_malformed_input_exits_one_without_traceback(argv, tmp_path):
     (tmp_path / "five.json").write_text("5\n")
@@ -153,6 +158,8 @@ def test_malformed_input_exits_one_without_traceback(argv, tmp_path):
     (tmp_path / "no_mul.json").write_text('{"dim": 1, "unit": [1]}')
     (tmp_path / "list.json").write_text("[1]")
     (tmp_path / "unit_int.json").write_text('{"dim": 1, "unit": 5, "mul": [[[1]]]}')
+    (tmp_path / "not_utf8.json").write_bytes(b'\xff\xfe{"terms":[]}')
+    (tmp_path / "deep.json").write_text("[" * 5000 + "]" * 5000)
     argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
     done = subprocess.run([sys.executable, "-m", "operad_lab.cli", *argv],
                           capture_output=True, text=True, timeout=60)

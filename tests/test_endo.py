@@ -6,13 +6,13 @@ import random
 import pytest
 
 from operad_lab import Element, EndoOperad, OperadError, get_field
+from operad_lab.cohomology import ComplexSpec, betti
 from operad_lab.core import coboundary, compose, face, odot_product
 from operad_lab.endo import (
     FinAlgebra,
     algebra_from_json,
     algebra_to_json,
     classical_coboundary,
-    classical_keys,
     cup_product,
     dual_numbers,
     element_to_multimap,
@@ -57,12 +57,16 @@ def test_non_associative_rejected():
 
 
 def test_theta_picks_unit_coordinate():
-    dual = dual_numbers(Q)
+    # the face of e0 -> v is theta(v) times the point
+    op = EndoOperad(dual_numbers(Q))
     # unit is e0; theta reads off the e0 coordinate
-    assert dual.theta([Q.from_int(4), Q.from_int(9)]) == Q.from_int(4)
-    m2 = matrix2(F5)
+    four, nine = Q.from_int(4), Q.from_int(9)
+    v = Element.basis(op, (0, 0)).scale(four) + Element.basis(op, (0, 1)).scale(nine)
+    assert face(v, 1) == op.unit_zero().scale(four)
+    m2op = EndoOperad(matrix2(F5))
     # unit is e0 + e3; theta is normalized so theta(unit) = 1
-    assert m2.theta(m2.unit) == F5.one
+    unit_map = Element.basis(m2op, (0, 0)) + Element.basis(m2op, (0, 3))
+    assert face(unit_map, 1) == m2op.unit_zero()
 
 
 def test_operad_basics():
@@ -137,8 +141,8 @@ def test_compose_with_point():
 
 def test_classical_keys_and_degree_zero():
     op = EndoOperad(dual_numbers(Q))
-    assert list(classical_keys(op, 0)) == [(0,), (1,)]
-    assert len(list(classical_keys(op, 2))) == 8
+    assert list(ComplexSpec(op, "hochschild", 0, 0).keys_at(0)) == [(0,), (1,)]
+    assert len(list(ComplexSpec(op, "hochschild", 0, 2).keys_at(2))) == 8
     # degree-0 coboundary is the commutator map; dual numbers are commutative
     elem = Element.basis(op, (1,))
     assert classical_coboundary(elem).is_zero()
@@ -170,7 +174,7 @@ def test_operadic_equals_classical_coboundary():
 def test_classical_coboundary_squares_to_zero():
     op = EndoOperad(dual_numbers(F3))
     for degree in (0, 1, 2):
-        for key in classical_keys(op, degree):
+        for key in ComplexSpec(op, "hochschild", 0, degree).keys_at(degree):
             x = Element.basis(op, key)
             assert classical_coboundary(classical_coboundary(x)).is_zero()
 
@@ -192,6 +196,49 @@ def test_bottom_face_uses_theta():
     # face of an arity-1 map is theta of its value on the unit
     assert face(Element.basis(op, (0, 0)), 1) == op.unit_zero()
     assert face(Element.basis(op, (0, 1)), 1).is_zero()
+
+
+# the dual numbers on the bases (x, 1) and (x, 2*1): the unit is not basis
+# vector 0, and in the second its coordinate is not 1
+REBASED_DUAL = (
+    {"dim": 2, "unit": [0, 1], "mul": [[[0, 0], [1, 0]], [[1, 0], [0, 1]]]},
+    {"dim": 2, "unit": [0, "1/2"], "mul": [[[0, 0], [2, 0]], [[2, 0], [0, 2]]]},
+)
+DUAL_BETTI = {
+    "boundary": ([0, 1, 0, 0, 0, 42], [0, 1, 2, 6, 10, 22]),
+    "coboundary": ([1, 1, 1, 1, 1, 1], [0, 3, 4, 11, 20, 43]),
+    "hochschild": ([2, 1, 1, 1, 1, 1], [0, 3, 4, 11, 20, 43]),
+}
+
+
+@pytest.mark.parametrize("field_label", ["q", "gfp:3", "gfp:5"])
+def test_point_of_an_algebra_whose_unit_is_not_e0(field_label):
+    field = get_field(field_label)
+    operads = [EndoOperad(dual_numbers(field))]
+    for data in REBASED_DUAL:
+        algebra = algebra_from_json(data, field)
+        unit, op = algebra.unit, EndoOperad(algebra)
+        operads.append(op)
+        point = op.unit_zero()
+        # theta: the first nonzero unit coordinate, scaled so that theta(unit) = 1
+        first = next(k for k, u in enumerate(unit) if not field.is_zero(u))
+        theta = [field.inv(unit[first]) if k == first else field.zero for k in range(2)]
+        for arity in (1, 2):
+            for key in op.basis_keys(arity):
+                inputs, out = key[:-1], key[-1]
+                for slot in range(1, arity + 1):
+                    # the slot input's unit coordinate, times theta(e_out) at arity 1
+                    u = unit[inputs[slot - 1]]
+                    if arity == 1:
+                        expected = point.scale(field.mul(u, theta[out]))
+                    else:
+                        rest = inputs[: slot - 1] + inputs[slot:] + (out,)
+                        expected = Element.basis(op, rest).scale(u)
+                    assert compose(Element.basis(op, key), slot, point) == expected, (key, slot)
+    for kind, (dims, ranks) in DUAL_BETTI.items():
+        for operad in operads:
+            report = betti(ComplexSpec(operad, kind, 0, 5))
+            assert (report["dims"], report["ranks"]) == (dims, ranks), (kind, operad.label)
 
 
 def test_multimap_round_trip():
