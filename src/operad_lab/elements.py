@@ -20,9 +20,9 @@ class OperadError(ValueError):
 
 def read_json(text):
     """The JSON value of ``text``, or of the UTF-8 file it names as
-    ``@path``.  Undecodable bytes, nesting too deep for the parser and
-    malformed JSON each raise one ``OperadError``; a file that cannot be
-    opened raises ``OSError``."""
+    ``@path``.  Undecodable bytes, nesting too deep for the parser, malformed
+    JSON and an integer literal too long to convert each raise one
+    ``OperadError``; a file that cannot be opened raises ``OSError``."""
     try:
         if text.startswith("@"):
             with open(text[1:], "r", encoding="utf-8") as fh:
@@ -32,7 +32,7 @@ def read_json(text):
         raise OperadError(f"{text[1:]} is not UTF-8 text: {exc}") from None
     except RecursionError:
         raise OperadError("JSON nested too deeply to read") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise OperadError(str(exc)) from None
 
 

@@ -346,6 +346,8 @@ def multimap_to_element(operad, arity, coeffs):
     """Dense coefficient list -> Element; index order is input indices from
     the first (slowest) to the last, then the output index (fastest)."""
     arity = json_int(arity, "dense map arity")
+    if arity < 0:
+        raise OperadError(f"negative arity {arity}")
     if not isinstance(coeffs, list):
         raise OperadError(f"dense map needs a list of coefficients, got {coeffs!r}")
     d = operad.algebra.dim
@@ -356,6 +358,11 @@ def multimap_to_element(operad, arity, coeffs):
         return Element(
             operad, 0, {(j,): json_scalar(f, coeffs[j]) for j in range(d)}
         )
+    # d ** (arity + 1) exceeds every count of fewer bits than arity + 1, so
+    # a huge arity is refused without building the power
+    if d > 1 and arity + 1 > len(coeffs).bit_length():
+        raise OperadError(
+            f"arity-{arity} dense map needs {d}^{arity + 1} coefficients, got {len(coeffs)}")
     expected = d ** (arity + 1)
     if len(coeffs) != expected:
         raise OperadError(f"arity-{arity} dense map needs {expected} coefficients")

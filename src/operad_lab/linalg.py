@@ -2,19 +2,18 @@
 
 Matrices are stored column-major, as canonical triplet tuples sorted by
 (column, row), over an explicit field from :mod:`operad_lab.scalars`.  A
-matrix is immutable, so its rank is computed once and memoised.  The sparse
+matrix is immutable, so its rank is computed once and memoised.  The
 rank is a column reduction on plain ints that reads the entries once and
 reduces one column at a time: columns in ascending order, each pivot keyed
 by its largest row index, modular over GF(p) and fraction-free over Q (each
 column's denominators cleared, columns kept primitive).  The reduction
 stops once it holds as many pivots as a given bound, and skips a given set
 of columns unread.  ``SparseMatrix.rank`` bounds it by the matrix's shape
-and skips nothing; a dense path takes over when the matrix is more than a
-quarter full.  ``rank_complex`` ranks the differentials of one complex in
-degree order, and d∘d = 0 tightens the bound of each degree and, on an
-ascending complex, clears columns of the next.  The int row-pivot
-elimination and the field-generic elimination before it are kept in the
-tests as oracles.
+and skips nothing, however dense the matrix.  ``rank_complex`` ranks the
+differentials of one complex in degree order, and d∘d = 0 tightens the
+bound of each degree and, on an ascending complex, clears columns of the
+next.  The int row-pivot elimination, the field-generic elimination before
+it and the dense elimination are kept in the tests as oracles.
 """
 
 from itertools import groupby
@@ -23,6 +22,7 @@ from operator import itemgetter
 
 from .scalars import linear_combination, same_field
 
+# read only by the benchmark tracer, to split its rank timings by density
 DENSE_DENSITY = 0.25
 
 
@@ -76,25 +76,16 @@ class SparseMatrix:
 
     @property
     def density(self):
+        # read only by the benchmark tracer, beside DENSE_DENSITY
         cells = self.n_rows * self.n_cols
         return 0.0 if cells == 0 else self.nnz / cells
-
-    def to_dense(self):
-        rows = [[self.field.zero] * self.n_cols for _ in range(self.n_rows)]
-        for r, c, v in self.entries:
-            rows[r][c] = v
-        return rows
 
     def rank(self):
         try:
             return self._rank
         except AttributeError:
             pass
-        if self.density > DENSE_DENSITY:
-            rank = _dense_rank(self.to_dense(), self.field)
-        else:
-            rank = len(_reduce(self, min(self.n_rows, self.n_cols)))
-        self._rank = rank
+        self._rank = rank = len(_reduce(self, min(self.n_rows, self.n_cols)))
         return rank
 
     def kernel_dim(self):
@@ -119,37 +110,6 @@ class SparseMatrix:
         return f"SparseMatrix({self.n_rows}x{self.n_cols}, nnz={self.nnz}, {self.field.label})"
 
 
-def _dense_rank(rows, field):
-    n_rows = len(rows)
-    n_cols = len(rows[0]) if n_rows else 0
-    rank = 0
-    pivot_row = 0
-    for col in range(n_cols):
-        sel = None
-        for r in range(pivot_row, n_rows):
-            if not field.is_zero(rows[r][col]):
-                sel = r
-                break
-        if sel is None:
-            continue
-        rows[pivot_row], rows[sel] = rows[sel], rows[pivot_row]
-        inv = field.inv(rows[pivot_row][col])
-        prow = rows[pivot_row]
-        for r in range(pivot_row + 1, n_rows):
-            factor = rows[r][col]
-            if field.is_zero(factor):
-                continue
-            factor = field.mul(factor, inv)
-            row = rows[r]
-            for c in range(col, n_cols):
-                row[c] = field.sub(row[c], field.mul(factor, prow[c]))
-        pivot_row += 1
-        rank += 1
-        if pivot_row == n_rows:
-            break
-    return rank
-
-
 def rank_complex(mats, ascending):
     """Rank the differentials of one complex, given in ascending degree
     order with no degree missing, and memoise each rank.
@@ -163,8 +123,7 @@ def rank_complex(mats, ascending):
     reduced column of d_{n-1} whose lowest row is r is a cocycle ending at
     key r, so column r of d_n lies in the span of the columns before it and
     reduces to zero: it is skipped unread ("clearing", or the twist of
-    persistent homology).  Every matrix takes the int column reduction,
-    whatever its density, since clearing reads that reduction's pivots."""
+    persistent homology)."""
     rank, cleared = 0, ()
     for mat in mats:
         side = mat.n_cols if ascending else mat.n_rows

@@ -7,6 +7,7 @@ coefficient kind.
 """
 
 import math
+import sys
 from fractions import Fraction
 
 MAX_PRIME = 2**31
@@ -60,13 +61,27 @@ class RationalField:
         return a == 0
 
     def format(self, a):
-        return str(a)
+        try:
+            return str(a)
+        except ValueError:
+            raise ScalarError(
+                f"a coefficient has more than {sys.get_int_max_str_digits()} digits,"
+                " the interpreter's limit for printing an integer") from None
 
     def parse(self, text):
+        s = text.strip()
+        # Fraction expands 1e<exponent> into an int: refuse an exponent past
+        # the interpreter's digit limit (0: no limit) before it does
+        limit = sys.get_int_max_str_digits()
         try:
-            return Fraction(text.strip())
+            exponent = int(s.lower().partition("e")[2] or 0)
+            if not limit or abs(exponent) <= limit:
+                return Fraction(s)
         except (ValueError, ZeroDivisionError) as exc:
             raise ScalarError(f"bad rational scalar {text!r}") from exc
+        raise ScalarError(
+            f"rational scalar {text!r} has an exponent beyond {limit},"
+            " the interpreter's digit limit")
 
     def signature(self):
         return ("rational",)

@@ -124,6 +124,10 @@ def test_domain_errors_exit_one(capsys):
     assert run(capsys, "boundary", "--element", "@/no/such/file.json")[0] == 1
 
 
+LONG_INT = "1" + "0" * 5000  # past the 4300 digits Python converts to or from text
+NINES = '{"arity":2,"terms":[{"basis":[1,2],"coeff":"%s"}]}' % ("9" * 3000)
+
+
 @pytest.mark.parametrize("argv", [
     ("face", "--element", "12a", "--at", "1"),
     ("face", "--element", "[1,2]", "--at", "1"),
@@ -150,6 +154,15 @@ def test_domain_errors_exit_one(capsys):
     ("cohomology", "--operad", "endo:@{tmp}/not_utf8.json", "--lo", "0", "--hi", "1"),
     ("boundary", "--element", '{"terms":' + "[" * 1000 + "]" * 1000 + "}"),
     ("face", "--operad", "endo:@{tmp}/deep.json", "--element", "E[0->0]", "--at", "1"),
+    # numbers too long for text: a huge or negative multimap arity, a JSON
+    # integer past the limit, exponents past it, a 6000-digit product
+    ("boundary", "--operad", "endo:dual", "--element", '{"arity":100000,"coeffs":[1]}'),
+    ("boundary", "--operad", "endo:dual", "--element", '{"arity":-2,"coeffs":[1]}'),
+    ("boundary", "--operad", "endo:dual", "--element", '{"arity":%s,"coeffs":[1]}' % LONG_INT),
+    *(("boundary", "--element", '{"arity":2,"terms":[{"basis":[1,2],"coeff":%s}]}' % coeff)
+      for coeff in (LONG_INT, '"1e5000"', '"1e-5000"', '"1e99999999"')),
+    ("compose", "--left", NINES, "--at", "1", "--right", NINES),
+    ("compose", "--left", NINES, "--at", "1", "--right", NINES, "--json"),
 ])
 def test_malformed_input_exits_one_without_traceback(argv, tmp_path):
     (tmp_path / "five.json").write_text("5\n")

@@ -35,6 +35,7 @@ from operad_lab.cli import make_operad
 from operad_lab.cohomology import DIFFERENTIALS
 from operad_lab.endo import algebra_from_json, dual_numbers, ground_field_algebra, matrix2
 from operad_lab.linalg import equal_up_to_global_sign
+from test_linalg import to_dense
 
 Q = get_field("q")
 F3 = get_field("gfp:3")
@@ -176,7 +177,7 @@ def test_matrices_match_oracle_entrywise():
     op = EndoOperad(algebra)
     for n in (1, 2):
         spec = ComplexSpec(op, "hochschild", n, n)
-        lib = differential_matrix(spec, n).to_dense()
+        lib = to_dense(differential_matrix(spec, n))
         assert lib == oracle_matrix(algebra, n)
 
 
@@ -295,8 +296,8 @@ def test_consecutive_matrices_compose_to_zero():
             b = differential_matrix(spec, n + 1)
             first, second = (a, b) if spec.ascending else (b, a)
             # entry check: second @ first = 0
-            dense_first = first.to_dense()
-            dense_second = second.to_dense()
+            dense_first = to_dense(first)
+            dense_second = to_dense(second)
             F = op.field
             for r in range(second.n_rows):
                 for c in range(first.n_cols):

@@ -256,6 +256,24 @@ def test_multimap_round_trip():
     assert multimap_to_element(op, 0, data0["coeffs"]) == y
 
 
+def test_multimap_arity_is_checked_before_the_power_is_built():
+    op = EndoOperad(dual_numbers(Q))
+    with pytest.raises(OperadError, match="^negative arity -2$"):
+        multimap_to_element(op, -2, [1])
+    # 2^100001 coefficients are refused without computing or printing the count
+    with pytest.raises(OperadError, match=r"needs 2\^100001 coefficients, got 1$"):
+        multimap_to_element(op, 100000, [1])
+    # on either side of the bit-length test the count is still exact
+    with pytest.raises(OperadError, match=r"needs 2\^3 coefficients, got 3$"):
+        multimap_to_element(op, 2, [1] * 3)
+    with pytest.raises(OperadError, match="needs 8 coefficients$"):
+        multimap_to_element(op, 2, [1] * 4)
+    assert multimap_to_element(op, 2, [1] + [0] * 7) == Element.basis(op, (0, 0, 0))
+    # a one-dimensional algebra has one coefficient at every arity
+    line = EndoOperad(ground_field_algebra(Q))
+    assert multimap_to_element(line, 100000, [0]).is_zero()
+
+
 def test_algebra_json_round_trip(tmp_path):
     algebra = dual_numbers(Q)
     data = algebra_to_json(algebra)

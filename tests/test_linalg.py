@@ -1,13 +1,14 @@
 """Exact sparse matrices: construction, rank, kernel dimension.
 
 The column reduction behind ``SparseMatrix.rank`` (``_reduce``) is compared
-with two eliminations it replaced, kept below as oracles: the int row-pivot
-elimination (``_row_pivot_rank``) and the field-generic one before it
-(``_sparse_rank``), and with the dense path, on random matrices and on the
-differential matrices of real complexes.  ``rank_complex``, which bounds
-each reduction by the rank of the previous degree and clears columns, is
-compared with ``rank()`` and ``_row_pivot_rank`` on random chain complexes,
-and the columns it reads on real complexes are counted.
+with three eliminations it replaced, kept below as oracles: the int
+row-pivot elimination (``_row_pivot_rank``), the field-generic one before it
+(``_sparse_rank``) and the dense elimination (``_dense_rank``), on random
+matrices and on the differential matrices of real complexes.
+``rank_complex``, which bounds each reduction by the rank of the previous
+degree and clears columns, is compared with ``rank()`` and
+``_row_pivot_rank`` on random chain complexes, and the columns it reads on
+real complexes are counted.
 """
 
 import itertools
@@ -22,7 +23,6 @@ from operad_lab.cli import make_operad
 from operad_lab.linalg import (
     LinalgError,
     SparseMatrix,
-    _dense_rank,
     _reduce,
     equal_up_to_global_sign,
     rank_complex,
@@ -38,13 +38,21 @@ def M(rows, cols, field, entries):
     return SparseMatrix(rows, cols, field, entries)
 
 
+def to_dense(m):
+    """The matrix as a list of rows, zeros written out."""
+    rows = [[m.field.zero] * m.n_cols for _ in range(m.n_rows)]
+    for r, c, v in m.entries:
+        rows[r][c] = v
+    return rows
+
+
 def transpose(m):
     return SparseMatrix(m.n_cols, m.n_rows, m.field, [(c, r, v) for r, c, v in m.entries])
 
 
 def integer_rank(m):
     """The int column reduction bounded only by the shape, as ``rank()``
-    runs it on a sparse matrix."""
+    runs it."""
     return len(_reduce(m, min(m.n_rows, m.n_cols)))
 
 
@@ -55,7 +63,7 @@ def test_construction_merges_and_drops_zeros():
         (1, 1, Q.from_int(3)),
     ])
     assert m.nnz == 1
-    assert m.to_dense() == [[Q.zero, Q.zero], [Q.zero, Q.from_int(3)]]
+    assert to_dense(m) == [[Q.zero, Q.zero], [Q.zero, Q.from_int(3)]]
 
 
 def test_bounds_checked():
@@ -106,7 +114,7 @@ def test_transpose():
     m = M(2, 3, Q, [(0, 1, Q.from_int(5)), (1, 2, Q.from_int(-1))])
     t = transpose(m)
     assert t.n_rows == 3 and t.n_cols == 2
-    assert t.to_dense()[1][0] == Q.from_int(5)
+    assert to_dense(t)[1][0] == Q.from_int(5)
     assert m.rank() == t.rank()
 
 
@@ -120,7 +128,7 @@ def test_dense_and_sparse_paths_agree():
                 if rng.random() < 0.35:
                     entries.append((r, c, Q.from_int(rng.randint(-4, 4))))
         m = M(rows, cols, Q, entries)
-        dense = m.to_dense()
+        dense = to_dense(m)
         # brute-force rank by row reduction over Fraction
         mat = [row[:] for row in dense]
         rank = 0
@@ -314,6 +322,40 @@ def _row_pivot_rank(mat):
     return rank
 
 
+# The dense elimination that ``SparseMatrix.rank`` ran on a matrix more than
+# a quarter full, kept verbatim: row echelon form through the field, on a
+# list of rows that it reduces in place.
+def _dense_rank(rows, field):
+    n_rows = len(rows)
+    n_cols = len(rows[0]) if n_rows else 0
+    rank = 0
+    pivot_row = 0
+    for col in range(n_cols):
+        sel = None
+        for r in range(pivot_row, n_rows):
+            if not field.is_zero(rows[r][col]):
+                sel = r
+                break
+        if sel is None:
+            continue
+        rows[pivot_row], rows[sel] = rows[sel], rows[pivot_row]
+        inv = field.inv(rows[pivot_row][col])
+        prow = rows[pivot_row]
+        for r in range(pivot_row + 1, n_rows):
+            factor = rows[r][col]
+            if field.is_zero(factor):
+                continue
+            factor = field.mul(factor, inv)
+            row = rows[r]
+            for c in range(col, n_cols):
+                row[c] = field.sub(row[c], field.mul(factor, prow[c]))
+        pivot_row += 1
+        rank += 1
+        if pivot_row == n_rows:
+            break
+    return rank
+
+
 def _make_primitive(row):
     """Divide an int row by the gcd of its entries."""
     content = gcd(*row.values())
@@ -356,7 +398,7 @@ def assert_ranks_agree(m, dense=True):
     assert _row_pivot_rank(m) == expected, m
     assert integer_rank(m) == expected, m
     if dense:
-        assert _dense_rank(m.to_dense(), m.field) == expected, m
+        assert _dense_rank(to_dense(m), m.field) == expected, m
     assert m.rank() == expected
 
 
@@ -442,10 +484,11 @@ def test_constructors_leave_the_rank_unset(monkeypatch):
                         lambda mat, bound, cleared=(): calls.append(mat) or {0: {0: 1}})
     m = M(5, 5, Q, [(0, 0, Q.one), (1, 0, Q.one)])  # sparse: density 0.08
     trusted = SparseMatrix._from_canonical(5, 5, Q, m.entries)
-    for mat in (m, trusted):
+    full = M(3, 3, Q, [(r, c, Q.one) for r in range(3) for c in range(3)])  # dense
+    for mat in (m, trusted, full):
         assert not hasattr(mat, "_rank")
-        assert [mat.rank(), mat.kernel_dim(), mat.rank()] == [1, 4, 1]
-    assert calls == [m, trusted]
+        assert [mat.rank(), mat.kernel_dim(), mat.rank()] == [1, mat.n_cols - 1, 1]
+    assert calls == [m, trusted, full]
 
 
 # --- ranking a whole complex -----------------------------------------------

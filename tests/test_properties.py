@@ -3,7 +3,7 @@
 Text and JSON round trips for keys and elements of all three operads, the
 closed-form assoc face against delete-then-standardize, the shift key test
 against its two-pass form, the int rank kernel against the field-generic
-elimination and the dense path, the ranks of a whole random chain complex
+elimination and the dense elimination, the ranks of a whole random chain complex
 against ``rank()`` and the row-pivot oracle, and a fuzz of the command line.
 """
 
@@ -30,15 +30,17 @@ from operad_lab import (
 from operad_lab.assoc import delete_and_standardize, standardize
 from operad_lab.cli import main
 from operad_lab.endo import dual_numbers, matrix2
-from operad_lab.linalg import SparseMatrix, _dense_rank
+from operad_lab.linalg import SparseMatrix
 from operad_lab.shift import is_increasing
 from test_linalg import (
     ORACLE_FIELDS,
+    _dense_rank,
     _sparse_rank,
     check_rank_complex,
     integer_rank,
     product,
     random_complex,
+    to_dense,
 )
 from test_shift import _two_pass_is_increasing
 
@@ -160,7 +162,7 @@ def test_integer_rank_matches_generic_and_dense(label):
     def check(m):
         expected = _sparse_rank(m)
         assert integer_rank(m) == expected
-        assert _dense_rank(m.to_dense(), field) == expected
+        assert _dense_rank(to_dense(m), field) == expected
 
     check()
 
@@ -187,7 +189,13 @@ ELEMENTS = (
      '{"arity":1,"coeffs":["1","0","0","1"]}',
      '{"arity":2,"terms":[{"basis":[2,1],"coeff":"1"}]}'],
     ["0", "12a", "", "[1,2]", "1/0*12", "12 + 21", "1,x", "E[a->0]", "E[7->0]",
-     '{"arity":true,"coeffs":[1]}', '{"terms":[]}', "@/no/such/file.json"],
+     '{"arity":true,"coeffs":[1]}', '{"terms":[]}', "@/no/such/file.json",
+     # numbers too long for text: a huge or negative multimap arity, a JSON
+     # integer past the interpreter's digit limit, exponents past it
+     '{"arity":100000,"coeffs":[1]}', '{"arity":-2,"coeffs":[1]}',
+     '{"arity":2,"terms":[{"basis":[1,2],"coeff":1%s}]}' % ("0" * 5000),
+     '{"arity":2,"terms":[{"basis":[1,2],"coeff":"1e5000"}]}',
+     '{"arity":2,"terms":[{"basis":[1,2],"coeff":"1e99999999"}]}'],
 )
 OPTION_VALUES = {
     "--operad": (["assoc", "shift", "endo:k", "endo:dual", "endo:m2"],

@@ -1,6 +1,7 @@
 """Field arithmetic, parsing, and formatting."""
 
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -36,6 +37,25 @@ def test_rational_parse_round_trip():
     f = RationalField()
     for text in ("0", "7", "-4", "2/3", "-9/7"):
         assert f.format(f.parse(text)) == text
+
+
+def test_rational_text_past_the_digit_limit_is_a_scalar_error():
+    f = RationalField()
+    limit = sys.get_int_max_str_digits()
+    assert f.parse(f"1e{limit}") == Fraction(10) ** limit
+    assert f.parse("-2.5E-3") == Fraction(-1, 400)
+    assert f.format(Fraction(10) ** (limit - 1)) == "1" + "0" * (limit - 1)
+    # one digit past the limit, in the numerator or the denominator
+    for value in (Fraction(10) ** limit, Fraction(1, 10**limit)):
+        with pytest.raises(ScalarError, match=f"more than {limit} digits"):
+            f.format(value)
+    # refused before Fraction expands the power, however large the exponent
+    for text in (f"1e{limit + 1}", f"1e-{limit + 1}", "1e99999999", "1E+99999999"):
+        with pytest.raises(ScalarError, match=f"exponent beyond {limit}"):
+            f.parse(text)
+    for text in ("1e", "e5", "1e5.5", "1e" + "9" * (limit + 1)):
+        with pytest.raises(ScalarError, match="bad rational scalar"):
+            f.parse(text)
 
 
 def test_prime_field_basics():

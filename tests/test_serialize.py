@@ -15,6 +15,7 @@ from operad_lab import (
     element_to_json,
     get_field,
 )
+from operad_lab.elements import read_json
 from operad_lab.endo import dual_numbers
 from operad_lab.serialize import dumps, pairs_to_json
 
@@ -93,6 +94,16 @@ def test_label_mismatch_and_malformed_input():
         element_from_json([1, 2], op)
     with pytest.raises(OperadError):
         element_from_json({"arity": 2, "terms": [{"basis": [1, 2, 3], "coeff": "1"}]}, op)
+
+
+def test_json_integer_too_long_to_convert_is_one_domain_error():
+    # json turns a digit run into an int, which stops at the interpreter's
+    # digit limit (4300 by default) with a bare ValueError
+    long_int = "1" + "0" * 5000
+    for text in (long_int, '{"arity":2,"terms":[{"basis":[1,2],"coeff":%s}]}' % long_int):
+        with pytest.raises(OperadError):
+            read_json(text)
+    assert read_json("1" + "0" * 100) == 10**100
 
 
 def test_dumps_is_canonical():
