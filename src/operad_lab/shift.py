@@ -104,6 +104,10 @@ class ShiftOperad(Operad):
     def basis_keys(self, arity):
         from itertools import combinations
 
+        # combinations copies its whole pool into a tuple first, so the one
+        # key of arity 0 must not go through it when max_entry is huge
+        if arity == 0:
+            return iter([()])
         return combinations(range(1, self.max_entry + 1), arity)
 
     def dimension(self, arity):

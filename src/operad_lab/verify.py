@@ -7,11 +7,15 @@ out of (seed, suite, check, operad, trial), and each run-once check from
 (seed, suite, check, operad, "batch"), so a report is byte-identical for a
 fixed seed, trial count, field and suite/operad selection.
 
-A per-trial check draws its inputs and returns the two sides of its
-identity as ``(inputs, lhs, rhs)``: ``inputs`` maps names to Elements,
-lists of them, or ints, and each side is an Element or a tensor (a
-``{key: coeff}`` dict).  ``_run_trials`` compares the sides, and
-``_counterexample`` renders the first pair that differs.
+A per-trial check is a pair ``(draw, sides)``.  ``draw(ops, label, rng)``
+makes every random choice of a trial and returns its named inputs
+(Elements, lists of them, or ints); ``sides(**inputs)`` computes the two
+sides of the identity from those inputs alone, each an Element or a tensor
+(a ``{key: coeff}`` dict).  ``_run_trials`` calls the two in turn and
+compares the sides, and ``_counterexample`` renders the first pair that
+differs.  So a row's counterexample is reproduced from its seed string by
+one draw and one sides call, and an exhaustive check can feed basis
+elements to the same sides (``coproduct_cases``).
 
 A run-once check returns ``(failures, details, counterexample)``, its
 counterexample also rendered by ``_counterexample``; an exhaustive one is a
@@ -93,7 +97,28 @@ def _counterexample(inputs, lhs, rhs):
 
 
 # ---------------------------------------------------------------------------
-# per-trial checks: return (inputs, lhs, rhs); the trial fails if lhs != rhs
+# per-trial checks: a draw(ops, label, rng) that returns the named inputs, and
+# a sides(**inputs) that returns (lhs, rhs); the trial fails if lhs != rhs
+
+
+def draw_x(lo, below=0, max_terms=2, ij=None):
+    """x of arity lo..MAX_ARITY - below with at most ``max_terms`` terms,
+    then, when ``ij`` is given, (i, j) = ij(arity, rng)."""
+    def draw(ops, label, rng):
+        n = rng.randint(lo, MAX_ARITY[label] - below)
+        inputs = {"x": _sample(ops, label, n, rng, max_terms)}
+        if ij:
+            inputs["i"], inputs["j"] = ij(n, rng)
+        return inputs
+
+    return draw
+
+
+def draw_pair(ops, label, rng):
+    """Inputs p and q of arities r, s drawn from 1..3, in the order r, s, p, q."""
+    r = rng.randint(1, 3)
+    s = rng.randint(1, 3)
+    return {"p": _sample(ops, label, r, rng), "q": _sample(ops, label, s, rng)}
 
 
 def _i_below_j(n, rng):
@@ -102,84 +127,64 @@ def _i_below_j(n, rng):
     return rng.randint(1, j - 1), j
 
 
-# (name, lowest arity, stop this far below MAX_ARITY, (i, j) draw in rng
-# order, lhs, rhs).  The sides look up face/degeneracy when they run, so a
-# patched module global reaches them.
+# (name, (draw, sides)).  The sides look up face/degeneracy when they run, so
+# a patched module global reaches them.
 SIMPLICIAL = (
-    ("face_face_low", 2, 0,
-     _i_below_j,
-     lambda x, i, j: face(face(x, j), i),
-     lambda x, i, j: face(face(x, i), j - 1)),
-    ("face_face_high", 2, 0,
-     lambda n, r: ((i := r.randint(1, n - 1)), r.randint(1, i)),
-     lambda x, i, j: face(face(x, j), i),
-     lambda x, i, j: face(face(x, i + 1), j)),
-    ("degen_degen_low", 1, 1,
-     lambda n, r: (r.randint(1, (j := r.randint(1, n))), j),
-     lambda x, i, j: degeneracy(degeneracy(x, j), i),
-     lambda x, i, j: degeneracy(degeneracy(x, i), j + 1)),
-    ("degen_degen_high", 1, 1,
-     lambda n, r: ((i := r.randint(2, n + 1)), r.randint(1, min(i - 1, n))),
-     lambda x, i, j: degeneracy(degeneracy(x, j), i),
-     lambda x, i, j: degeneracy(degeneracy(x, i - 1), j)),
-    ("face_degen_low", 2, 0,
-     _i_below_j,
-     lambda x, i, j: face(degeneracy(x, j), i),
-     lambda x, i, j: degeneracy(face(x, i), j - 1)),
-    ("face_degen_mid", 1, 0,
-     lambda n, r: (r.choice(((j := r.randint(1, n)), j + 1)), j),
-     lambda x, i, j: face(degeneracy(x, j), i),
-     lambda x, i, j: x),
-    ("face_degen_high", 2, 0,
-     lambda n, r: (r.randint((j := r.randint(1, n - 1)) + 2, n + 1), j),
-     lambda x, i, j: face(degeneracy(x, j), i),
-     lambda x, i, j: degeneracy(face(x, i - 1), j)),
+    ("face_face_low", (
+        draw_x(2, ij=_i_below_j),
+        lambda x, i, j: (face(face(x, j), i), face(face(x, i), j - 1)))),
+    ("face_face_high", (
+        draw_x(2, ij=lambda n, r: ((i := r.randint(1, n - 1)), r.randint(1, i))),
+        lambda x, i, j: (face(face(x, j), i), face(face(x, i + 1), j)))),
+    ("degen_degen_low", (
+        draw_x(1, 1, ij=lambda n, r: (r.randint(1, (j := r.randint(1, n))), j)),
+        lambda x, i, j: (degeneracy(degeneracy(x, j), i), degeneracy(degeneracy(x, i), j + 1)))),
+    ("degen_degen_high", (
+        draw_x(1, 1, ij=lambda n, r: ((i := r.randint(2, n + 1)), r.randint(1, min(i - 1, n)))),
+        lambda x, i, j: (degeneracy(degeneracy(x, j), i), degeneracy(degeneracy(x, i - 1), j)))),
+    ("face_degen_low", (
+        draw_x(2, ij=_i_below_j),
+        lambda x, i, j: (face(degeneracy(x, j), i), degeneracy(face(x, i), j - 1)))),
+    ("face_degen_mid", (
+        draw_x(1, ij=lambda n, r: (r.choice(((j := r.randint(1, n)), j + 1)), j)),
+        lambda x, i, j: (face(degeneracy(x, j), i), x))),
+    ("face_degen_high", (
+        draw_x(2, ij=lambda n, r: (r.randint((j := r.randint(1, n - 1)) + 2, n + 1), j)),
+        lambda x, i, j: (face(degeneracy(x, j), i), degeneracy(face(x, i - 1), j)))),
 )
 
 
-def make_simplicial_check(lo, below, draw, lhs, rhs):
-    def check(ops, label, rng):
-        n = rng.randint(lo, MAX_ARITY[label] - below)
-        x = _sample(ops, label, n, rng)
-        i, j = draw(n, rng)
-        return {"x": x, "i": i, "j": j}, lhs(x, i, j), rhs(x, i, j)
+def draw_gamma_compat(ops, label, rng):
+    """x of arity s, blocks of arities ts (at most 2 on endo:dual, else 3),
+    one term each, then a slot in each block."""
+    top = 2 if label == "endo:dual" else 3
+    s = rng.randint(1, top)
+    ts = [rng.randint(1, top) for _ in range(s)]
+    x = _sample(ops, label, s, rng, max_terms=1)
+    blocks = [_sample(ops, label, t, rng, max_terms=1) for t in ts]
+    return {"x": x, "blocks": blocks, "slots": [rng.randint(1, t) for t in ts]}
 
-    return check
 
-
-def make_gamma_compat_check(op, multi_op):
+def make_gamma_compat(op, multi_op):
     """``multi_op`` of a total composition against ``op`` on each block."""
-    def check(ops, label, rng):
-        if label == "endo:dual":
-            s = rng.randint(1, 2)
-            ts = [rng.randint(1, 2) for _ in range(s)]
-        else:
-            s = rng.randint(1, 3)
-            ts = [rng.randint(1, 3) for _ in range(s)]
-        x = _sample(ops, label, s, rng, max_terms=1)
-        blocks = [_sample(ops, label, t, rng, max_terms=1) for t in ts]
-        slots = [rng.randint(1, t) for t in ts]
-        lhs = multi_op(gamma(x, blocks), slots, ts)
-        rhs = gamma(x, [op(b, j) for b, j in zip(blocks, slots)])
-        return {"x": x, "blocks": blocks, "slots": slots}, lhs, rhs
+    def sides(x, blocks, slots):
+        lhs = multi_op(gamma(x, blocks), slots, [b.arity for b in blocks])
+        return lhs, gamma(x, [op(b, j) for b, j in zip(blocks, slots)])
 
-    return check
+    return sides
 
 
-def make_square_zero_check(d):
+def make_square_zero(d):
     """``d`` squares to zero."""
-    def check(ops, label, rng):
-        x = _sample(ops, label, rng.randint(0, MAX_ARITY[label]), rng)
+    def sides(x):
         lhs = d(d(x))
-        return {"x": x}, lhs, Element.zero(x.operad, lhs.arity)
+        return lhs, Element.zero(x.operad, lhs.arity)
 
-    return check
+    return sides
 
 
-def check_anticommutation(ops, label, rng):
-    x = _sample(ops, label, rng.randint(1, MAX_ARITY[label]), rng)
-    lhs = boundary(coboundary(x))
-    return {"x": x}, lhs, coboundary(boundary(x)).scale(power_sign(x.operad.field, 1))
+def anticommutation(x):
+    return boundary(coboundary(x)), coboundary(boundary(x)).scale(power_sign(x.operad.field, 1))
 
 
 def _tensor2(pairs, field):
@@ -218,29 +223,25 @@ def _deconcat(x):
     ))
 
 
-def check_coassociativity(ops, label, rng):
-    field = ops[label].field
-    x = _sample(ops, label, rng.randint(0, MAX_ARITY[label]), rng)
+def coassociativity(x):
     pairs = aw_coproduct(x)
-    lhs = _tensor3(pairs, field, expand_left=True)
-    return {"x": x}, lhs, _tensor3(pairs, field, expand_left=False)
+    field = x.operad.field
+    return _tensor3(pairs, field, expand_left=True), _tensor3(pairs, field, expand_left=False)
 
 
-def make_counit_check(side):
+def make_counit(side):
     """(counit on tensor factor ``side``, identity on the other) of the
     coproduct is the identity."""
-    def check(ops, label, rng):
-        field = ops[label].field
-        n = rng.randint(0, MAX_ARITY[label])
-        x = _sample(ops, label, n, rng)
-        out = Element.zero(x.operad, n)
+    def sides(x):
+        field = x.operad.field
+        out = Element.zero(x.operad, x.arity)
         for pair in aw_coproduct(x):
             c = counit(pair[side])
             if not field.is_zero(c):
                 out = out + pair[1 - side].scale(c)
-        return {"x": x}, out, x
+        return out, x
 
-    return check
+    return sides
 
 
 # ---------------------------------------------------------------------------
@@ -255,28 +256,18 @@ def brace_or_zero(x, args):
     return brace(x, args)
 
 
-def _pair(ops, label, rng):
-    """Inputs p and q of arities r, s drawn from 1..3, in the order r, s, p, q."""
-    r = rng.randint(1, 3)
-    s = rng.randint(1, 3)
-    return _sample(ops, label, r, rng), _sample(ops, label, s, rng)
-
-
-def check_dot_vs_odot(ops, label, rng):
-    p, q = _pair(ops, label, rng)
+def dot_vs_odot(p, q):
     sign = power_sign(p.operad.field, p.arity * q.arity)
-    return {"p": p, "q": q}, dot_product(p, q), odot_product(p, q).scale(sign)
+    return dot_product(p, q), odot_product(p, q).scale(sign)
 
 
-def make_derivation_check(d):
+def make_derivation(d):
     """``d`` is a graded derivation of the odot product."""
-    def check(ops, label, rng):
-        p, q = _pair(ops, label, rng)
+    def sides(p, q):
         sign = power_sign(p.operad.field, p.arity)
-        rhs = odot_product(d(p), q) + odot_product(p, d(q)).scale(sign)
-        return {"p": p, "q": q}, d(odot_product(p, q)), rhs
+        return d(odot_product(p, q)), odot_product(d(p), q) + odot_product(p, d(q)).scale(sign)
 
-    return check
+    return sides
 
 
 def prejacobi_rhs(x, xs, ys):
@@ -306,81 +297,91 @@ def prejacobi_rhs(x, xs, ys):
     return total
 
 
-def check_pre_jacobi(ops, label, rng):
+def draw_pre_jacobi(ops, label, rng):
     s = rng.randint(1, 2)
     r = rng.randint(1, 2)
     x = _sample(ops, label, rng.randint(s, 3), rng, max_terms=1)
-    xs = [_sample(ops, label, rng.randint(1, 2), rng, max_terms=1) for _ in range(s)]
-    ys = [_sample(ops, label, rng.randint(1, 2), rng, max_terms=1) for _ in range(r)]
-    lhs = brace_or_zero(brace_or_zero(x, xs), ys)
-    return {"x": x, "inner": xs, "outer": ys}, lhs, prejacobi_rhs(x, xs, ys)
+    inner = [_sample(ops, label, rng.randint(1, 2), rng, max_terms=1) for _ in range(s)]
+    outer = [_sample(ops, label, rng.randint(1, 2), rng, max_terms=1) for _ in range(r)]
+    return {"x": x, "inner": inner, "outer": outer}
 
 
-def make_boundary_brace_check(literal):
-    """boundary(p{zs}) against (boundary p){zs} plus the signed boundaries of
-    each z.  With ``literal``, (boundary p){zs} is replaced by the collapse
-    claim: 0 for even arity, else minus the top-face term (face p){zs}."""
-    def check(ops, label, rng):
-        field = ops[label].field
-        n_args = rng.randint(1, 3)
-        arity = rng.randint(n_args + 1, min(n_args + 3, MAX_ARITY[label]))
-        p = _sample(ops, label, arity, rng, max_terms=1)
-        zs = [_sample(ops, label, rng.randint(1, 2), rng, max_terms=1) for _ in range(n_args)]
-        braced = brace(p, zs)
-        degs = [z.arity for z in zs]
+def pre_jacobi(x, inner, outer):
+    return brace_or_zero(brace_or_zero(x, inner), outer), prejacobi_rhs(x, inner, outer)
+
+
+def draw_boundary_brace(ops, label, rng):
+    n_args = rng.randint(1, 3)
+    arity = rng.randint(n_args + 1, min(n_args + 3, MAX_ARITY[label]))
+    p = _sample(ops, label, arity, rng, max_terms=1)
+    args = [_sample(ops, label, rng.randint(1, 2), rng, max_terms=1) for _ in range(n_args)]
+    return {"p": p, "args": args}
+
+
+def make_boundary_brace(literal):
+    """boundary(p{args}) against (boundary p){args} plus the signed boundaries
+    of each argument.  With ``literal``, (boundary p){args} is replaced by the
+    collapse claim: 0 for even arity, else minus the top-face term
+    (face p){args}."""
+    def sides(p, args):
+        field = p.operad.field
+        braced = brace(p, args)
+        degs = [z.arity for z in args]
         inner_sum = Element.zero(p.operad, braced.arity - 1)
-        for s_idx in range(n_args):
-            dz = boundary(zs[s_idx])
+        for s_idx in range(len(args)):
+            dz = boundary(args[s_idx])
             if dz.is_zero():
                 continue
-            args = list(zs)
-            args[s_idx] = dz
+            changed = list(args)
+            changed[s_idx] = dz
             delta = (
                 braced.arity
-                - zs[s_idx].arity
+                - args[s_idx].arity
                 + sum(degs[i] - 1 for i in range(s_idx))
             )
-            inner_sum = inner_sum + brace(p, args).scale(power_sign(field, delta))
+            inner_sum = inner_sum + brace(p, changed).scale(power_sign(field, delta))
         if not literal:
-            rhs = brace(boundary(p), zs) + inner_sum
+            rhs = brace(boundary(p), args) + inner_sum
         elif p.arity % 2 == 0:
             rhs = inner_sum
         else:
-            rhs = inner_sum - brace(face(p, p.arity), zs)
-        return {"p": p, "args": zs}, boundary(braced), rhs
+            rhs = inner_sum - brace(face(p, p.arity), args)
+        return boundary(braced), rhs
 
-    return check
+    return sides
 
 
 # ---------------------------------------------------------------------------
 # coincidence suite
 
 
-def check_coproduct_vs_deconcat(ops, label, rng):
-    x = _sample(ops, label, rng.randint(1, MAX_ARITY[label]), rng, max_terms=1)
-    return {"x": x}, _tensor2(aw_coproduct(x), ops[label].field), _deconcat(x)
+def coproduct_vs_deconcat(x):
+    return _tensor2(aw_coproduct(x), x.operad.field), _deconcat(x)
 
 
-def check_odot_vs_concat(ops, label, rng):
-    field = ops[label].field
-    p, q = _pair(ops, label, rng)
-    rhs = Element(ops[label], p.arity + q.arity, [
+def odot_vs_concat(p, q):
+    field = p.operad.field
+    rhs = Element(p.operad, p.arity + q.arity, [
         (concat(kp, kq), field.mul(cp, cq))
         for kp, cp in p.terms.items()
         for kq, cq in q.terms.items()
     ])
-    return {"p": p, "q": q}, odot_product(p, q), rhs
+    return odot_product(p, q), rhs
 
 
-def make_cup_check(op):
-    def check(ops, label, rng):
+def make_cup_draw(op):
+    """p and q on the preset ``op``, which is not in ``ops``, of arities r in
+    1..3 and s in 1..max(1, 3 - r)."""
+    def draw(ops, label, rng):
         r = rng.randint(1, 3)
         s = rng.randint(1, max(1, 3 - r))
-        p = random_element(op, r, rng)
-        q = random_element(op, s, rng)
-        return {"p": p, "q": q}, cup_product(p, q), odot_product(p, q)
+        return {"p": random_element(op, r, rng), "q": random_element(op, s, rng)}
 
-    return check
+    return draw
+
+
+def cup_vs_odot(p, q):
+    return cup_product(p, q), odot_product(p, q)
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +455,7 @@ def coproduct_cases(operad):
     for n in range(1, 6):
         for key in operad.basis_keys(n):
             x = Element.basis(operad, key)
-            yield {"x": x}, _tensor2(aw_coproduct(x), operad.field), _deconcat(x)
+            yield {"x": x}, *coproduct_vs_deconcat(x)
 
 
 def gamma_shift_cases(operad):
@@ -521,16 +522,17 @@ def batch_field_independence(ops, label, rng, trials):
 ALL_OPERADS = ("assoc", "shift", "endo:dual")
 
 
-def _each_operad(name, fn, kind="assert"):
-    return [(name, fn, label, kind) for label in ALL_OPERADS]
+def _each_operad(name, check, kind="assert"):
+    return [(name, check, label, kind) for label in ALL_OPERADS]
 
 
 def _batch_catalog(field):
     """Every check, by suite, in report order.
 
-    Per-trial entries are ``(name, fn, label, kind)``: ``fn(ops, label, rng)``
-    runs once per trial and returns ``(inputs, lhs, rhs)``; the trial is a
-    discrepancy when the two sides differ.  ``kind`` is
+    Per-trial entries are ``(name, (draw, sides), label, kind)``: each trial
+    draws its inputs with ``draw(ops, label, rng)`` and evaluates
+    ``sides(**inputs)`` to ``(lhs, rhs)``; the trial is a discrepancy when
+    the two sides differ.  ``kind`` is
     "assert" (discrepancies are failures) or "report" (they are counted in
     ``details`` and the row is "reported").  Run-once entries are
     ``(name, fn, label)``: ``fn(ops, label, rng, trials)`` returns
@@ -543,40 +545,44 @@ def _batch_catalog(field):
         "endo:m2@gfp:5": EndoOperad(matrix2(get_field("gfp:5"))),
     }
     coincidence = [
-        ("coproduct_vs_deconcat", check_coproduct_vs_deconcat, "assoc", "assert"),
-        ("odot_vs_concat", check_odot_vs_concat, "assoc", "assert"),
+        ("coproduct_vs_deconcat", (draw_x(1, max_terms=1), coproduct_vs_deconcat), "assoc",
+         "assert"),
+        ("odot_vs_concat", (draw_pair, odot_vs_concat), "assoc", "assert"),
         ("coproduct_vs_deconcat_exhaustive", _exhaustive(coproduct_cases), "assoc"),
         ("gamma_closed_form", _exhaustive(gamma_shift_cases), "shift"),
     ]
     for label, op in presets.items():
-        coincidence.append(("cup_vs_odot", make_cup_check(op), label, "assert"))
+        coincidence.append(("cup_vs_odot", (make_cup_draw(op), cup_vs_odot), label, "assert"))
         coincidence.append(("coboundary_vs_classical", make_batch_rank_comparison(op), label))
     return {
         "simplicial": [
-            *(entry for name, *row in SIMPLICIAL
-              for entry in _each_operad(name, make_simplicial_check(*row))),
-            *_each_operad("face_gamma_compat", make_gamma_compat_check(face, multi_face), "report"),
+            *(entry for name, check in SIMPLICIAL for entry in _each_operad(name, check)),
+            *_each_operad("face_gamma_compat",
+                          (draw_gamma_compat, make_gamma_compat(face, multi_face)), "report"),
             *_each_operad("degen_gamma_compat",
-                          make_gamma_compat_check(degeneracy, multi_degeneracy), "report"),
+                          (draw_gamma_compat, make_gamma_compat(degeneracy, multi_degeneracy)),
+                          "report"),
         ],
         "chain": [
-            *_each_operad("boundary_squared", make_square_zero_check(boundary)),
-            *_each_operad("coboundary_squared", make_square_zero_check(coboundary)),
-            *_each_operad("anticommutation", check_anticommutation),
+            *_each_operad("boundary_squared", (draw_x(0), make_square_zero(boundary))),
+            *_each_operad("coboundary_squared", (draw_x(0), make_square_zero(coboundary))),
+            *_each_operad("anticommutation", (draw_x(1), anticommutation)),
         ],
         "coalgebra": [
-            *_each_operad("coassociativity", check_coassociativity),
-            *_each_operad("counit_left", make_counit_check(0)),
-            *_each_operad("counit_right", make_counit_check(1)),
+            *_each_operad("coassociativity", (draw_x(0), coassociativity)),
+            *_each_operad("counit_left", (draw_x(0), make_counit(0))),
+            *_each_operad("counit_right", (draw_x(0), make_counit(1))),
             *[("coderivation_sign_pattern", batch_coderivation, label) for label in ALL_OPERADS],
         ],
         "brace": [
-            ("dot_vs_odot", check_dot_vs_odot, "assoc", "assert"),
-            ("coboundary_derivation", make_derivation_check(coboundary), "assoc", "assert"),
-            ("boundary_derivation", make_derivation_check(boundary), "assoc", "assert"),
-            ("pre_jacobi", check_pre_jacobi, "assoc", "assert"),
-            ("boundary_brace_literal", make_boundary_brace_check(True), "assoc", "assert"),
-            ("boundary_brace_termwise", make_boundary_brace_check(False), "assoc", "assert"),
+            ("dot_vs_odot", (draw_pair, dot_vs_odot), "assoc", "assert"),
+            ("coboundary_derivation", (draw_pair, make_derivation(coboundary)), "assoc", "assert"),
+            ("boundary_derivation", (draw_pair, make_derivation(boundary)), "assoc", "assert"),
+            ("pre_jacobi", (draw_pre_jacobi, pre_jacobi), "assoc", "assert"),
+            ("boundary_brace_literal", (draw_boundary_brace, make_boundary_brace(True)), "assoc",
+             "assert"),
+            ("boundary_brace_termwise", (draw_boundary_brace, make_boundary_brace(False)),
+             "assoc", "assert"),
         ],
         "coincidence": coincidence,
         "cohomology": [
@@ -590,12 +596,13 @@ def _batch_catalog(field):
     }
 
 
-def _run_trials(fn, ops, operad_label, suite, name, seed, trials):
+def _run_trials(check, ops, operad_label, suite, name, seed, trials):
+    draw, sides = check
     failures = 0
     first = None
     for t in range(trials):
-        inputs, lhs, rhs = fn(
-            ops, operad_label, random.Random(f"{seed}:{suite}:{name}:{operad_label}:{t}"))
+        inputs = draw(ops, operad_label, random.Random(f"{seed}:{suite}:{name}:{operad_label}:{t}"))
+        lhs, rhs = sides(**inputs)
         if lhs != rhs:
             failures += 1
             if first is None:

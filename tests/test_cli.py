@@ -163,6 +163,11 @@ NINES = '{"arity":2,"terms":[{"basis":[1,2],"coeff":"%s"}]}' % ("9" * 3000)
       for coeff in (LONG_INT, '"1e5000"', '"1e-5000"', '"1e99999999"')),
     ("compose", "--left", NINES, "--at", "1", "--right", NINES),
     ("compose", "--left", NINES, "--at", "1", "--right", NINES, "--json"),
+    # algebras the FinAlgebra checks refuse, a negative arity, a short arity-0 map
+    *(("face", "--operad", f"endo:@{{tmp}}/{name}.json", "--element", "E[0->0]", "--at", "1")
+      for name in ("dim_0", "mul_shape", "zero_unit", "unit_axiom")),
+    ("boundary", "--element", '{"arity":-1,"terms":[]}'),
+    ("boundary", "--operad", "endo:dual", "--element", '{"arity":0,"coeffs":[1]}'),
 ])
 def test_malformed_input_exits_one_without_traceback(argv, tmp_path):
     (tmp_path / "five.json").write_text("5\n")
@@ -171,6 +176,12 @@ def test_malformed_input_exits_one_without_traceback(argv, tmp_path):
     (tmp_path / "no_mul.json").write_text('{"dim": 1, "unit": [1]}')
     (tmp_path / "list.json").write_text("[1]")
     (tmp_path / "unit_int.json").write_text('{"dim": 1, "unit": 5, "mul": [[[1]]]}')
+    # dimension 0, a mul of the wrong shape, a zero unit, a unit that fails the unit axiom
+    (tmp_path / "dim_0.json").write_text('{"dim": 0, "unit": [], "mul": []}')
+    (tmp_path / "mul_shape.json").write_text(
+        '{"dim": 2, "unit": [1, 0], "mul": [[[1, 0]], [[0, 1]]]}')
+    (tmp_path / "zero_unit.json").write_text('{"dim": 1, "unit": [0], "mul": [[[1]]]}')
+    (tmp_path / "unit_axiom.json").write_text('{"dim": 1, "unit": [1], "mul": [[[2]]]}')
     (tmp_path / "not_utf8.json").write_bytes(b'\xff\xfe{"terms":[]}')
     (tmp_path / "deep.json").write_text("[" * 5000 + "]" * 5000)
     argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
@@ -225,6 +236,19 @@ def test_cap_refuses_a_count_too_long_to_print(argv, message):
                           capture_output=True, text=True, timeout=60)
     assert (done.returncode, done.stdout) == (1, "")
     assert done.stderr.startswith(f"error: {message}")
+    assert len(done.stderr.splitlines()) == 1
+    assert "Traceback" not in done.stderr
+
+
+def test_shift_degree_0_does_not_list_a_huge_entry_range():
+    # degree 0 has the one key (); the cap then refuses degree 1
+    top = "1" + "0" * 30
+    done = subprocess.run([sys.executable, "-m", "operad_lab.cli", "cohomology",
+                           "--operad", "shift", "--max-entry", top,
+                           "--differential", "boundary", "--lo", "0", "--hi", "3"],
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr.startswith(f"error: {top} columns at degree 1 exceed the cap 20000;")
     assert len(done.stderr.splitlines()) == 1
     assert "Traceback" not in done.stderr
 

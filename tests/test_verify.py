@@ -6,6 +6,7 @@ a regression in either direction (a fixed check or a new failure) is loud.
 
 import hashlib
 import json
+import random
 
 import pytest
 
@@ -15,7 +16,9 @@ from operad_lab.endo import EndoOperad
 from operad_lab.scalars import get_field
 from operad_lab.shift import ShiftOperad
 from operad_lab import verify
-from operad_lab.verify import SUITES, _run_trials, make_operads, run_verify, report_to_json
+from operad_lab.verify import (
+    SUITES, _batch_catalog, _counterexample, _run_trials, make_operads, report_to_json, run_verify,
+)
 from test_core import fresh_point_and_product
 
 PROFILE_TRIALS = 120
@@ -160,10 +163,18 @@ def test_report_bytes_pinned(seed, trials, field_label):
     assert digest == REPORT_SHA256[(seed, trials, field_label)]
 
 
-def _stub(sides):
-    """A per-trial check returning ``sides[t]`` on trial t."""
-    calls = iter(sides)
-    return lambda ops, label, rng: next(calls)
+def _stub(cases):
+    """A per-trial (draw, sides) pair: trial t draws the inputs of
+    ``cases[t]`` and its sides return the (lhs, rhs) that follow them."""
+    calls = iter(cases)
+    drawn = []
+
+    def draw(ops, label, rng):
+        inputs, *sides = next(calls)
+        drawn.append(sides)
+        return inputs
+
+    return draw, lambda **inputs: tuple(drawn.pop())
 
 
 def test_tensor_counterexample_row():
@@ -197,6 +208,25 @@ def test_element_counterexample_row_formats_lists():
         "rhs": "0",
         "trial": 1,
     }
+
+
+@pytest.mark.parametrize("suite,name,label,status", [
+    ("brace", "boundary_brace_literal", "assoc", "fail"),
+    ("simplicial", "face_gamma_compat", "shift", "reported"),
+])
+def test_counterexample_replays_from_its_seed_string(suite, name, label, status):
+    # one draw from the trial's seed string and one sides call give the row's counterexample
+    report = run_verify(seed=0, trials=300, suites=["brace", "simplicial"])
+    (row,) = [r for r in report["checks"] if (r["suite"], r["check"], r["operad"]) ==
+              (suite, name, label)]
+    assert row["status"] == status
+    field = get_field(report["field"])
+    ((draw, sides),) = [entry[1] for entry in _batch_catalog(field)[suite]
+                        if entry[0] == name and entry[2] == label]
+    t = row["counterexample"]["trial"]
+    inputs = draw(make_operads(field), label, random.Random(f"0:{suite}:{name}:{label}:{t}"))
+    lhs, rhs = sides(**inputs)
+    assert dict(_counterexample(inputs, lhs, rhs), trial=t) == row["counterexample"]
 
 
 # Each run-once check forced to fail, with the row it must then report.
