@@ -24,7 +24,7 @@ from .endo import EndoOperad, load_algebra, multimap_to_element
 from .linalg import LinalgError
 from .scalars import ScalarError, get_field
 from .serialize import dumps, element_from_json, element_to_json, pairs_to_json
-from .shift import ShiftOperad
+from .shift import DEFAULT_MAX_ENTRY, ShiftOperad
 from .verify import (
     DEFAULT_FIELD,
     DEFAULT_SEED,
@@ -38,8 +38,6 @@ from .verify import (
 USAGE_EXIT = 64
 DOMAIN_EXIT = 1
 VERIFY_FAIL_EXIT = 2
-
-DEFAULT_SHIFT_MAX_ENTRY = 8
 
 # name -> (help, parameters in call order, operation); ``at`` is an int slot,
 # ``args`` the repeatable ``--with`` list, any other parameter one element
@@ -70,7 +68,7 @@ def nonnegative_int(text):
     return value
 
 
-def make_operad(selector, field, max_entry=DEFAULT_SHIFT_MAX_ENTRY):
+def make_operad(selector, field, max_entry=DEFAULT_MAX_ENTRY):
     if selector == "assoc":
         return AssocOperad(field)
     if selector == "shift":
@@ -138,7 +136,7 @@ def add_common(parser):
     parser.add_argument("--operad", default="assoc",
                         help="assoc, shift, or endo:<k|dual|m2|@file.json>")
     parser.add_argument("--field", default="q", help="q or gfp:<p>")
-    parser.add_argument("--max-entry", type=int, default=DEFAULT_SHIFT_MAX_ENTRY,
+    parser.add_argument("--max-entry", type=int, default=DEFAULT_MAX_ENTRY,
                         help="entry bound for shift basis enumeration")
     parser.add_argument("--json", action="store_true", help="emit JSON output")
 

@@ -1,16 +1,21 @@
 """Exact (co)chain complexes and cohomology dimensions for operad instances.
 
 A ComplexSpec bundles an operad instance, a differential kind, and a degree
-window.  Degrees are arities; the classical kind swaps in the algebra itself
-at degree 0, whose keys (j,) ``ComplexSpec.keys_at`` enumerates, and the
-textbook coboundary (endomorphism operads only).
+window.  Degrees are arities.  ``DIFFERENTIALS`` is the one table of kinds:
+each maps to whether it raises the degree and to a builder, which takes the
+operad, refuses one it cannot serve, and returns the kind's column function,
+key enumeration and key count, built once per complex.
 
-Matrix columns are assembled from basis keys.  The operadic kinds go through
-the operad's ``compose_basis``, with the signs of ``core.boundary`` and
-``core.coboundary``.  The classical kind reads every column, degree 0
-included, off tables filed from ``FinAlgebra.nonzero``, each constant
-stored with its negation, so a column needs no field multiplication.  The
-Element-level operators (``core.boundary``, ``core.coboundary`` and
+The operadic kinds (``boundary`` and ``coboundary``) share one builder: the
+key goes through the operad's ``compose_basis`` with the point or the
+product, with the signs of ``core.boundary`` and ``core.coboundary``, and
+the coboundary also composes the product around the key.  The classical
+kind (``hochschild``, endomorphism operads only) is the textbook complex
+of maps A^(x)n -> A, whose keys are (i1..in, j) at every degree n >= 0: degree
+0 is the algebra itself, keyed (j,), with no special case.  Its columns are
+read off tables filed from ``FinAlgebra.nonzero``, each constant stored with
+its negation, so a column needs no field multiplication.  The Element-level
+operators (``core.boundary``, ``core.coboundary`` and
 ``endo.classical_coboundary``) are the test oracle.
 
 A matrix is built column-major, the order ``SparseMatrix`` stores: the
@@ -25,28 +30,106 @@ the ascending kinds the pivot rows of d_{n-1} name columns of d_n that are
 skipped unread.
 """
 
+from itertools import product
+
 from .elements import OperadError
 from .endo import EndoOperad
 from .linalg import SparseMatrix, rank_complex
 from .scalars import linear_combination
 
-DIFFERENTIALS = ("boundary", "coboundary", "hochschild")
 DEFAULT_COLUMN_CAP = 20000
+
+
+def _operadic(inserted, outer):
+    """The builder of an operadic kind.  ``inserted`` names the operad's
+    point or product, composed into every slot of the key; ``outer(n)``
+    lists the slots of the product that the key is composed into, each with
+    the parity of its sign (the coboundary's m o_1 x and m o_2 x)."""
+
+    def build(operad):
+        field = operad.field
+        mul, compose_basis = field.mul, operad.compose_basis
+        # each weight stored with its negation, indexed by the parity of its sign
+        signed = [(k, (c, field.neg(c))) for k, c in getattr(operad, inserted)().terms.items()]
+
+        def column(key):
+            n = operad.arity_of(key)
+            if n == 0:
+                return {}
+            pairs = []
+            for slot, odd in outer(n):
+                for mk, w in signed:
+                    pairs += [(k, mul(w[odd], c)) for k, c in compose_basis(mk, slot, key)]
+            for i in range(1, n + 1):
+                for ik, w in signed:
+                    pairs += [(k, mul(w[i % 2], c)) for k, c in compose_basis(key, i, ik)]
+            return linear_combination(field, pairs)
+
+        return column, operad.basis_keys, operad.dimension
+
+    return build
+
+
+def _classical(operad):
+    """The builder of the classical kind.  A column of degree n is read off
+    the nonzero structure constants: the left products into the output, the
+    n signed input merges and the signed right products, each coefficient a
+    constant or its negation.  At degree 0 there are no merges, and the
+    column of (j,) is the commutator map x -> x e_j - e_j x."""
+    if not isinstance(operad, EndoOperad):
+        raise OperadError("the classical complex needs an endomorphism operad")
+    field, dim = operad.field, operad.algebra.dim
+    # c = mul[a][b][t] != 0 with its negation, filed three ways: left[b]
+    # (a, t), merge[t] (a, b) and right[a] (b, t); scanning (a, b, t) in
+    # order keeps the term order of classical_coboundary
+    left, merge, right = ([[] for _ in range(dim)] for _ in range(3))
+    for a, plane in enumerate(operad.algebra.nonzero):
+        for b, row in enumerate(plane):
+            for t, c in row:
+                signed = (c, field.neg(c))
+                left[b].append((a, t, signed))
+                merge[t].append((a, b, signed))
+                right[a].append((b, t, signed))
+
+    def column(key):
+        inputs, j = key[:-1], key[-1]
+        pairs = [((u,) + inputs + (m,), c) for u, m, (c, _) in left[j]]
+        for p, i in enumerate(inputs, 1):
+            head, tail, odd = inputs[: p - 1], inputs[p:] + (j,), p % 2
+            pairs += [(head + (u, v) + tail, w[odd]) for u, v, w in merge[i]]
+        # the right products carry the sign (-1)^(n+1), and the key has n + 1 entries
+        odd = len(key) % 2
+        pairs += [(inputs + (u, m), w[odd]) for u, m, w in right[j]]
+        return linear_combination(field, pairs)
+
+    return column, (lambda n: product(range(dim), repeat=n + 1)), (lambda n: dim ** (n + 1))
+
+
+# kind -> (ascending, builder)
+DIFFERENTIALS = {
+    "boundary": (False, _operadic("unit_zero", lambda n: ())),
+    "coboundary": (True, _operadic("multiplication", lambda n: ((1, (n - 1) % 2), (2, 0)))),
+    "hochschild": (True, _classical),
+}
 
 
 class ComplexSpec:
     """Operad instance + differential kind + inclusive degree range.
 
-    Whatever a column needs that does not depend on its key is built once,
-    here: the signed point or product for the operadic kinds, and the nonzero
-    structure constants for the classical one.
+    The kind is looked up in ``DIFFERENTIALS`` once, here, and its builder
+    makes whatever a column needs that does not depend on its key: the
+    signed point or product for the operadic kinds, and the filed structure
+    constants for the classical one.  The degree window is checked after
+    the builder has accepted the operad.  No method compares the kind
+    string: the classical degree 0 is the algebra, keyed (j,) like any other
+    degree, with no special case.
     """
 
     def __init__(self, operad, differential, lo, hi, column_cap=DEFAULT_COLUMN_CAP, allow_large=False):
         if differential not in DIFFERENTIALS:
             raise OperadError(f"unknown differential {differential!r}")
-        if differential == "hochschild" and not isinstance(operad, EndoOperad):
-            raise OperadError("the classical complex needs an endomorphism operad")
+        self.ascending, build = DIFFERENTIALS[differential]
+        self._column, self._keys, self._dimension = build(operad)
         if not 0 <= lo <= hi:
             raise OperadError(f"bad degree range [{lo}, {hi}]")
         self.operad = operad
@@ -55,85 +138,21 @@ class ComplexSpec:
         self.hi = hi
         self.column_cap = column_cap
         self.allow_large = allow_large
-        field = operad.field
-        if differential == "hochschild":
-            # c = mul[a][b][t] != 0 with its negation, filed three ways:
-            # left[b] (a, t), merge[t] (a, b) and right[a] (b, t); scanning
-            # (a, b, t) in order keeps the term order of classical_coboundary
-            d = range(operad.algebra.dim)
-            self._left, self._merge, self._right = ([[] for _ in d] for _ in range(3))
-            for a, plane in enumerate(operad.algebra.nonzero):
-                for b, row in enumerate(plane):
-                    for t, c in row:
-                        signed = (c, field.neg(c))
-                        self._left[b].append((a, t, signed))
-                        self._merge[t].append((a, b, signed))
-                        self._right[a].append((b, t, signed))
-        else:
-            # the point (boundary) or the product (coboundary), each weight
-            # stored with its negation, indexed by the parity of its sign
-            inserted = operad.unit_zero() if differential == "boundary" else operad.multiplication()
-            self._inserted = [(k, (c, field.neg(c))) for k, c in inserted.terms.items()]
-
-    @property
-    def ascending(self):
-        return self.differential != "boundary"
 
     def keys_at(self, degree):
-        """The degree-n basis keys in basis order, yielded lazily.  Degree 0
-        of the classical kind is the algebra: the key (j,) is e_j."""
-        if degree < 0:
-            return ()
-        if self.differential == "hochschild" and degree == 0:
-            return ((j,) for j in range(self.operad.algebra.dim))
-        return self.operad.basis_keys(degree)
+        """The degree-n basis keys in basis order, yielded lazily."""
+        return () if degree < 0 else self._keys(degree)
 
     def dimension_at(self, degree):
         """The number of keys ``keys_at(degree)`` yields, counted without
         listing them."""
-        if degree < 0:
-            return 0
-        if self.differential == "hochschild" and degree == 0:
-            return self.operad.algebra.dim
-        return self.operad.dimension(degree)
+        return 0 if degree < 0 else self._dimension(degree)
 
     def column(self, key):
-        """The differential of one basis key, as a canonical {key: coeff} dict.
-
-        A classical column of degree n is read off the nonzero structure
-        constants: the left products into the output, the n signed input
-        merges and the signed right products, each coefficient a constant or
-        its negation.  At degree 0 the key (j,) is e_j, there are no merges,
-        and the column is the commutator map x -> x e_j - e_j x.  The
-        operadic kinds compose the key with the point or the product through
-        ``compose_basis``, in the order and with the signs of
-        ``core.boundary`` / ``core.coboundary``.  The Element-level operators
-        are the oracle of both.
-        """
-        operad = self.operad
-        field = operad.field
-        n = operad.arity_of(key)
-        if self.differential == "hochschild":
-            inputs, j = key[:-1], key[-1]
-            pairs = [((u,) + inputs + (m,), c) for u, m, (c, _) in self._left[j]]
-            for p in range(1, n + 1):
-                head, tail, odd = inputs[: p - 1], inputs[p:] + (j,), p % 2
-                pairs += [(head + (u, v) + tail, w[odd]) for u, v, w in self._merge[inputs[p - 1]]]
-            odd = (n + 1) % 2
-            pairs += [(inputs + (u, m), w[odd]) for u, m, w in self._right[j]]
-            return linear_combination(field, pairs)
-        if n == 0:
-            return {}
-        mul, compose_basis, inserted = field.mul, operad.compose_basis, self._inserted
-        pairs = []
-        if self.differential == "coboundary":
-            for slot, odd in ((1, (n - 1) % 2), (2, 0)):
-                for mk, w in inserted:
-                    pairs += [(k, mul(w[odd], c)) for k, c in compose_basis(mk, slot, key)]
-        for i in range(1, n + 1):
-            for ik, w in inserted:
-                pairs += [(k, mul(w[i % 2], c)) for k, c in compose_basis(key, i, ik)]
-        return linear_combination(field, pairs)
+        """The differential of one basis key, as a canonical {key: coeff}
+        dict, from the kind's builder.  The Element-level operators are the
+        oracle of every kind."""
+        return self._column(key)
 
     def target_degree(self, degree):
         return degree + 1 if self.ascending else degree - 1

@@ -10,6 +10,8 @@ from operator import lt
 
 from .elements import Operad, OperadError
 
+DEFAULT_MAX_ENTRY = 8
+
 
 def is_increasing(key):
     """Strictly increasing and positive: an increasing tuple is positive
@@ -86,7 +88,7 @@ class ShiftOperad(Operad):
 
     label = "shift"
 
-    def __init__(self, field, max_entry=8):
+    def __init__(self, field, max_entry=DEFAULT_MAX_ENTRY):
         if max_entry < 2:
             raise OperadError("max_entry must be at least 2")
         super().__init__(field)
@@ -105,10 +107,16 @@ class ShiftOperad(Operad):
         from itertools import combinations
 
         # combinations copies its whole pool into a tuple first, so the one
-        # key of arity 0 must not go through it when max_entry is huge
+        # key of arity 0 must not go through it when max_entry is huge, and
+        # a pool too long to copy is refused by name
         if arity == 0:
             return iter([()])
-        return combinations(range(1, self.max_entry + 1), arity)
+        try:
+            return combinations(range(1, self.max_entry + 1), arity)
+        except (OverflowError, MemoryError):
+            raise OperadError(
+                f"max-entry {self.max_entry} is too large to list the keys of arity {arity}"
+            ) from None
 
     def dimension(self, arity):
         from math import comb

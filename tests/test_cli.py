@@ -253,6 +253,22 @@ def test_shift_degree_0_does_not_list_a_huge_entry_range():
     assert "Traceback" not in done.stderr
 
 
+@pytest.mark.parametrize("top", ["1" + "0" * 30, "1" + "0" * 18])
+def test_shift_entry_range_too_long_to_copy_is_refused(top):
+    # past the cap, listing the keys of arity 1 would copy the entry range
+    # into a tuple: too long for a C size at 10^30, too large to allocate at
+    # 10^18
+    done = subprocess.run([sys.executable, "-m", "operad_lab.cli", "cohomology",
+                           "--operad", "shift", "--max-entry", top,
+                           "--differential", "boundary", "--lo", "1", "--hi", "1",
+                           "--allow-large"],
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr == (
+        f"error: max-entry {top} is too large to list the keys of arity 1\n"
+    )
+
+
 @pytest.mark.parametrize("operad,kind,message", [
     ("assoc", "boundary", "40320 columns at degree 8 exceed the cap 20000;"),
     ("endo:m2", "hochschild", "65536 rows at degree 7 exceed the cap 20000;"),

@@ -31,7 +31,7 @@ from operad_lab import (
     differential_matrix,
     get_field,
 )
-from operad_lab.cli import make_operad
+from operad_lab.cli import main, make_operad
 from operad_lab.cohomology import DIFFERENTIALS
 from operad_lab.endo import algebra_from_json, dual_numbers, ground_field_algebra, matrix2
 from operad_lab.linalg import equal_up_to_global_sign
@@ -421,6 +421,23 @@ def test_column_count_must_match_the_dimension(off):
     )):
         differential_matrix(spec, 4)
     assert differential_matrix(spec, 3).n_cols == 6
+
+
+def test_construction_refusals_come_in_order(capsys):
+    # DIFFERENTIALS is the one table of kinds: the kind is looked up first,
+    # then its builder refuses the operad, and only then is the window checked
+    assert list(DIFFERENTIALS) == ["boundary", "coboundary", "hochschild"]
+    with pytest.raises(OperadError, match=r"^unknown differential 'nope'$"):
+        ComplexSpec(AssocOperad(Q), "nope", 3, 1)
+    for op in (AssocOperad(Q), ShiftOperad(Q)):
+        with pytest.raises(OperadError, match="^the classical complex needs an endomorphism operad$"):
+            ComplexSpec(op, "hochschild", 3, 1)
+    with pytest.raises(OperadError, match=r"^bad degree range \[3, 1\]$"):
+        ComplexSpec(make_operad("endo:k", Q), "hochschild", 3, 1)
+    code = main(["cohomology", "--operad", "assoc", "--differential", "hochschild",
+                 "--lo", "0", "--hi", "1"])
+    assert (code, *capsys.readouterr()) == (
+        1, "", "error: the classical complex needs an endomorphism operad\n")
 
 
 def test_assembly_and_rank_hold_little_besides_the_matrix():
