@@ -57,7 +57,7 @@ def degeneracy(x, i=None):
     """Plug the product into slot i; arity rises by one.  On a point the
     slot is ignored and the result is the operadic unit."""
     if x.arity == 0:
-        return x.operad.unit_one().scale(x.coefficient(()))
+        return x.operad.unit_one().scale(_point_coefficient(x))
     if i is None:
         raise OperadError("degeneracy needs a slot for arity >= 1")
     return compose(x, i, x.operad.multiplication())
@@ -118,9 +118,6 @@ def brace(p, qs):
     if n > r:
         raise OperadError(f"brace needs at most deg(p)={r} arguments, got {n}")
     operad = p.operad
-    for q in qs:
-        if q.operad.signature() != operad.signature():
-            raise OperadError("brace arguments from mixed operads")
     arities = [q.arity for q in qs]
     result_arity = r - n + sum(arities)
     signed = []
@@ -195,6 +192,16 @@ def counit(x):
     """Coefficient of the point in arity 0; zero in higher arity."""
     if x.arity != 0:
         return x.operad.field.zero
+    return _point_coefficient(x)
+
+
+def _point_coefficient(x):
+    """Coefficient of the point in an arity-0 element.  An algebra element
+    keyed ``(j,)``, degree 0 of the classical complex, has no operadic
+    meaning here, and is refused as ``compose`` refuses it."""
+    for key in x.terms:
+        if key != ():
+            raise OperadError(f"degree-0 key {key!r} carries no operadic slot data")
     return x.coefficient(())
 
 
@@ -207,7 +214,7 @@ def multi_face(x, slots, arities):
 
 def multi_degeneracy(x, slots, arities):
     """Composite degeneracy map, same position bookkeeping as multi_face."""
-    return _multi(x, slots, arities, lambda e, i: degeneracy(e, i))
+    return _multi(x, slots, arities, degeneracy)
 
 
 def _multi(x, slots, arities, op):

@@ -3,19 +3,21 @@
 Matrices are stored column-major, as canonical triplet tuples sorted by
 (column, row), over an explicit field from :mod:`operad_lab.scalars`.  A
 matrix is immutable, so its rank is computed once and memoised.  The
-rank is a column reduction on plain ints that reads the entries once and
-reduces one column at a time: columns in ascending order, each pivot keyed
-by its largest row index, modular over GF(p) and fraction-free over Q (each
-column's denominators cleared, columns kept primitive).  The reduction
-stops once it holds as many pivots as a given bound, and skips a given set
-of columns unread.  ``SparseMatrix.rank`` bounds it by the matrix's shape
-and skips nothing, however dense the matrix.  ``rank_complex`` ranks the
-differentials of one complex in degree order, and d∘d = 0 tightens the
-bound of each degree and, on an ascending complex, clears columns of the
-next.  The int row-pivot elimination, the field-generic elimination before
-it and the dense elimination are kept in the tests as oracles.
+rank is a column reduction on plain ints that pulls columns one at a time
+from a stream, keys each pivot by its largest row index and stops pulling
+once it holds as many pivots as a given bound.  The field picks its
+arithmetic once: modular over GF(p), fraction-free over Q (each column's
+denominators cleared, columns kept primitive).  ``_columns`` streams a
+matrix's columns in ascending order from one read of its entries, and
+skips a given set of columns unread.  ``SparseMatrix.rank`` ranks a
+one-matrix complex, bounded by its shape however dense it is.
+``rank_complex`` ranks the differentials of one complex in degree order,
+and d∘d = 0 tightens the bound of each degree and, on an ascending
+complex, clears columns of the next.  The int row-pivot elimination, the
+field-generic one before it and the dense elimination are test oracles.
 """
 
+from functools import partial
 from itertools import groupby
 from math import gcd, lcm
 from operator import itemgetter
@@ -81,12 +83,9 @@ class SparseMatrix:
         return 0.0 if cells == 0 else self.nnz / cells
 
     def rank(self):
-        try:
-            return self._rank
-        except AttributeError:
-            pass
-        self._rank = rank = len(_reduce(self, min(self.n_rows, self.n_cols)))
-        return rank
+        if not hasattr(self, "_rank"):
+            rank_complex((self,), ascending=False)
+        return self._rank
 
     def kernel_dim(self):
         r = self.rank()
@@ -127,7 +126,8 @@ def rank_complex(mats, ascending):
     rank, cleared = 0, ()
     for mat in mats:
         side = mat.n_cols if ascending else mat.n_rows
-        pivots = _reduce(mat, min(mat.n_rows, mat.n_cols, side - rank), cleared)
+        bound = min(mat.n_rows, mat.n_cols, side - rank)
+        pivots = _reduce(mat.field, _columns(mat, cleared), bound)
         mat._rank = rank = len(pivots)
         # the boundary clears nothing: its pivots go before the next
         # reduction starts, not after it
@@ -135,81 +135,91 @@ def rank_complex(mats, ascending):
         del pivots
 
 
-def _reduce(mat, bound, cleared=()):
+def _columns(mat, skip=()):
+    """The nonzero columns of ``mat`` as fresh ``{row: value}`` dicts, in
+    ascending order from one pass over its entries; those in ``skip`` unbuilt."""
+    for c, run in groupby(mat.entries, itemgetter(1)):
+        if c not in skip:
+            yield {r: v for r, _, v in run}
+
+
+def _reduce(field, columns, bound):
     """Column reduction on plain ints, each pivot keyed by its largest
     ("lowest") row index, as in the standard reduction of persistent
     homology.  Returns the pivots, ``{lowest row: reduced column}``, whose
     count is the rank when ``bound`` is at least the rank.
 
-    The column-major entries are read once, one run of a column at a time,
-    so columns are visited in ascending order and only the column being
-    reduced exists besides the pivots.  A column whose index is in
-    ``cleared`` is stepped over without being built.  While a column is
-    nonzero and its lowest row already has a pivot, that pivot is
-    subtracted; a column that stays nonzero becomes the pivot of its lowest
-    row, and the reduction stops once it holds ``bound`` pivots.  Over
-    GF(p) each pivot is scaled to a leading 1 and updates are reduced mod
-    p.  Over Q each column is first cleared of denominators and kept
-    primitive, and updated fraction-free as ``(a/g) col - (b/g) pivot``
-    with ``g = gcd(a, b)``.  Each column is a fresh dict, so the matrix is
-    left untouched."""
-    modulus = mat.field.p if mat.field.kind == "prime" else None
+    Fresh ``{row: value}`` columns are pulled from ``columns`` one at a
+    time, and none once the reduction holds ``bound`` pivots.  The field
+    picks its column reducer once.  Each reducer subtracts the pivot of the
+    column's lowest row while there is one, and a column that stays nonzero
+    becomes the pivot of its lowest row."""
     pivots = {}
     if bound <= 0:
         return pivots
-    for c, run in groupby(mat.entries, itemgetter(1)):
-        if c in cleared:
-            continue
-        col = {r: v for r, _, v in run}
-        if modulus is None:
-            den = lcm(*(v.denominator for v in col.values()))
-            for r, v in col.items():
-                col[r] = v.numerator * (den // v.denominator)
-            _make_primitive(col)
-        low = max(col)
-        while low in pivots:
-            pivot = pivots[low]
-            b = col[low]
-            if modulus is None:
-                a = pivot[low]
-                g = gcd(a, b)
-                s, b = a // g, b // g
-                if s != 1:
-                    for r, v in col.items():
-                        col[r] = s * v
-                for r, v in pivot.items():
-                    old = col.get(r)
-                    if old is None:
-                        col[r] = -b * v
-                    elif old == b * v:
-                        del col[r]
-                    else:
-                        col[r] = old - b * v
-                _make_primitive(col)
-            else:
-                nb = modulus - b
-                for r, v in pivot.items():
-                    old = col.get(r)
-                    if old is None:
-                        col[r] = nb * v % modulus
-                    else:
-                        nv = (old + nb * v) % modulus
-                        if nv:
-                            col[r] = nv
-                        else:
-                            del col[r]
-            if not col:
-                break
-            low = max(col)
-        else:
-            if modulus is not None and col[low] != 1:
-                inv = pow(col[low], -1, modulus)
-                for r, v in col.items():
-                    col[r] = v * inv % modulus
+    reduce = partial(_mod_p, field.p) if field.kind == "prime" else _integral
+    for col in columns:
+        if (low := reduce(col, pivots)) is not None:
             pivots[low] = col
             if len(pivots) == bound:
                 break
     return pivots
+
+
+def _mod_p(p, col, pivots):
+    """Reduce ``col`` in place mod p to a leading 1: its lowest row, or None."""
+    low = max(col)
+    while low in pivots:
+        nb = p - col[low]
+        for r, v in pivots[low].items():
+            old = col.get(r)
+            if old is None:
+                col[r] = nb * v % p
+            else:
+                nv = (old + nb * v) % p
+                if nv:
+                    col[r] = nv
+                else:
+                    del col[r]
+        if not col:
+            return None
+        low = max(col)
+    if col[low] != 1:
+        inv = pow(col[low], -1, p)
+        for r, v in col.items():
+            col[r] = v * inv % p
+    return low
+
+
+def _integral(col, pivots):
+    """Reduce ``col`` in place over Q, primitive and fraction-free, as ``(a/g)
+    col - (b/g) pivot`` with ``g = gcd(a, b)``: its lowest row, or None."""
+    den = lcm(*(v.denominator for v in col.values()))
+    for r, v in col.items():
+        col[r] = v.numerator * (den // v.denominator)
+    _make_primitive(col)
+    low = max(col)
+    while low in pivots:
+        pivot = pivots[low]
+        a, b = pivot[low], col[low]
+        g = gcd(a, b)
+        s, b = a // g, b // g
+        if s != 1:
+            for r, v in col.items():
+                col[r] = s * v
+        for r, v in pivot.items():
+            old = col.get(r)
+            if old is None:
+                col[r] = -b * v
+            elif old == b * v:
+                del col[r]
+            else:
+                col[r] = old - b * v
+        _make_primitive(col)
+        if not col:
+            return None
+        low = max(col)
+    return low
 
 
 def _make_primitive(col):

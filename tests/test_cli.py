@@ -86,6 +86,18 @@ def test_endo_multimap_input(capsys):
     assert (code, out) == (0, "()\n")
 
 
+def test_degen_of_an_algebra_element_is_refused(capsys):
+    # the dense arity-0 map [1, 0] is the algebra element keyed (0,), not
+    # the point, so degen refuses it as compose does; the point itself
+    # still maps to the unit
+    code, out, err = run(capsys, "degen", "--operad", "endo:dual",
+                         "--element", '{"arity":0,"coeffs":[1,0]}', "--at", "1")
+    assert (code, out) == (1, "")
+    assert err == "error: degree-0 key (0,) carries no operadic slot data\n"
+    code, out, _ = run(capsys, "degen", "--operad", "endo:dual", "--element", "()", "--at", "1")
+    assert (code, out) == (0, "E[0->0] + E[1->1]\n")
+
+
 def test_element_from_file(tmp_path, capsys):
     payload = {
         "operad": "assoc",

@@ -345,14 +345,29 @@ def test_compose_across_instances_with_equal_signatures():
     x, y = B((2, 1)), Element.basis(other, (1, 2))
     assert compose(x, 1, y) == B((2, 3, 1))
     assert compose(y, 2, x) == B((1, 3, 2))
+    assert brace(x, [y]) == brace(x, [B((1, 2))])
+    mixed = Element.basis(AssocOperad(get_field("gfp:5")), (1, 2))
     with pytest.raises(OperadError, match="mixed operads"):
-        compose(x, 1, Element.basis(AssocOperad(get_field("gfp:5")), (1, 2)))
+        compose(x, 1, mixed)
+    # brace refuses a mixed argument in any position, through compose
+    for args in ([mixed], [y, mixed], [mixed, y]):
+        with pytest.raises(OperadError, match="mixed operads"):
+            brace(x, args)
 
 
 def test_counit():
     assert counit(ASSOC.unit_zero()) == Q.one
     assert counit(ASSOC.unit_zero().scale(Q.from_int(7))) == Q.from_int(7)
     assert counit(B((2, 1))) == Q.zero
+    # an endomorphism element of arity 0 keyed (j,) is a degree-0 Hochschild
+    # cochain, not a point: counit and degeneracy refuse it as compose does
+    endo = EndoOperad(dual_numbers(Q))
+    assert counit(endo.unit_zero()) == Q.one
+    for keys in ([(0,)], [(), (1,)]):
+        x = Element(endo, 0, [(key, Q.one) for key in keys])
+        for op in (counit, lambda e: degeneracy(e, 1), lambda e: compose(endo.unit_one(), 1, e)):
+            with pytest.raises(OperadError, match=r"degree-0 key \(\d,\) carries no operadic"):
+                op(x)
 
 
 def test_multi_face_golden():

@@ -1,17 +1,18 @@
 """Exact sparse matrices: construction, rank, kernel dimension.
 
-The column reduction behind ``SparseMatrix.rank`` (``_reduce``) is compared
-with three eliminations it replaced, kept below as oracles: the int
-row-pivot elimination (``_row_pivot_rank``), the field-generic one before it
-(``_sparse_rank``) and the dense elimination (``_dense_rank``), on random
-matrices and on the differential matrices of real complexes.
+The column reduction behind ``SparseMatrix.rank`` (``_reduce``, fed by the
+column stream ``_columns``) is compared with three eliminations it replaced,
+kept below as oracles: the int row-pivot elimination (``_row_pivot_rank``),
+the field-generic one before it (``_sparse_rank``) and the dense elimination
+(``_dense_rank``), on random matrices and on the differential matrices of
+real complexes.
 ``rank_complex``, which bounds each reduction by the rank of the previous
 degree and clears columns, is compared with ``rank()`` and
 ``_row_pivot_rank`` on random chain complexes, and the columns it reads on
-real complexes are counted.
+real complexes are counted.  A recording stream shows that ``_reduce``
+pulls no column past its bound.
 """
 
-import itertools
 import random
 from fractions import Fraction
 from math import gcd, lcm
@@ -23,6 +24,7 @@ from operad_lab.cli import make_operad
 from operad_lab.linalg import (
     LinalgError,
     SparseMatrix,
+    _columns,
     _reduce,
     equal_up_to_global_sign,
     rank_complex,
@@ -53,7 +55,7 @@ def transpose(m):
 def integer_rank(m):
     """The int column reduction bounded only by the shape, as ``rank()``
     runs it."""
-    return len(_reduce(m, min(m.n_rows, m.n_cols)))
+    return len(_reduce(m.field, _columns(m), min(m.n_rows, m.n_cols)))
 
 
 def test_construction_merges_and_drops_zeros():
@@ -470,7 +472,7 @@ def test_rank_leaves_its_input_alone():
             m = random_matrix(random.Random(seed), field, rows, cols)
             twin = random_matrix(random.Random(seed), field, rows, cols)
             entries, digest = m.entries, hash(m)
-            _reduce(m, min(rows, cols))
+            _reduce(field, _columns(m), min(rows, cols))
             m.rank()
             assert m.entries is entries
             assert m == twin and hash(m) == hash(twin) == digest
@@ -481,14 +483,14 @@ def test_rank_leaves_its_input_alone():
 def test_constructors_leave_the_rank_unset(monkeypatch):
     calls = []
     monkeypatch.setattr("operad_lab.linalg._reduce",
-                        lambda mat, bound, cleared=(): calls.append(mat) or {0: {0: 1}})
+                        lambda field, columns, bound: calls.append(list(columns)) or {0: {0: 1}})
     m = M(5, 5, Q, [(0, 0, Q.one), (1, 0, Q.one)])  # sparse: density 0.08
     trusted = SparseMatrix._from_canonical(5, 5, Q, m.entries)
     full = M(3, 3, Q, [(r, c, Q.one) for r in range(3) for c in range(3)])  # dense
     for mat in (m, trusted, full):
         assert not hasattr(mat, "_rank")
         assert [mat.rank(), mat.kernel_dim(), mat.rank()] == [1, mat.n_cols - 1, 1]
-    assert calls == [m, trusted, full]
+    assert calls == [list(_columns(mat)) for mat in (m, trusted, full)]
 
 
 # --- ranking a whole complex -----------------------------------------------
@@ -572,22 +574,23 @@ def test_rank_complex_matches_rank_on_random_complexes(label):
 
 
 def spy_on_column_reads(monkeypatch):
-    """Patch the kernel's ``groupby`` to record, under the id of the entries
-    it reduces, the index of every column whose entries it reads; a column
-    it skips or never reaches is not listed.  The function returned lists
-    them for a matrix; one whose reduction had nothing to do read nothing."""
-    reads = {}
+    """Wrap the column stream ``_columns`` to record, under the id of the
+    entries it streams, the index of every column the reduction pulls; a
+    column it skips or never reaches is not listed.  The real stream runs
+    on a copy of the matrix whose values carry their column index, which
+    the spy records and strips.  The function returned lists the pulls for
+    a matrix; one whose reduction had nothing to do read nothing."""
+    reads, stream = {}, linalg._columns
 
-    def record(c, run, cols):
-        cols.append(c)
-        yield from run
+    def columns(mat, skip=()):
+        cols = reads.setdefault(id(mat.entries), [])
+        tagged = SparseMatrix._from_canonical(
+            mat.n_rows, mat.n_cols, mat.field, [(r, c, (c, v)) for r, c, v in mat.entries])
+        for col in stream(tagged, skip):
+            cols.append(next(iter(col.values()))[0])
+            yield {r: v for r, (_, v) in col.items()}
 
-    def groupby(entries, key):
-        cols = reads.setdefault(id(entries), [])
-        for c, run in itertools.groupby(entries, key):
-            yield c, record(c, run, cols)
-
-    monkeypatch.setattr(linalg, "groupby", groupby)
+    monkeypatch.setattr(linalg, "_columns", columns)
     return lambda m: reads.get(id(m.entries), [])
 
 
@@ -627,7 +630,7 @@ def test_clearing_skips_the_pivot_rows_of_the_previous_degree(monkeypatch):
     # read, and every other one is read in order until the bound is reached
     spec = ComplexSpec(make_operad("endo:m2", Q), "hochschild", 0, 4)
     mats = [differential_matrix(spec, n) for n in range(5)]
-    cleared = [set(_reduce(m, min(m.n_rows, m.n_cols))) for m in mats]
+    cleared = [set(_reduce(m.field, _columns(m), min(m.n_rows, m.n_cols))) for m in mats]
     read_by = spy_on_column_reads(monkeypatch)
     rank_complex(mats, ascending=True)
     monkeypatch.undo()
@@ -639,3 +642,26 @@ def test_clearing_skips_the_pivot_rows_of_the_previous_degree(monkeypatch):
         kept = [c for c in nonzero_columns(mats[n]) if c not in cleared[n - 1]]
         assert reads[n] == kept[:len(reads[n])], n
     assert reads[0] == nonzero_columns(mats[0])
+
+
+@pytest.mark.parametrize("label", ("q", "gfp:5"))
+def test_reduce_pulls_no_column_past_its_bound(label):
+    # six columns of rank 4: the second and the last reduce to zero, and the
+    # bound is completed by the first, third, fourth and fifth; a reduction
+    # pulls up to the column that completes its bound and not one more, so
+    # a stream of assembled columns is never advanced past the bound
+    field = get_field(label)
+    one, two = field.one, field.from_int(2)
+    cols = [{0: one}, {0: two}, {0: one, 1: one}, {2: two}, {1: two, 3: one}, {1: one}]
+
+    def stream(pulled):
+        for i, col in enumerate(cols):
+            pulled.append(i)
+            yield dict(col)
+
+    for bound, read in [(0, 0), (1, 1), (2, 3), (3, 4), (4, 5), (5, 6)]:
+        pulled = []
+        pivots = _reduce(field, stream(pulled), bound)
+        assert (len(pivots), pulled) == (min(bound, 4), list(range(read))), bound
+    m = M(4, 6, field, [(r, c, v) for c, col in enumerate(cols) for r, v in col.items()])
+    assert m.rank() == 4
