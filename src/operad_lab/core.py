@@ -12,7 +12,9 @@ Conventions fixed here (and exercised by the test suites):
   the composite strictly to the left of that argument's block;
 - the coproduct's extreme terms are the canonical point tensor factors, the
   interior terms are top-face and first-face chains;
-- the boundary of a point is zero, and the coboundary of a point is zero.
+- the boundary of a point is zero, and the coboundary of a point is zero;
+  an arity-0 algebra element, keyed ``(j,)``, is not a point, and is
+  refused wherever a point is expected.
 """
 
 from .elements import Element, OperadError
@@ -57,7 +59,7 @@ def degeneracy(x, i=None):
     """Plug the product into slot i; arity rises by one.  On a point the
     slot is ignored and the result is the operadic unit."""
     if x.arity == 0:
-        return x.operad.unit_one().scale(_point_coefficient(x))
+        return x.operad.unit_one().scale(_point(x).coefficient(()))
     if i is None:
         raise OperadError("degeneracy needs a slot for arity >= 1")
     return compose(x, i, x.operad.multiplication())
@@ -84,6 +86,7 @@ def _signed_sum(operad, arity, signed):
 def boundary(x):
     """Alternating sum of faces; zero on points."""
     if x.arity == 0:
+        _point(x)
         return Element.zero(x.operad, 0)
     return _signed_sum(
         x.operad, x.arity - 1, [(i % 2, face(x, i)) for i in range(1, x.arity + 1)]
@@ -94,6 +97,7 @@ def coboundary(x):
     """Degree +1 operator driven by the product m; zero on points."""
     operad = x.operad
     if x.arity == 0:
+        _point(x)
         return Element.zero(operad, 1)
     m = operad.multiplication()
     n = x.arity
@@ -170,7 +174,7 @@ def aw_coproduct(x):
     point = operad.unit_zero()
     n = x.arity
     if n == 0:
-        return [(x, point)]
+        return [(_point(x), point)]
     one = operad.field.one
     pairs = []
     for key, coeff in x.sorted_terms():
@@ -192,17 +196,17 @@ def counit(x):
     """Coefficient of the point in arity 0; zero in higher arity."""
     if x.arity != 0:
         return x.operad.field.zero
-    return _point_coefficient(x)
+    return _point(x).coefficient(())
 
 
-def _point_coefficient(x):
-    """Coefficient of the point in an arity-0 element.  An algebra element
-    keyed ``(j,)``, degree 0 of the classical complex, has no operadic
-    meaning here, and is refused as ``compose`` refuses it."""
+def _point(x):
+    """An arity-0 element, checked to be a multiple of the point.  An algebra
+    element keyed ``(j,)``, degree 0 of the classical complex, has no
+    operadic meaning here, and is refused as ``compose`` refuses it."""
     for key in x.terms:
         if key != ():
             raise OperadError(f"degree-0 key {key!r} carries no operadic slot data")
-    return x.coefficient(())
+    return x
 
 
 def multi_face(x, slots, arities):

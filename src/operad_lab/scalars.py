@@ -1,9 +1,9 @@
 """Exact coefficient arithmetic over the rationals and over prime fields.
 
-Every scalar that flows through the library is either a ``fractions.Fraction``
-(rational field) or a plain int in ``[0, p)`` (prime field).  No floats, ever.
-Field objects own all arithmetic so the rest of the code never branches on the
-coefficient kind.
+Every scalar that flows through the library is either a rational, an ``int``
+or a ``fractions.Fraction`` (rational field, see ``RationalField``), or a plain
+int in ``[0, p)`` (prime field).  No floats, ever.  Field objects own all
+arithmetic so the rest of the code never branches on the coefficient kind.
 """
 
 import math
@@ -28,17 +28,27 @@ def _is_prime(n):
 
 
 class RationalField:
-    """The field of rational numbers; scalars are Fraction instances."""
+    """The field of rational numbers.
+
+    A scalar is an ``int`` or a ``Fraction``: the field makes ints of the
+    integral values it builds (``zero``, ``one``, ``from_int``, ``parse``,
+    ``inv``), so integral data run in int arithmetic, and a ``Fraction``
+    appears only where a non-integer does.  Arithmetic may still leave an
+    integral ``Fraction``, which is not normalised: by the numeric tower
+    (PEP 3141) ``Fraction(3) == 3``, with the same hash and the same
+    ``str``, so no comparison, dict key or printed output can tell the two
+    apart.
+    """
 
     kind = "rational"
     label = "q"
 
     def __init__(self):
-        self.zero = Fraction(0)
-        self.one = Fraction(1)
+        self.zero = 0
+        self.one = 1
 
     def from_int(self, n):
-        return Fraction(n)
+        return n
 
     def add(self, a, b):
         return a + b
@@ -55,7 +65,7 @@ class RationalField:
     def inv(self, a):
         if a == 0:
             raise ScalarError("division by zero")
-        return 1 / Fraction(a)
+        return _int_if_integral(1 / Fraction(a))
 
     def is_zero(self, a):
         return a == 0
@@ -76,7 +86,7 @@ class RationalField:
         try:
             exponent = int(s.lower().partition("e")[2] or 0)
             if not limit or abs(exponent) <= limit:
-                return Fraction(s)
+                return _int_if_integral(Fraction(s))
         except (ValueError, ZeroDivisionError) as exc:
             raise ScalarError(f"bad rational scalar {text!r}") from exc
         raise ScalarError(
@@ -91,6 +101,11 @@ class RationalField:
 
     def __hash__(self):
         return hash(self.signature())
+
+
+def _int_if_integral(f):
+    """A Fraction as an int when it is integral."""
+    return f.numerator if f.denominator == 1 else f
 
 
 class PrimeField:

@@ -98,6 +98,25 @@ def test_degen_of_an_algebra_element_is_refused(capsys):
     assert (code, out) == (0, "E[0->0] + E[1->1]\n")
 
 
+@pytest.mark.parametrize("command,point,zero", [
+    ("boundary", "0\n", "0\n"),
+    ("coboundary", "0\n", "0\n"),
+    ("coproduct", "() | ()\n", "0 | ()\n"),
+])
+def test_boundary_coboundary_coproduct_refuse_an_algebra_element(capsys, command, point, zero):
+    # A[1] = e12 of M_2 is a degree-0 Hochschild cochain, not a point; it is
+    # not central, so its Hochschild coboundary is not zero, and a silent 0
+    # from the operadic operators would be wrong
+    algebra_element = '{"arity":0,"coeffs":[0,1,0,0]}'
+    code, out, err = run(capsys, command, "--operad", "endo:m2", "--element", algebra_element)
+    assert (code, out) == (1, "")
+    assert err == "error: degree-0 key (1,) carries no operadic slot data\n"
+    # the point and the zero element of arity 0 keep their images
+    for element, expected in (("()", point), ('{"arity":0,"coeffs":[0,0,0,0]}', zero)):
+        code, out, _ = run(capsys, command, "--operad", "endo:m2", "--element", element)
+        assert (code, out) == (0, expected)
+
+
 def test_element_from_file(tmp_path, capsys):
     payload = {
         "operad": "assoc",

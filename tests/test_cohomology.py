@@ -12,6 +12,7 @@ forms for three more algebras in three characteristics.
 import gc
 import itertools
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 
@@ -490,6 +491,40 @@ def test_field_independence_of_dual_number_dims():
         op = EndoOperad(dual_numbers(get_field(label)))
         report = betti(ComplexSpec(op, "hochschild", 0, 3))
         assert report["dims"] == [2, 1, 1, 1], label
+
+
+@pytest.mark.parametrize("selector,kinds", [
+    ("assoc", ("boundary", "coboundary")),
+    # the shift basis truncated at max-entry is not closed under the coboundary
+    ("shift", ("boundary",)),
+    ("endo:dual", ("boundary", "coboundary", "hochschild")),
+    ("endo:m2", ("boundary", "coboundary", "hochschild")),
+])
+def test_integral_data_assemble_int_matrices_over_q(selector, kinds):
+    """Over Q the presets' data are ints, and so is every matrix entry: the
+    columns run in int arithmetic, with no Fraction to build or clear."""
+    op = make_operad(selector, Q)
+    for kind in kinds:
+        values = [v for n in (1, 2, 3)
+                  for *_, v in differential_matrix(ComplexSpec(op, kind, n, n), n).entries]
+        assert values and all(type(v) is int for v in values), kind
+
+
+# the dual numbers on the basis 2*1, 2*x: (2*1)(2*1) = 2*(2*1), and the unit
+# is (2*1)/2, so the unit carries a non-integral coordinate
+SCALED_DUAL = {"dim": 2, "unit": ["1/2", 0], "mul": [[["2", 0], [0, "2"]], [[0, "2"], [0, 0]]]}
+
+
+def test_non_integral_algebra_data_keep_their_fractions_and_answer():
+    op = EndoOperad(algebra_from_json(SCALED_DUAL, Q, "scaled_dual"))
+    assert op.algebra.unit == (Fraction(1, 2), 0)
+    # a face plugs in the unit, so the boundary columns carry its halves
+    entries = differential_matrix(ComplexSpec(op, "boundary", 2, 2), 2).entries
+    assert Fraction(1, 2) in {abs(v) for *_, v in entries}
+    report = betti(ComplexSpec(op, "hochschild", 0, 5))
+    preset = betti(ComplexSpec(EndoOperad(dual_numbers(Q)), "hochschild", 0, 5))
+    assert report["dims"] == preset["dims"] == [2, 1, 1, 1, 1, 1]
+    assert report["ranks"] == preset["ranks"] == [0, 3, 4, 11, 20, 43]
 
 
 # --- closed forms for algebras given as structure-constant JSON -----------

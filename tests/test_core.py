@@ -32,6 +32,7 @@ from operad_lab import (
 from operad_lab.assoc import compose_formula, delete_and_standardize
 from operad_lab.core import random_element
 from operad_lab.endo import dual_numbers
+from operad_lab.serialize import dumps, element_to_json
 from operad_lab.shift import compose_shift
 
 Q = get_field("q")
@@ -224,6 +225,19 @@ def test_aw_coproduct_arity_zero():
     assert right == ASSOC.unit_zero()
 
 
+def test_fraction_coefficients_equal_their_int_twins():
+    """Over Q an integral coefficient may be an int or an integral Fraction;
+    an Element cannot tell the two apart, in value, hash or output."""
+    for op in (ASSOC, SHIFT, EndoOperad(dual_numbers(Q))):
+        x = random_element(op, 3, random.Random(op.label), max_terms=4)
+        assert x.terms and all(type(c) is int for c in x.terms.values())
+        twin = Element(op, 3, [(k, Fraction(c)) for k, c in x.terms.items()])
+        assert all(type(c) is Fraction for c in twin.terms.values())
+        assert twin == x and hash(twin) == hash(x)
+        assert twin.format() == x.format()
+        assert dumps(element_to_json(twin)) == dumps(element_to_json(x))
+
+
 def _quadratic_aw_coproduct(x):
     """The coproduct with every chain rebuilt from scratch: n(n-1) faces per
     term.  Oracle for the linear chains of ``aw_coproduct``."""
@@ -360,12 +374,14 @@ def test_counit():
     assert counit(ASSOC.unit_zero().scale(Q.from_int(7))) == Q.from_int(7)
     assert counit(B((2, 1))) == Q.zero
     # an endomorphism element of arity 0 keyed (j,) is a degree-0 Hochschild
-    # cochain, not a point: counit and degeneracy refuse it as compose does
+    # cochain, not a point: counit, degeneracy, the two differentials and the
+    # coproduct refuse it as compose does
     endo = EndoOperad(dual_numbers(Q))
     assert counit(endo.unit_zero()) == Q.one
     for keys in ([(0,)], [(), (1,)]):
         x = Element(endo, 0, [(key, Q.one) for key in keys])
-        for op in (counit, lambda e: degeneracy(e, 1), lambda e: compose(endo.unit_one(), 1, e)):
+        for op in (counit, lambda e: degeneracy(e, 1), lambda e: compose(endo.unit_one(), 1, e),
+                   boundary, coboundary, aw_coproduct):
             with pytest.raises(OperadError, match=r"degree-0 key \(\d,\) carries no operadic"):
                 op(x)
 

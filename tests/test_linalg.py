@@ -366,9 +366,17 @@ def _make_primitive(row):
             row[c] = v // content
 
 
+def rational(field, num, den):
+    """num/den through the field: an int when den is 1, an integral Fraction
+    when den divides num, else a non-integral Fraction, so a column mixes the
+    forms a Q scalar takes."""
+    return field.mul(field.from_int(num), field.inv(field.from_int(den)))
+
+
 def random_matrix(rng, field, rows, cols):
     """A random matrix with some all-zero rows and columns; over Q the entries
-    include negatives and non-integral rationals."""
+    include negatives and non-integral rationals, beside ints and integral
+    Fractions."""
     live_rows = [r for r in range(rows) if rng.random() < 0.8]
     live_cols = [c for c in range(cols) if rng.random() < 0.8]
     density = rng.choice((0.1, 0.3, 0.6, 1.0))
@@ -377,7 +385,7 @@ def random_matrix(rng, field, rows, cols):
         for c in live_cols:
             if rng.random() < density:
                 if field.kind == "rational":
-                    value = Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 4, 7, 12)))
+                    value = rational(field, rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 4, 7, 12)))
                 else:
                     value = field.from_int(rng.randint(-field.p, field.p))
                 entries.append((r, c, value))
@@ -408,13 +416,19 @@ def assert_ranks_agree(m, dense=True):
 def test_integer_rank_matches_oracles_on_random_matrices(label):
     field = get_field(label)
     rng = random.Random(label)
+    forms = set()
     for _ in range(200):
         rows, cols = rng.randint(0, 12), rng.randint(0, 12)
-        assert_ranks_agree(random_matrix(rng, field, rows, cols))
+        m = random_matrix(rng, field, rows, cols)
+        forms.update((type(v), v.denominator == 1) for *_, v in m.entries)
+        assert_ranks_agree(m)
         inner = rng.randint(0, min(rows, cols))
         low_rank = product(random_matrix(rng, field, rows, inner),
                            random_matrix(rng, field, inner, cols))
         assert_ranks_agree(low_rank)
+    if field.kind == "rational":
+        # ints, integral Fractions and non-integral ones, mixed in the columns
+        assert forms == {(int, True), (Fraction, True), (Fraction, False)}
 
 
 def scaled_line(field):
@@ -542,7 +556,7 @@ def random_complex(rng, field, ascending):
 
 def random_scalar(rng, field):
     if field.kind == "rational":
-        return Fraction(rng.randint(-5, 5), rng.choice((1, 2, 3)))
+        return rational(field, rng.randint(-5, 5), rng.choice((1, 2, 3)))
     return field.from_int(rng.randint(0, field.p - 1))
 
 

@@ -33,6 +33,24 @@ def test_rational_basics():
     assert f.format(a) == "3"
 
 
+def test_rational_integral_values_are_ints():
+    """The field makes ints of integral values, so integral data run in int
+    arithmetic; a Fraction appears only where a non-integer does."""
+    f = RationalField()
+    for value in (f.zero, f.one, f.from_int(7), f.parse("6/3"), f.parse("1e3"),
+                  f.inv(f.from_int(-1))):
+        assert type(value) is int, value
+    assert (f.from_int(7), f.parse("6/3"), f.parse("1e3")) == (7, 2, 1000)
+    assert f.inv(f.from_int(-1)) == -1
+    assert type(f.parse("1/2")) is Fraction and f.parse("1/2") == Fraction(1, 2)
+    assert type(f.inv(3)) is Fraction and f.inv(3) == Fraction(1, 3)
+    assert f.add(1, Fraction(1, 2)) == Fraction(3, 2)
+    # an integral Fraction that arithmetic leaves behaves as its int
+    two = f.mul(4, Fraction(1, 2))
+    assert two == 2 and hash(two) == hash(2) and f.format(two) == f.format(2) == "2"
+    assert f.is_zero(f.sub(two, 2))
+
+
 def test_rational_parse_round_trip():
     f = RationalField()
     for text in ("0", "7", "-4", "2/3", "-9/7"):
