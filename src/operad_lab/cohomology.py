@@ -18,6 +18,15 @@ its negation, so a column needs no field multiplication.  The Element-level
 operators (``core.boundary``, ``core.coboundary`` and
 ``endo.classical_coboundary``) are the test oracle.
 
+Every refusal of a complex comes before its first column is built.
+Construction refuses what the kind table cannot build: an unknown kind, an
+operad the kind's builder does not serve (the classical kind on a
+non-endomorphism operad, the coboundary on shift, whose basis truncated at
+max-entry is not closed under it), then a bad window.
+``differential_matrix`` refuses only sizes past the cap and a key count
+that differs from the dimension.  So the assembly loop knows no operad and
+has no error path.
+
 A matrix is built column-major, the order ``SparseMatrix`` stores: the
 column keys are walked lazily, one at a time, and each column's entries are
 sorted by row as it is made, so neither the column basis nor the whole
@@ -36,6 +45,7 @@ from .elements import OperadError
 from .endo import EndoOperad
 from .linalg import SparseMatrix, rank_complex
 from .scalars import linear_combination
+from .shift import ShiftOperad
 
 DEFAULT_COLUMN_CAP = 20000
 
@@ -105,10 +115,20 @@ def _classical(operad):
     return column, (lambda n: product(range(dim), repeat=n + 1)), (lambda n: dim ** (n + 1))
 
 
+def _coboundary(operad):
+    """The builder of the coboundary kind.  Every term of the coboundary of
+    a shift key ends in the key's last entry plus one, so every degree from
+    1 to max-entry - 1 leaves the truncated basis: shift is refused whole."""
+    if isinstance(operad, ShiftOperad):
+        raise OperadError(f"the shift basis truncated at max-entry {operad.max_entry} "
+                          "is not closed under the coboundary")
+    return _operadic("multiplication", lambda n: ((1, (n - 1) % 2), (2, 0)))(operad)
+
+
 # kind -> (ascending, builder)
 DIFFERENTIALS = {
     "boundary": (False, _operadic("unit_zero", lambda n: ())),
-    "coboundary": (True, _operadic("multiplication", lambda n: ((1, (n - 1) % 2), (2, 0)))),
+    "coboundary": (True, _coboundary),
     "hochschild": (True, _classical),
 }
 
@@ -180,41 +200,33 @@ def _check_cap(spec, count, noun, where):
 
 def differential_matrix(spec, degree):
     """Matrix of the chosen differential out of the stated degree; columns
-    indexed by the degree-n basis, rows by the target-degree basis.  The
-    cap is checked on the counted sizes of both bases, columns first, before
-    any key is listed.  Only the row basis is listed, into its index; the
-    columns are walked lazily and handed over in canonical order."""
+    indexed by the degree-n basis, rows by the target-degree basis.  Every
+    refusal comes before the first column is built: the cap on the counted
+    sizes of both bases, columns first, before any key is listed; then the
+    row basis is listed, into its index, and the column keys are counted
+    against their dimension.  The columns are then walked lazily and handed
+    over in canonical order."""
     target = spec.target_degree(degree)
     n_cols = spec.dimension_at(degree)
     _check_cap(spec, n_cols, "column", f"at degree {degree}")
     _check_cap(spec, spec.dimension_at(target), "row", f"at degree {target}")
     row_index = {key: r for r, key in enumerate(spec.keys_at(target))}
+    n_keys = sum(1 for _ in spec.keys_at(degree))
+    if n_keys != n_cols:
+        raise OperadError(
+            f"the degree-{degree} basis has {n_keys} keys, but its dimension is {n_cols}"
+        )
     return SparseMatrix._from_canonical(
-        len(row_index), n_cols, spec.operad.field, _triples(spec, degree, row_index, n_cols)
+        len(row_index), n_cols, spec.operad.field, _triples(spec, degree, row_index)
     )
 
 
-def _triples(spec, degree, row_index, n_cols):
+def _triples(spec, degree, row_index):
     """The (row, col, value) triples of the matrix, column by column, each
     column's sorted by row: the canonical order of ``SparseMatrix``."""
-    c = -1
-    # The shift basis is truncated at max-entry and is not closed under the
-    # coboundary.  The row lookup stays unguarded inside the loop, which runs
-    # once per term of every image.
-    try:
-        for c, key in enumerate(spec.keys_at(degree)):
-            for r, v in sorted([(row_index[k], v) for k, v in spec.column(key).items()]):
-                yield r, c, v
-    except KeyError as exc:
-        raise OperadError(
-            f"the {spec.differential} of {key!r} has the term {exc.args[0]!r}, which is "
-            f"outside the degree-{spec.target_degree(degree)} basis truncated at "
-            f"max-entry {spec.operad.max_entry}"
-        ) from exc
-    if c + 1 != n_cols:
-        raise OperadError(
-            f"the degree-{degree} basis has {c + 1} keys, but its dimension is {n_cols}"
-        )
+    for c, key in enumerate(spec.keys_at(degree)):
+        for r, v in sorted([(row_index[k], v) for k, v in spec.column(key).items()]):
+            yield r, c, v
 
 
 def betti(spec):

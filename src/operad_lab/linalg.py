@@ -22,7 +22,7 @@ from itertools import groupby
 from math import gcd, lcm
 from operator import itemgetter
 
-from .scalars import linear_combination, same_field
+from .scalars import linear_combination
 
 # read only by the benchmark tracer, to split its rank timings by density
 DENSE_DENSITY = 0.25
@@ -98,7 +98,7 @@ class SparseMatrix:
             isinstance(other, SparseMatrix)
             and self.n_rows == other.n_rows
             and self.n_cols == other.n_cols
-            and same_field(self.field, other.field)
+            and self.field == other.field
             and self.entries == other.entries
         )
 
@@ -193,10 +193,12 @@ def _mod_p(p, col, pivots):
 
 def _integral(col, pivots):
     """Reduce ``col`` in place over Q, primitive and fraction-free, as ``(a/g)
-    col - (b/g) pivot`` with ``g = gcd(a, b)``: its lowest row, or None."""
-    den = lcm(*(v.denominator for v in col.values()))
-    for r, v in col.items():
-        col[r] = v.numerator * (den // v.denominator)
+    col - (b/g) pivot`` with ``g = gcd(a, b)``: its lowest row, or None.
+    Integral data give int columns, which have no denominators to clear."""
+    if not all(type(v) is int for v in col.values()):
+        den = lcm(*(v.denominator for v in col.values()))
+        for r, v in col.items():
+            col[r] = v.numerator * (den // v.denominator)
     _make_primitive(col)
     low = max(col)
     while low in pivots:
@@ -232,7 +234,7 @@ def _make_primitive(col):
 
 def equal_up_to_global_sign(a, b):
     """Return +1 if a == b, -1 if a == -b, else None.  Zero matrices give +1."""
-    if a.n_rows != b.n_rows or a.n_cols != b.n_cols or not same_field(a.field, b.field):
+    if a.n_rows != b.n_rows or a.n_cols != b.n_cols or a.field != b.field:
         return None
     if a.entries == b.entries:
         return 1

@@ -186,10 +186,6 @@ def get_field(label):
     raise ScalarError(f"unknown field label {label!r} (want 'q' or 'gfp:<p>')")
 
 
-def same_field(a, b):
-    return a.signature() == b.signature()
-
-
 def linear_combination(field, pairs):
     """The canonical sparse sum of (key, coeff) pairs: a dict in which
     repeated keys are merged with ``field.add`` and no coefficient is zero."""

@@ -338,12 +338,15 @@ def test_verify_usage_errors_exit_64(capsys):
 
 
 def test_shift_coboundary_truncation_exits_one(capsys):
-    # (8,) maps to (1,9), which the basis truncated at max-entry 8 lacks
-    code, out, err = run(capsys, "cohomology", "--operad", "shift",
-                         "--differential", "coboundary", "--lo", "1", "--hi", "1")
-    assert (code, out) == (1, "")
-    assert err.startswith("error: the coboundary of (8,) has the term (1, 9)")
-    assert "max-entry 8" in err
+    # (8,) maps to (1,9), which the basis truncated at max-entry 8 lacks; the
+    # kind is refused before any matrix is built, whatever the window
+    for max_entry, lo, hi in [("8", "0", "0"), ("8", "1", "1"), ("8", "8", "8"),
+                              ("8", "9", "12"), ("3", "0", "5")]:
+        code, out, err = run(capsys, "cohomology", "--operad", "shift", "--max-entry", max_entry,
+                             "--differential", "coboundary", "--lo", lo, "--hi", hi)
+        assert (code, out) == (1, ""), (max_entry, lo, hi)
+        assert err == (f"error: the shift basis truncated at max-entry {max_entry} "
+                       "is not closed under the coboundary\n")
 
 
 def test_verify_json(capsys):

@@ -33,7 +33,7 @@ from operad_lab import (
     get_field,
 )
 from operad_lab.cli import main, make_operad
-from operad_lab.cohomology import DIFFERENTIALS
+from operad_lab.cohomology import DEFAULT_COLUMN_CAP, DIFFERENTIALS
 from operad_lab.endo import algebra_from_json, dual_numbers, ground_field_algebra, matrix2
 from operad_lab.linalg import equal_up_to_global_sign
 from test_linalg import to_dense
@@ -252,23 +252,26 @@ def key_level_operad(selector, field):
     return make_operad(selector, field)
 
 
+SHIFT_COBOUNDARY_REFUSAL = (
+    "^the shift basis truncated at max-entry {} is not closed under the coboundary$"
+)
+
+
 @pytest.mark.parametrize("selector,top,field", KEY_LEVEL_CASES)
 def test_key_level_matrices_match_element_operators(selector, top, field):
     field = get_field(field)
     op = key_level_operad(selector, field)
     kinds = ["boundary", "coboundary"] + (["hochschild"] if isinstance(op, EndoOperad) else [])
+    if isinstance(op, ShiftOperad):
+        # the shift basis truncated at max-entry is not closed under the
+        # coboundary: the kind is refused before any matrix is built
+        kinds.remove("coboundary")
+        with pytest.raises(OperadError, match=SHIFT_COBOUNDARY_REFUSAL.format(8)):
+            ComplexSpec(op, "coboundary", 0, top)
     for kind in kinds:
         spec = ComplexSpec(op, kind, 0, top)
         for n in range(top + 1):
-            try:
-                expected = element_matrix(spec, n)
-            except OperadError:
-                # the shift basis truncated at max-entry is not closed under
-                # the coboundary: both paths must refuse
-                with pytest.raises(OperadError):
-                    differential_matrix(spec, n)
-                continue
-            assert differential_matrix(spec, n) == expected, (kind, n)
+            assert differential_matrix(spec, n) == element_matrix(spec, n), (kind, n)
 
 
 # --- generic complex behavior ----------------------------------------------
@@ -337,38 +340,38 @@ def test_column_cap():
     assert differential_matrix(ComplexSpec(m2, "hochschild", 0, 1, column_cap=16), 0).n_cols == 4
 
 
-def _bounded_shift_spec(monkeypatch, differential, degree):
-    """A shift complex at max-entry 200 whose basis raises as soon as it is
-    listed past the cap: listing C(200, k) keys would exhaust memory."""
-    op = ShiftOperad(Q, max_entry=200)
-    spec = ComplexSpec(op, differential, degree, degree)
+def _bounded_spec(monkeypatch, op, differential, degree):
+    """A complex whose basis raises as soon as it is listed past the cap.
+    The builder takes ``op.basis_keys`` when the spec is made, so the bound
+    goes on first."""
     listed = op.basis_keys
 
     def bounded(arity):
         for count, key in enumerate(listed(arity)):
-            if count > spec.column_cap:
+            if count > DEFAULT_COLUMN_CAP:
                 raise RuntimeError("the basis was listed past the cap")
             yield key
 
     monkeypatch.setattr(op, "basis_keys", bounded)
-    return spec
+    return ComplexSpec(op, differential, degree, degree)
 
 
 def test_column_cap_is_checked_before_listing_the_basis(monkeypatch):
-    spec = _bounded_shift_spec(monkeypatch, "boundary", 5)
+    # listing C(200, 5) keys would exhaust memory
+    spec = _bounded_spec(monkeypatch, ShiftOperad(Q, max_entry=200), "boundary", 5)
     with pytest.raises(OperadError, match="^2535650040 columns at degree 5 exceed the cap 20000;"):
         differential_matrix(spec, 5)
 
 
 def test_row_cap_is_checked_before_listing_the_basis(monkeypatch):
-    # C(200, 2) = 19900 columns pass the cap, but the coboundary's target
-    # basis has C(200, 3) = 1313400 keys
-    spec = _bounded_shift_spec(monkeypatch, "coboundary", 2)
+    # 4^7 = 16384 columns pass the cap, but the coboundary's target basis
+    # has 4^8 = 65536 keys
+    spec = _bounded_spec(monkeypatch, EndoOperad(matrix2(Q)), "coboundary", 6)
     with pytest.raises(OperadError, match=(
-        r"^1313400 rows at degree 3 exceed the cap 20000; pass allow_large=True "
+        r"^65536 rows at degree 7 exceed the cap 20000; pass allow_large=True "
         r"\(--allow-large on the command line\) to override$"
     )):
-        differential_matrix(spec, 2)
+        differential_matrix(spec, 6)
 
 
 def test_empty_degrees_are_capped():
@@ -396,7 +399,11 @@ def test_dimension_counts_the_keys(selector, max_entry, top):
     # lazily; the two agree on every preset and kind, below degree 0, at the
     # classical degree 0 (the algebra itself) and above a truncated shift
     op = make_operad(selector, Q, max_entry)
-    kinds = DIFFERENTIALS if isinstance(op, EndoOperad) else ("boundary", "coboundary")
+    kinds = list(DIFFERENTIALS) if isinstance(op, EndoOperad) else ["boundary", "coboundary"]
+    if isinstance(op, ShiftOperad):
+        kinds.remove("coboundary")
+        with pytest.raises(OperadError, match=SHIFT_COBOUNDARY_REFUSAL.format(max_entry)):
+            ComplexSpec(op, "coboundary", 0, top)
     for kind in kinds:
         spec = ComplexSpec(op, kind, 0, top)
         for n in range(-1, top + 1):
@@ -424,6 +431,21 @@ def test_column_count_must_match_the_dimension(off):
     assert differential_matrix(spec, 3).n_cols == 6
 
 
+def test_key_count_is_checked_before_any_column_is_built():
+    # the keys are counted without assembling them, so a wrong dimension is
+    # refused even where building a column would fail or never be reached
+    class OffSpec(ComplexSpec):
+        def dimension_at(self, degree):
+            return super().dimension_at(degree) + (1 if degree == 3 else 0)
+
+        def column(self, key):
+            raise AssertionError(f"the column of {key!r} was built")
+
+    spec = OffSpec(AssocOperad(Q), "boundary", 0, 3)
+    with pytest.raises(OperadError, match="^the degree-3 basis has 6 keys, but its dimension is 7$"):
+        differential_matrix(spec, 3)
+
+
 def test_construction_refusals_come_in_order(capsys):
     # DIFFERENTIALS is the one table of kinds: the kind is looked up first,
     # then its builder refuses the operad, and only then is the window checked
@@ -433,6 +455,8 @@ def test_construction_refusals_come_in_order(capsys):
     for op in (AssocOperad(Q), ShiftOperad(Q)):
         with pytest.raises(OperadError, match="^the classical complex needs an endomorphism operad$"):
             ComplexSpec(op, "hochschild", 3, 1)
+    with pytest.raises(OperadError, match=SHIFT_COBOUNDARY_REFUSAL.format(8)):
+        ComplexSpec(ShiftOperad(Q), "coboundary", 3, 1)
     with pytest.raises(OperadError, match=r"^bad degree range \[3, 1\]$"):
         ComplexSpec(make_operad("endo:k", Q), "hochschild", 3, 1)
     code = main(["cohomology", "--operad", "assoc", "--differential", "hochschild",
