@@ -4,12 +4,20 @@ A ComplexSpec bundles an operad instance, a differential kind, and a degree
 window.  Degrees are arities.  ``DIFFERENTIALS`` is the one table of kinds:
 each maps to whether it raises the degree and to a builder, which takes the
 operad, refuses one it cannot serve, and returns the kind's column function,
-key enumeration and key count, built once per complex.
+key enumeration, key count and column stream, built once per complex.  The
+column stream yields a degree's matrix columns in basis order.
 
 The operadic kinds (``boundary`` and ``coboundary``) share one builder: the
 key goes through the operad's ``compose_basis`` with the point or the
 product, with the signs of ``core.boundary`` and ``core.coboundary``, and
-the coboundary also composes the product around the key.  The classical
+the coboundary also composes the product around the key.  Its stream,
+like the classical kind's, assembles each column from its key
+(``_by_key``), with the rows looked up in an index of the target basis.
+The boundary builder gives assoc a stream of its own (``_by_face_rank``):
+each face of a permutation is named by its lexicographic rank, read off
+the face ranks of the previous degree, so a column composes nothing,
+looks up no key and multiplies no scalars.  The key-level column is the
+oracle of that stream.  The classical
 kind (``hochschild``, endomorphism operads only) is the textbook complex
 of maps A^(x)n -> A, whose keys are (i1..in, j) at every degree n >= 0: degree
 0 is the algebra itself, keyed (j,), with no special case.  Its columns are
@@ -28,7 +36,7 @@ that differs from the dimension.  So the assembly loop knows no operad and
 has no error path.
 
 A matrix is built column-major, the order ``SparseMatrix`` stores: the
-column keys are walked lazily, one at a time, and each column's entries are
+columns are walked lazily, one at a time, and each column's entries are
 sorted by row as it is made, so neither the column basis nor the whole
 matrix's triples are ever listed or sorted.
 
@@ -39,8 +47,12 @@ the ascending kinds the pivot rows of d_{n-1} name columns of d_n that are
 skipped unread.
 """
 
-from itertools import product
+from array import array
+from itertools import chain, permutations, product
+from math import factorial
+from operator import add
 
+from .assoc import AssocOperad
 from .elements import OperadError
 from .endo import EndoOperad
 from .linalg import SparseMatrix, rank_complex
@@ -54,7 +66,8 @@ def _operadic(inserted, outer):
     """The builder of an operadic kind.  ``inserted`` names the operad's
     point or product, composed into every slot of the key; ``outer(n)``
     lists the slots of the product that the key is composed into, each with
-    the parity of its sign (the coboundary's m o_1 x and m o_2 x)."""
+    the parity of its sign (the coboundary's m o_1 x and m o_2 x).  Its
+    matrices are assembled key by key (``_by_key``)."""
 
     def build(operad):
         field = operad.field
@@ -75,7 +88,7 @@ def _operadic(inserted, outer):
                     pairs += [(k, mul(w[i % 2], c)) for k, c in compose_basis(key, i, ik)]
             return linear_combination(field, pairs)
 
-        return column, operad.basis_keys, operad.dimension
+        return column, operad.basis_keys, operad.dimension, _by_key
 
     return build
 
@@ -112,7 +125,17 @@ def _classical(operad):
         pairs += [(inputs + (u, m), w[odd]) for u, m, w in right[j]]
         return linear_combination(field, pairs)
 
-    return column, (lambda n: product(range(dim), repeat=n + 1)), (lambda n: dim ** (n + 1))
+    return column, (lambda n: product(range(dim), repeat=n + 1)), (lambda n: dim ** (n + 1)), _by_key
+
+
+def _boundary(operad):
+    """The builder of the boundary kind: the operadic one, whose matrices
+    on assoc are assembled from face ranks (``_by_face_rank``) instead of
+    key by key.  The key-level column stays ``ComplexSpec.column``."""
+    column, keys, dimension, columns = _operadic("unit_zero", lambda n: ())(operad)
+    if isinstance(operad, AssocOperad):
+        columns = _by_face_rank
+    return column, keys, dimension, columns
 
 
 def _coboundary(operad):
@@ -125,9 +148,73 @@ def _coboundary(operad):
     return _operadic("multiplication", lambda n: ((1, (n - 1) % 2), (2, 0)))(operad)
 
 
+def _by_key(spec, degree):
+    """The columns of the degree-n matrix, each from ``spec.column`` of its
+    key, with its rows looked up in an index of the target basis, which
+    holds one int object per row."""
+    row_index = {key: r for r, key in enumerate(spec.keys_at(spec.target_degree(degree)))}
+    for key in spec.keys_at(degree):
+        yield sorted([(row_index[k], v) for k, v in spec.column(key).items()])
+
+
+def _by_face_rank(spec, degree):
+    """The columns of the assoc boundary matrix, from ``_face_rows``: face
+    i carries the sign (-1)^i, and faces i and i + 1 coincide when the
+    letters at i and i + 1 are consecutive.  Each column is merged once
+    with ``field.add``, zeros dropped; the signs are never zero, so unlike
+    ``linear_combination`` the merge tests only its sums.  Each row is one
+    shared int object, as in ``_by_key``'s index."""
+    field = spec.operad.field
+    add, is_zero = field.add, field.is_zero
+    signs = [field.neg(field.one) if i % 2 else field.one for i in range(1, degree + 1)]
+    row = list(range(factorial(max(degree - 1, 0)))).__getitem__
+    for faces in _face_rows(degree, _face_table(degree - 1)):
+        column = {}
+        for r, s in zip(map(row, faces), signs):
+            if r in column:
+                s = add(column.pop(r), s)
+                if is_zero(s):
+                    continue
+            column[r] = s
+        yield sorted(column.items())
+
+
+def _face_table(n):
+    """The face rows of every degree-n permutation, n per permutation,
+    stored flat: built up from degree 0, one degree's table at a time."""
+    table = array("q")
+    for m in range(1, n + 1):
+        table = array("q", chain.from_iterable(_face_rows(m, table)))
+    return table
+
+
+def _face_rows(n, below):
+    """The rows of the n faces of each degree-n permutation, face 1 first,
+    the permutations in lexicographic order (``itertools.permutations``),
+    each row the lexicographic rank of a face in degree n - 1.  ``below``
+    is ``_face_table(n - 1)``.
+
+    The permutation of rank (a - 1)(n - 1)! + t is (a, tau+), where tau has
+    rank t in degree n - 1 and + raises each letter >= a by one (the
+    factorial number system; Knuth, TAOCP 4A, 7.2.1.2).  Face 1 deletes a
+    and leaves tau.  Face i >= 2 deletes tau(i - 1) and leaves (a',
+    face_{i-1}(tau)+), where a' is a - 1 when tau(i - 1) < a and a
+    otherwise, so its rank is (a' - 1)(n - 2)! plus the rank of face i - 1
+    of tau."""
+    if n == 0:
+        yield []  # the key () has no faces
+        return
+    k, block = n - 1, factorial(max(n - 2, 0))
+    for a in range(1, n + 1):
+        # (a' - 1)(n - 2)!, looked up by the letter tau(i - 1) that face i deletes
+        offset = [None] + [(a - 2 if x < a else a - 1) * block for x in range(1, n)]
+        for t, tau in enumerate(permutations(range(1, n))):
+            yield [t, *map(add, below[t * k:t * k + k], map(offset.__getitem__, tau))]
+
+
 # kind -> (ascending, builder)
 DIFFERENTIALS = {
-    "boundary": (False, _operadic("unit_zero", lambda n: ())),
+    "boundary": (False, _boundary),
     "coboundary": (True, _coboundary),
     "hochschild": (True, _classical),
 }
@@ -139,7 +226,9 @@ class ComplexSpec:
     The kind is looked up in ``DIFFERENTIALS`` once, here, and its builder
     makes whatever a column needs that does not depend on its key: the
     signed point or product for the operadic kinds, and the filed structure
-    constants for the classical one.  The degree window is checked after
+    constants for the classical one.  It also names the stream that
+    ``columns`` reads: key by key, or from face ranks for the assoc
+    boundary.  The degree window is checked after
     the builder has accepted the operad.  No method compares the kind
     string: the classical degree 0 is the algebra, keyed (j,) like any other
     degree, with no special case.
@@ -149,7 +238,7 @@ class ComplexSpec:
         if differential not in DIFFERENTIALS:
             raise OperadError(f"unknown differential {differential!r}")
         self.ascending, build = DIFFERENTIALS[differential]
-        self._column, self._keys, self._dimension = build(operad)
+        self._column, self._keys, self._dimension, self._columns = build(operad)
         if not 0 <= lo <= hi:
             raise OperadError(f"bad degree range [{lo}, {hi}]")
         self.operad = operad
@@ -173,6 +262,11 @@ class ComplexSpec:
         dict, from the kind's builder.  The Element-level operators are the
         oracle of every kind."""
         return self._column(key)
+
+    def columns(self, degree):
+        """The columns of the degree-n matrix in basis order, each a list
+        of (row, value) pairs sorted by row, from the kind's builder."""
+        return self._columns(self, degree)
 
     def target_degree(self, degree):
         return degree + 1 if self.ascending else degree - 1
@@ -203,29 +297,27 @@ def differential_matrix(spec, degree):
     indexed by the degree-n basis, rows by the target-degree basis.  Every
     refusal comes before the first column is built: the cap on the counted
     sizes of both bases, columns first, before any key is listed; then the
-    row basis is listed, into its index, and the column keys are counted
-    against their dimension.  The columns are then walked lazily and handed
-    over in canonical order."""
+    row keys are counted, and the column keys are counted against their
+    dimension.  The kind's columns are then walked lazily and handed over
+    in canonical order."""
     target = spec.target_degree(degree)
     n_cols = spec.dimension_at(degree)
     _check_cap(spec, n_cols, "column", f"at degree {degree}")
     _check_cap(spec, spec.dimension_at(target), "row", f"at degree {target}")
-    row_index = {key: r for r, key in enumerate(spec.keys_at(target))}
+    n_rows = sum(1 for _ in spec.keys_at(target))
     n_keys = sum(1 for _ in spec.keys_at(degree))
     if n_keys != n_cols:
         raise OperadError(
             f"the degree-{degree} basis has {n_keys} keys, but its dimension is {n_cols}"
         )
-    return SparseMatrix._from_canonical(
-        len(row_index), n_cols, spec.operad.field, _triples(spec, degree, row_index)
-    )
+    return SparseMatrix._from_canonical(n_rows, n_cols, spec.operad.field, _triples(spec, degree))
 
 
-def _triples(spec, degree, row_index):
+def _triples(spec, degree):
     """The (row, col, value) triples of the matrix, column by column, each
     column's sorted by row: the canonical order of ``SparseMatrix``."""
-    for c, key in enumerate(spec.keys_at(degree)):
-        for r, v in sorted([(row_index[k], v) for k, v in spec.column(key).items()]):
+    for c, column in enumerate(spec.columns(degree)):
+        for r, v in column:
             yield r, c, v
 
 

@@ -33,7 +33,7 @@ from operad_lab import (
     get_field,
 )
 from operad_lab.cli import main, make_operad
-from operad_lab.cohomology import DEFAULT_COLUMN_CAP, DIFFERENTIALS
+from operad_lab.cohomology import DEFAULT_COLUMN_CAP, DIFFERENTIALS, _by_key
 from operad_lab.endo import algebra_from_json, dual_numbers, ground_field_algebra, matrix2
 from operad_lab.linalg import equal_up_to_global_sign
 from test_linalg import to_dense
@@ -444,6 +444,18 @@ def test_key_count_is_checked_before_any_column_is_built():
     spec = OffSpec(AssocOperad(Q), "boundary", 0, 3)
     with pytest.raises(OperadError, match="^the degree-3 basis has 6 keys, but its dimension is 7$"):
         differential_matrix(spec, 3)
+    # the assoc boundary is assembled from face ranks, with no call to
+    # ``column``; these kinds build every column from it, so the raising
+    # override is on their path, as degree 2 shows
+    for op, kind, keys in [(ShiftOperad(Q, max_entry=5), "boundary", 10),
+                           (EndoOperad(dual_numbers(Q)), "hochschild", 16)]:
+        spec = OffSpec(op, kind, 0, 3)
+        with pytest.raises(OperadError, match=(
+            f"^the degree-3 basis has {keys} keys, but its dimension is {keys + 1}$"
+        )):
+            differential_matrix(spec, 3)
+        with pytest.raises(AssertionError, match="^the column of .* was built$"):
+            differential_matrix(spec, 2)
 
 
 def test_construction_refusals_come_in_order(capsys):
@@ -488,6 +500,56 @@ def test_assembly_and_rank_hold_little_besides_the_matrix():
     assert (mat.nnz, rank) == (20076, 620)
     assert (build_peak - held) / held < 0.2
     assert (rank_peak - held) / held < 0.35
+
+
+# --- the assoc boundary from face ranks, against the key-level columns ---
+
+
+class KeyLevelSpec(ComplexSpec):
+    """A complex whose matrices are assembled key by key from
+    ``ComplexSpec.column``, as every kind but the assoc boundary is: the
+    oracle of the face-rank assembly."""
+
+    def columns(self, degree):
+        return _by_key(self, degree)
+
+
+@pytest.mark.parametrize("field", ["q", "gfp:2", "gfp:3", "gfp:5"])
+def test_face_rank_matrices_match_the_key_level_ones(field):
+    # over gfp:2 the signs +1 and -1 of two coinciding faces are equal
+    op = AssocOperad(get_field(field))
+    spec, oracle = ComplexSpec(op, "boundary", 0, 7), KeyLevelSpec(op, "boundary", 0, 7)
+    for n in range(8):
+        mat, want = differential_matrix(spec, n), differential_matrix(oracle, n)
+        assert mat == want, n
+        # the same values of the same types: ints over q
+        assert [type(v) for *_, v in mat.entries] == [type(v) for *_, v in want.entries], n
+    # a window above degree 0, whose first rank no lower degree bounds
+    window = betti(ComplexSpec(op, "boundary", 3, 7))
+    assert window == betti(KeyLevelSpec(op, "boundary", 3, 7))
+    assert window["ranks"] == [2, 4, 20, 100, 620]
+
+
+def test_face_rank_assembly_holds_no_more_than_the_key_level_one():
+    # the face-rank assembly holds the face table of one degree, stored flat,
+    # and shares one int object per row, as the key-level row index does
+    def traced(spec):
+        differential_matrix(spec, 3)  # build the point and the caches first
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            mat = differential_matrix(spec, 7)
+            held, peak = (size - base for size in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        return mat, held, peak
+
+    op = AssocOperad(F5)
+    mat, held, peak = traced(ComplexSpec(op, "boundary", 0, 7))
+    want, oracle_held, oracle_peak = traced(KeyLevelSpec(op, "boundary", 0, 7))
+    assert mat == want and mat.nnz == 20076
+    assert held <= oracle_held and peak <= oracle_peak
 
 
 def test_one_sided_warnings():
