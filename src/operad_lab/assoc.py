@@ -9,7 +9,16 @@ Partial composition of permutations is implemented twice on purpose:
 inverse of the outer permutation and the inner block by the inverse of the
 inner one, then inverts the resulting word; ``compose_formula`` is a direct
 three-case closed formula.  The two are checked against each other.
+
+``_face_rows`` names every face of a permutation by its lexicographic
+rank, read off the face ranks of the previous degree; the assoc boundary
+matrix is assembled from them (``cohomology._by_face_rank``).
 """
+
+from array import array
+from itertools import chain, permutations
+from math import factorial
+from operator import add
 
 from .elements import Operad, OperadError
 
@@ -97,6 +106,39 @@ def _delete(word, i):
     return tuple([a - 1 if a > v else a for a in word[: i - 1] + word[i:]])
 
 
+def _face_table(n):
+    """The face rows of every degree-n permutation, n per permutation,
+    stored flat: built up from degree 0, one degree's table at a time."""
+    table = array("q")
+    for m in range(1, n + 1):
+        table = array("q", chain.from_iterable(_face_rows(m, table)))
+    return table
+
+
+def _face_rows(n, below):
+    """The rows of the n faces of each degree-n permutation, face 1 first,
+    the permutations in lexicographic order (``itertools.permutations``),
+    each row the lexicographic rank of a face in degree n - 1.  ``below``
+    is ``_face_table(n - 1)``.
+
+    The permutation of rank (a - 1)(n - 1)! + t is (a, tau+), where tau has
+    rank t in degree n - 1 and + raises each letter >= a by one (the
+    factorial number system; Knuth, TAOCP 4A, 7.2.1.2).  Face 1 deletes a
+    and leaves tau.  Face i >= 2 deletes tau(i - 1) and leaves (a',
+    face_{i-1}(tau)+), where a' is a - 1 when tau(i - 1) < a and a
+    otherwise, so its rank is (a' - 1)(n - 2)! plus the rank of face i - 1
+    of tau."""
+    if n == 0:
+        yield []  # the key () has no faces
+        return
+    k, block = n - 1, factorial(max(n - 2, 0))
+    for a in range(1, n + 1):
+        # (a' - 1)(n - 2)!, looked up by the letter tau(i - 1) that face i deletes
+        offset = [None] + [(a - 2 if x < a else a - 1) * block for x in range(1, n)]
+        for t, tau in enumerate(permutations(range(1, n))):
+            yield [t, *map(add, below[t * k:t * k + k], map(offset.__getitem__, tau))]
+
+
 def concat(tau, sigma):
     """Shifted concatenation: tau followed by sigma raised above tau."""
     n = len(tau)
@@ -135,13 +177,9 @@ class AssocOperad(Operad):
         return [(_delete(key, i), self.field.one)]
 
     def basis_keys(self, arity):
-        from itertools import permutations
-
         return permutations(range(1, arity + 1))
 
     def dimension(self, arity):
-        from math import factorial
-
         return factorial(arity)
 
     def random_basis(self, arity, rng):

@@ -10,21 +10,22 @@ column stream yields a degree's matrix columns in basis order.
 The operadic kinds (``boundary`` and ``coboundary``) share one builder: the
 key goes through the operad's ``compose_basis`` with the point or the
 product, with the signs of ``core.boundary`` and ``core.coboundary``, and
-the coboundary also composes the product around the key.  Its stream,
-like the classical kind's, assembles each column from its key
-(``_by_key``), with the rows looked up in an index of the target basis.
-The boundary builder gives assoc a stream of its own (``_by_face_rank``):
-each face of a permutation is named by its lexicographic rank, read off
-the face ranks of the previous degree, so a column composes nothing,
-looks up no key and multiplies no scalars.  The key-level column is the
-oracle of that stream.  The classical
-kind (``hochschild``, endomorphism operads only) is the textbook complex
-of maps A^(x)n -> A, whose keys are (i1..in, j) at every degree n >= 0: degree
-0 is the algebra itself, keyed (j,), with no special case.  Its columns are
-read off tables filed from ``FinAlgebra.nonzero``, each constant stored with
-its negation, so a column needs no field multiplication.  The Element-level
-operators (``core.boundary``, ``core.coboundary`` and
-``endo.classical_coboundary``) are the test oracle.
+the coboundary also composes the product around the key.  Its stream
+assembles each column from its key (``_by_key``), with the rows looked up
+in an index of the target basis.  The boundary builder gives assoc a
+stream of its own (``_by_face_rank``): each face of a permutation is named
+by its lexicographic rank (``assoc._face_rows``), so a column composes
+nothing, looks up no key and multiplies no scalars.  The classical kind
+(``hochschild``, endomorphism operads only) is the textbook complex of
+maps A^(x)n -> A, whose keys are (i1..in, j) at every degree n >= 0:
+degree 0 is the algebra itself, keyed (j,), with no special case.  Its
+columns are read off tables filed from ``FinAlgebra.nonzero``, each
+constant stored with its negation, so a column needs no field
+multiplication, and its stream names every row by its rank, read off the
+rank of the column's key, so it builds no key either.  The key-level
+column is the oracle of both rank streams, and the Element-level operators
+(``core.boundary``, ``core.coboundary`` and ``endo.classical_coboundary``)
+are the oracle of every column.
 
 Every refusal of a complex comes before its first column is built.
 Construction refuses what the kind table cannot build: an unknown kind, an
@@ -47,12 +48,10 @@ the ascending kinds the pivot rows of d_{n-1} name columns of d_n that are
 skipped unread.
 """
 
-from array import array
-from itertools import chain, permutations, product
+from itertools import product
 from math import factorial
-from operator import add
 
-from .assoc import AssocOperad
+from .assoc import AssocOperad, _face_rows, _face_table
 from .elements import OperadError
 from .endo import EndoOperad
 from .linalg import SparseMatrix, rank_complex
@@ -98,7 +97,9 @@ def _classical(operad):
     the nonzero structure constants: the left products into the output, the
     n signed input merges and the signed right products, each coefficient a
     constant or its negation.  At degree 0 there are no merges, and the
-    column of (j,) is the commutator map x -> x e_j - e_j x."""
+    column of (j,) is the commutator map x -> x e_j - e_j x.  ``column``
+    builds the terms' keys, and stays the oracle of the matrices' stream,
+    ``columns``, which reads the same terms' rows off the rank of the key."""
     if not isinstance(operad, EndoOperad):
         raise OperadError("the classical complex needs an endomorphism operad")
     field, dim = operad.field, operad.algebra.dim
@@ -125,7 +126,57 @@ def _classical(operad):
         pairs += [(inputs + (u, m), w[odd]) for u, m, w in right[j]]
         return linear_combination(field, pairs)
 
-    return column, (lambda n: product(range(dim), repeat=n + 1)), (lambda n: dim ** (n + 1)), _by_key
+    def columns(spec, degree):
+        """The columns of the degree-n matrix, each row named by its rank:
+        key c = (i1..in, j) is c in base d, big-endian, so I = c // d is
+        the rank of its inputs.  The left product (u, m) lands on u d^(n+1)
+        + I d + m, the right one on I d^2 + u d + m, and the merge (u, v)
+        at input p, with L = n - p + 1 entries after it, on head d^(L+2) +
+        (u d + v) d^L + tail, where c = head d^(L+1) + i d^L + tail.  A
+        column's terms come in ``column``'s order and are merged as
+        ``linear_combination`` merges them, so the values and their types
+        agree; each row is one shared int object, as in ``_by_key``."""
+        add, is_zero = field.add, field.is_zero
+        top, odd = dim ** (degree + 1), (degree + 1) % 2
+        # per j, each product as (row - I d, value) and (row - I d^2, value)
+        lefts = [[(u * top + m, c) for u, m, (c, _) in left[j]] for j in range(dim)]
+        rights = [[(u * dim + m, w[odd]) for u, m, w in right[j]] for j in range(dim)]
+        # per input p, with s = d^L: s, s d, s d (d - 1), and per i the terms
+        # of merge[i] as (row - c - head s d (d - 1), value)
+        merges = []
+        for p in range(1, degree + 1):
+            s = dim ** (degree - p + 1)
+            merges.append((s, s * dim, s * dim * (dim - 1), [
+                [((u * dim + v - i) * s, w[p % 2]) for u, v, w in merge[i]] for i in range(dim)]))
+        row = list(range(top * dim)).__getitem__
+        for inputs in range(top // dim):
+            # the merges of the key (inputs, 0): j is the last entry of
+            # every tail, so the column of (inputs, j) adds j to their rows
+            c = inputs * dim
+            inner = []
+            for s, block, stride, by_input in merges:
+                base = c + c // block * stride
+                inner += [(base + r, v) for r, v in by_input[c // s % dim]]
+            for j in range(dim):
+                pairs = [(c + r, v) for r, v in lefts[j]]
+                pairs += [(r + j, v) for r, v in inner]
+                base = c * dim
+                pairs += [(base + r, v) for r, v in rights[j]]
+                # ``linear_combination`` without its test of each term: no
+                # constant is zero, so only a merged row can be
+                entries = {}
+                merged = False
+                for r, v in pairs:
+                    if r in entries:
+                        entries[r] = add(entries[r], v)
+                        merged = True
+                    else:
+                        entries[r] = v
+                if merged:
+                    entries = {r: v for r, v in entries.items() if not is_zero(v)}
+                yield sorted([(row(r), v) for r, v in entries.items()])
+
+    return column, (lambda n: product(range(dim), repeat=n + 1)), (lambda n: dim ** (n + 1)), columns
 
 
 def _boundary(operad):
@@ -179,39 +230,6 @@ def _by_face_rank(spec, degree):
         yield sorted(column.items())
 
 
-def _face_table(n):
-    """The face rows of every degree-n permutation, n per permutation,
-    stored flat: built up from degree 0, one degree's table at a time."""
-    table = array("q")
-    for m in range(1, n + 1):
-        table = array("q", chain.from_iterable(_face_rows(m, table)))
-    return table
-
-
-def _face_rows(n, below):
-    """The rows of the n faces of each degree-n permutation, face 1 first,
-    the permutations in lexicographic order (``itertools.permutations``),
-    each row the lexicographic rank of a face in degree n - 1.  ``below``
-    is ``_face_table(n - 1)``.
-
-    The permutation of rank (a - 1)(n - 1)! + t is (a, tau+), where tau has
-    rank t in degree n - 1 and + raises each letter >= a by one (the
-    factorial number system; Knuth, TAOCP 4A, 7.2.1.2).  Face 1 deletes a
-    and leaves tau.  Face i >= 2 deletes tau(i - 1) and leaves (a',
-    face_{i-1}(tau)+), where a' is a - 1 when tau(i - 1) < a and a
-    otherwise, so its rank is (a' - 1)(n - 2)! plus the rank of face i - 1
-    of tau."""
-    if n == 0:
-        yield []  # the key () has no faces
-        return
-    k, block = n - 1, factorial(max(n - 2, 0))
-    for a in range(1, n + 1):
-        # (a' - 1)(n - 2)!, looked up by the letter tau(i - 1) that face i deletes
-        offset = [None] + [(a - 2 if x < a else a - 1) * block for x in range(1, n)]
-        for t, tau in enumerate(permutations(range(1, n))):
-            yield [t, *map(add, below[t * k:t * k + k], map(offset.__getitem__, tau))]
-
-
 # kind -> (ascending, builder)
 DIFFERENTIALS = {
     "boundary": (False, _boundary),
@@ -227,11 +245,11 @@ class ComplexSpec:
     makes whatever a column needs that does not depend on its key: the
     signed point or product for the operadic kinds, and the filed structure
     constants for the classical one.  It also names the stream that
-    ``columns`` reads: key by key, or from face ranks for the assoc
-    boundary.  The degree window is checked after
-    the builder has accepted the operad.  No method compares the kind
-    string: the classical degree 0 is the algebra, keyed (j,) like any other
-    degree, with no special case.
+    ``columns`` reads: key by key, from face ranks for the assoc
+    boundary, or from key ranks for the classical kind.  The degree window
+    is checked after the builder has accepted the operad.  No method
+    compares the kind string: the classical degree 0 is the algebra, keyed
+    (j,) like any other degree, with no special case.
     """
 
     def __init__(self, operad, differential, lo, hi, column_cap=DEFAULT_COLUMN_CAP, allow_large=False):

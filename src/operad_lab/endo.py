@@ -146,15 +146,6 @@ def algebra_from_json(data, field, name="custom"):
     return FinAlgebra(name, field, dim, unit, mul)
 
 
-def algebra_to_json(alg):
-    f = alg.field
-    return {
-        "dim": alg.dim,
-        "unit": [f.format(v) for v in alg.unit],
-        "mul": [[[f.format(v) for v in row] for row in plane] for plane in alg.mul],
-    }
-
-
 PRESETS = {"k": ground_field_algebra, "dual": dual_numbers, "m2": matrix2}
 
 
@@ -369,22 +360,3 @@ def multimap_to_element(operad, arity, coeffs):
     return Element(operad, arity, [
         (key, json_scalar(f, c)) for key, c in zip(operad.basis_keys(arity), coeffs)
     ])
-
-
-def element_to_multimap(elem):
-    operad = elem.operad
-    d = operad.algebra.dim
-    f = operad.field
-    if elem.arity == 0:
-        vec = [f.zero] * d
-        for key, coeff in elem.terms.items():
-            if key == ():
-                for t in range(d):
-                    vec[t] = f.add(vec[t], f.mul(coeff, operad.algebra.unit[t]))
-            else:
-                vec[key[0]] = f.add(vec[key[0]], coeff)
-        return {"arity": 0, "coeffs": [f.format(v) for v in vec]}
-    return {
-        "arity": elem.arity,
-        "coeffs": [f.format(elem.terms.get(key, f.zero)) for key in operad.basis_keys(elem.arity)],
-    }

@@ -441,21 +441,25 @@ def test_key_count_is_checked_before_any_column_is_built():
         def column(self, key):
             raise AssertionError(f"the column of {key!r} was built")
 
-    spec = OffSpec(AssocOperad(Q), "boundary", 0, 3)
-    with pytest.raises(OperadError, match="^the degree-3 basis has 6 keys, but its dimension is 7$"):
-        differential_matrix(spec, 3)
-    # the assoc boundary is assembled from face ranks, with no call to
-    # ``column``; these kinds build every column from it, so the raising
-    # override is on their path, as degree 2 shows
-    for op, kind, keys in [(ShiftOperad(Q, max_entry=5), "boundary", 10),
-                           (EndoOperad(dual_numbers(Q)), "hochschild", 16)]:
-        spec = OffSpec(op, kind, 0, 3)
+    def refuses_degree_3(spec, keys):
         with pytest.raises(OperadError, match=(
             f"^the degree-3 basis has {keys} keys, but its dimension is {keys + 1}$"
         )):
             differential_matrix(spec, 3)
-        with pytest.raises(AssertionError, match="^the column of .* was built$"):
-            differential_matrix(spec, 2)
+
+    # the assoc boundary is assembled from face ranks and the hochschild
+    # kind from key ranks, with no call to ``column``, as degree 2 shows
+    for op, kind, keys in [(AssocOperad(Q), "boundary", 6),
+                           (EndoOperad(dual_numbers(Q)), "hochschild", 16)]:
+        spec = OffSpec(op, kind, 0, 3)
+        refuses_degree_3(spec, keys)
+        assert differential_matrix(spec, 2) == differential_matrix(ComplexSpec(op, kind, 2, 2), 2)
+    # the shift boundary builds every column from it, so the raising
+    # override is on its path, as degree 2 shows
+    spec = OffSpec(ShiftOperad(Q, max_entry=5), "boundary", 0, 3)
+    refuses_degree_3(spec, 10)
+    with pytest.raises(AssertionError, match="^the column of .* was built$"):
+        differential_matrix(spec, 2)
 
 
 def test_construction_refusals_come_in_order(capsys):
@@ -502,13 +506,15 @@ def test_assembly_and_rank_hold_little_besides_the_matrix():
     assert (rank_peak - held) / held < 0.35
 
 
-# --- the assoc boundary from face ranks, against the key-level columns ---
+# --- the assoc boundary from face ranks and the hochschild kind from key
+# ranks, against the key-level columns ---
 
 
 class KeyLevelSpec(ComplexSpec):
     """A complex whose matrices are assembled key by key from
-    ``ComplexSpec.column``, as every kind but the assoc boundary is: the
-    oracle of the face-rank assembly."""
+    ``ComplexSpec.column``, as every kind but the assoc boundary and the
+    hochschild kind is: the oracle of the face-rank and key-rank
+    assemblies."""
 
     def columns(self, degree):
         return _by_key(self, degree)
@@ -530,26 +536,77 @@ def test_face_rank_matrices_match_the_key_level_ones(field):
     assert window["ranks"] == [2, 4, 20, 100, 620]
 
 
+def traced_assembly(spec, warm, degree):
+    """The degree's matrix with the memory its assembly held and peaked at,
+    after degree ``warm`` has built the point and the caches."""
+    differential_matrix(spec, warm)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        mat = differential_matrix(spec, degree)
+        held, peak = (size - base for size in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    return mat, held, peak
+
+
 def test_face_rank_assembly_holds_no_more_than_the_key_level_one():
     # the face-rank assembly holds the face table of one degree, stored flat,
     # and shares one int object per row, as the key-level row index does
-    def traced(spec):
-        differential_matrix(spec, 3)  # build the point and the caches first
-        gc.collect()
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            mat = differential_matrix(spec, 7)
-            held, peak = (size - base for size in tracemalloc.get_traced_memory())
-        finally:
-            tracemalloc.stop()
-        return mat, held, peak
-
     op = AssocOperad(F5)
-    mat, held, peak = traced(ComplexSpec(op, "boundary", 0, 7))
-    want, oracle_held, oracle_peak = traced(KeyLevelSpec(op, "boundary", 0, 7))
+    mat, held, peak = traced_assembly(ComplexSpec(op, "boundary", 0, 7), 3, 7)
+    want, oracle_held, oracle_peak = traced_assembly(KeyLevelSpec(op, "boundary", 0, 7), 3, 7)
     assert mat == want and mat.nnz == 20076
     assert held <= oracle_held and peak <= oracle_peak
+
+
+HOCHSCHILD_CASES = [
+    (selector, top, field)
+    for selector, top in dict.fromkeys((s, t) for s, t, _ in KEY_LEVEL_CASES)
+    if selector not in ("assoc", "shift")
+    for field in ("q", "gfp:2", "gfp:3", "gfp:5")
+    # 2k's unit 1/2 has no value over gfp:2, nor fractional_x2's 2/3 over gfp:3
+    if (selector, field) not in {("2k", "gfp:2"), ("fractional_x2", "gfp:3")}
+]
+
+
+@pytest.mark.parametrize("selector,top,field", HOCHSCHILD_CASES)
+def test_key_rank_matrices_match_the_key_level_ones(selector, top, field):
+    # over gfp:2 the signs of a commutator's two terms are equal
+    op = key_level_operad(selector, get_field(field))
+    spec, oracle = ComplexSpec(op, "hochschild", 0, top), KeyLevelSpec(op, "hochschild", 0, top)
+    for n in range(top + 1):
+        mat, want = differential_matrix(spec, n), differential_matrix(oracle, n)
+        assert mat == want, n
+        # the same values of the same types: ints over q, and the Fractions
+        # of a non-integral algebra kept
+        types = [type(v) for *_, v in mat.entries]
+        assert types == [type(v) for *_, v in want.entries], n
+        if field == "q":
+            assert (Fraction in types) == (selector == "fractional_x2" and n > 0), n
+    # a window above degree 0, whose first rank no lower degree bounds
+    window = betti(ComplexSpec(op, "hochschild", 2, top))
+    assert window == betti(KeyLevelSpec(op, "hochschild", 2, top))
+
+
+def test_key_rank_assembly_holds_no_more_than_the_key_level_one():
+    # the key-rank assembly shares one int object per row, as the key-level
+    # row index does, and lists no row key
+    op = make_operad("endo:m2", Q)
+    mat, held, peak = traced_assembly(ComplexSpec(op, "hochschild", 0, 5), 2, 5)
+    want, oracle_held, oracle_peak = traced_assembly(KeyLevelSpec(op, "hochschild", 0, 5), 2, 5)
+    assert mat == want and mat.nnz == 37028
+    assert held <= oracle_held and peak <= oracle_peak
+
+
+def test_ground_field_hochschild_runs_to_degree_300():
+    # the column of (0..0) sums 1, the n signs (-1)^p and (-1)^(n+1): 0 at
+    # even degrees and 1 at odd ones, so HH^0 = k and every other degree is 0
+    report = betti(ComplexSpec(make_operad("endo:k", Q), "hochschild", 0, 300))
+    assert report["dims"] == [1] + [0] * 300
+    assert report["ranks"] == [n % 2 for n in range(301)]
+    assert report["warnings"] == []
 
 
 def test_one_sided_warnings():

@@ -11,11 +11,9 @@ from operad_lab.core import coboundary, compose, face, odot_product
 from operad_lab.endo import (
     FinAlgebra,
     algebra_from_json,
-    algebra_to_json,
     classical_coboundary,
     cup_product,
     dual_numbers,
-    element_to_multimap,
     ground_field_algebra,
     load_algebra,
     matrix2,
@@ -239,6 +237,39 @@ def test_point_of_an_algebra_whose_unit_is_not_e0(field_label):
         for operad in operads:
             report = betti(ComplexSpec(operad, kind, 0, 5))
             assert (report["dims"], report["ranks"]) == (dims, ranks), (kind, operad.label)
+
+
+# the inverses of the documented input formats, read only by the tests
+
+
+def algebra_to_json(alg):
+    """The structure-constant JSON of ``algebra_from_json``."""
+    f = alg.field
+    return {
+        "dim": alg.dim,
+        "unit": [f.format(v) for v in alg.unit],
+        "mul": [[[f.format(v) for v in row] for row in plane] for plane in alg.mul],
+    }
+
+
+def element_to_multimap(elem):
+    """The dense multimap JSON of ``multimap_to_element``."""
+    operad = elem.operad
+    d = operad.algebra.dim
+    f = operad.field
+    if elem.arity == 0:
+        vec = [f.zero] * d
+        for key, coeff in elem.terms.items():
+            if key == ():
+                for t in range(d):
+                    vec[t] = f.add(vec[t], f.mul(coeff, operad.algebra.unit[t]))
+            else:
+                vec[key[0]] = f.add(vec[key[0]], coeff)
+        return {"arity": 0, "coeffs": [f.format(v) for v in vec]}
+    return {
+        "arity": elem.arity,
+        "coeffs": [f.format(elem.terms.get(key, f.zero)) for key in operad.basis_keys(elem.arity)],
+    }
 
 
 def test_multimap_round_trip():

@@ -16,13 +16,9 @@ from operad_lab import (
     element_to_json,
     get_field,
 )
-from operad_lab.endo import (
-    algebra_to_json,
-    dual_numbers,
-    element_to_multimap,
-    matrix2,
-)
+from operad_lab.endo import dual_numbers, matrix2
 from operad_lab.verify import run_verify
+from test_endo import algebra_to_json, element_to_multimap
 
 SCHEMA_DIR = pathlib.Path(__file__).resolve().parent.parent / "docs" / "schemas"
 
