@@ -3,9 +3,10 @@
 A ComplexSpec bundles an operad instance, a differential kind, and a degree
 window.  Degrees are arities.  ``DIFFERENTIALS`` is the one table of kinds:
 each maps to whether it raises the degree and to a builder, which takes the
-operad, refuses one it cannot serve, and returns the kind's column function,
-key enumeration, key count and column stream, built once per complex.  The
-column stream yields a degree's matrix columns in basis order.
+operad, refuses one it cannot serve, and returns the kind's two parts,
+built once per complex: its dimension, the size of each degree's basis,
+and its column stream, which yields a degree's matrix columns in basis
+order.  Only the key-by-key stream (``_by_key``) lists keys.
 
 The operadic kinds (``boundary`` and ``coboundary``) share one builder: the
 key goes through the operad's ``compose_basis`` with the point or the
@@ -22,18 +23,19 @@ degree 0 is the algebra itself, keyed (j,), with no special case.  Its
 columns are read off tables filed from ``FinAlgebra.nonzero``, each
 constant stored with its negation, so a column needs no field
 multiplication, and its stream names every row by its rank, read off the
-rank of the column's key, so it builds no key either.  The key-level
-column is the oracle of both rank streams, and the Element-level operators
-(``core.boundary``, ``core.coboundary`` and ``endo.classical_coboundary``)
-are the oracle of every column.
+rank of the column's key, so it builds no key either.  The key-by-key
+stream is the test oracle of the face-rank one, and the Element-level
+operators (``core.boundary``, ``core.coboundary`` and
+``endo.classical_coboundary``) are the oracle of every stream.
 
 Every refusal of a complex comes before its first column is built.
 Construction refuses what the kind table cannot build: an unknown kind, an
 operad the kind's builder does not serve (the classical kind on a
 non-endomorphism operad, the coboundary on shift, whose basis truncated at
 max-entry is not closed under it), then a bad window.
-``differential_matrix`` refuses only sizes past the cap and a key count
-that differs from the dimension.  So the assembly loop knows no operad and
+``differential_matrix`` refuses only sizes past the cap, before any key is
+listed, and ``_by_key`` a key count that differs from the dimension, before
+its first column.  So the assembly loop, ``_triples``, knows no operad and
 has no error path.
 
 A matrix is built column-major, the order ``SparseMatrix`` stores: the
@@ -48,7 +50,7 @@ the ascending kinds the pivot rows of d_{n-1} name columns of d_n that are
 skipped unread.
 """
 
-from itertools import product
+from functools import partial
 from math import factorial
 
 from .assoc import AssocOperad, _face_rows, _face_table
@@ -66,7 +68,8 @@ def _operadic(inserted, outer):
     point or product, composed into every slot of the key; ``outer(n)``
     lists the slots of the product that the key is composed into, each with
     the parity of its sign (the coboundary's m o_1 x and m o_2 x).  Its
-    matrices are assembled key by key (``_by_key``)."""
+    dimension is the operad's, and its matrices are assembled key by key
+    (``_by_key``)."""
 
     def build(operad):
         field = operad.field
@@ -87,7 +90,7 @@ def _operadic(inserted, outer):
                     pairs += [(k, mul(w[i % 2], c)) for k, c in compose_basis(key, i, ik)]
             return linear_combination(field, pairs)
 
-        return column, operad.basis_keys, operad.dimension, _by_key
+        return operad.dimension, partial(_by_key, operad, column)
 
     return build
 
@@ -97,9 +100,10 @@ def _classical(operad):
     the nonzero structure constants: the left products into the output, the
     n signed input merges and the signed right products, each coefficient a
     constant or its negation.  At degree 0 there are no merges, and the
-    column of (j,) is the commutator map x -> x e_j - e_j x.  ``column``
-    builds the terms' keys, and stays the oracle of the matrices' stream,
-    ``columns``, which reads the same terms' rows off the rank of the key."""
+    column of (j,) is the commutator map x -> x e_j - e_j x.  Degree n has
+    d^(n+1) keys, and the stream reads each term's row off the rank of the
+    column's key, so no key is built; ``endo.classical_coboundary`` is its
+    oracle."""
     if not isinstance(operad, EndoOperad):
         raise OperadError("the classical complex needs an endomorphism operad")
     field, dim = operad.field, operad.algebra.dim
@@ -115,17 +119,6 @@ def _classical(operad):
                 merge[t].append((a, b, signed))
                 right[a].append((b, t, signed))
 
-    def column(key):
-        inputs, j = key[:-1], key[-1]
-        pairs = [((u,) + inputs + (m,), c) for u, m, (c, _) in left[j]]
-        for p, i in enumerate(inputs, 1):
-            head, tail, odd = inputs[: p - 1], inputs[p:] + (j,), p % 2
-            pairs += [(head + (u, v) + tail, w[odd]) for u, v, w in merge[i]]
-        # the right products carry the sign (-1)^(n+1), and the key has n + 1 entries
-        odd = len(key) % 2
-        pairs += [(inputs + (u, m), w[odd]) for u, m, w in right[j]]
-        return linear_combination(field, pairs)
-
     def columns(spec, degree):
         """The columns of the degree-n matrix, each row named by its rank:
         key c = (i1..in, j) is c in base d, big-endian, so I = c // d is
@@ -133,9 +126,10 @@ def _classical(operad):
         + I d + m, the right one on I d^2 + u d + m, and the merge (u, v)
         at input p, with L = n - p + 1 entries after it, on head d^(L+2) +
         (u d + v) d^L + tail, where c = head d^(L+1) + i d^L + tail.  A
-        column's terms come in ``column``'s order and are merged as
-        ``linear_combination`` merges them, so the values and their types
-        agree; each row is one shared int object, as in ``_by_key``."""
+        column's terms come in ``classical_coboundary``'s order and are
+        merged as ``linear_combination`` merges them, so the values and
+        their types agree; each row is one shared int object, as in
+        ``_by_key``."""
         add, is_zero = field.add, field.is_zero
         top, odd = dim ** (degree + 1), (degree + 1) % 2
         # per j, each product as (row - I d, value) and (row - I d^2, value)
@@ -176,17 +170,18 @@ def _classical(operad):
                     entries = {r: v for r, v in entries.items() if not is_zero(v)}
                 yield sorted([(row(r), v) for r, v in entries.items()])
 
-    return column, (lambda n: product(range(dim), repeat=n + 1)), (lambda n: dim ** (n + 1)), columns
+    return (lambda n: dim ** (n + 1)), columns
+
+
+_operadic_boundary = _operadic("unit_zero", lambda n: ())
 
 
 def _boundary(operad):
     """The builder of the boundary kind: the operadic one, whose matrices
     on assoc are assembled from face ranks (``_by_face_rank``) instead of
-    key by key.  The key-level column stays ``ComplexSpec.column``."""
-    column, keys, dimension, columns = _operadic("unit_zero", lambda n: ())(operad)
-    if isinstance(operad, AssocOperad):
-        columns = _by_face_rank
-    return column, keys, dimension, columns
+    key by key.  The key-by-key stream stays their test oracle."""
+    dimension, columns = _operadic_boundary(operad)
+    return dimension, _by_face_rank if isinstance(operad, AssocOperad) else columns
 
 
 def _coboundary(operad):
@@ -199,13 +194,22 @@ def _coboundary(operad):
     return _operadic("multiplication", lambda n: ((1, (n - 1) % 2), (2, 0)))(operad)
 
 
-def _by_key(spec, degree):
-    """The columns of the degree-n matrix, each from ``spec.column`` of its
-    key, with its rows looked up in an index of the target basis, which
-    holds one int object per row."""
-    row_index = {key: r for r, key in enumerate(spec.keys_at(spec.target_degree(degree)))}
-    for key in spec.keys_at(degree):
-        yield sorted([(row_index[k], v) for k, v in spec.column(key).items()])
+def _by_key(operad, column, spec, degree):
+    """The columns of the degree-n matrix, each from ``column`` of its key,
+    with its rows looked up in an index of the target basis, which holds
+    one int object per row.  The one stream that lists keys: before its
+    first column it lists the target basis once, for the index, counts the
+    column keys, and refuses a count that differs from the dimension."""
+    target = spec.target_degree(degree)
+    row_index = {key: r for r, key in enumerate(operad.basis_keys(target) if target >= 0 else ())}
+    counts = ((target, len(row_index)), (degree, sum(1 for _ in operad.basis_keys(degree))))
+    for n, count in counts:
+        dimension = spec.dimension_at(n)
+        if count != dimension:
+            raise OperadError(
+                f"the degree-{n} basis has {count} keys, but its dimension is {dimension}")
+    for key in operad.basis_keys(degree):
+        yield sorted([(row_index[k], v) for k, v in column(key).items()])
 
 
 def _by_face_rank(spec, degree):
@@ -242,21 +246,21 @@ class ComplexSpec:
     """Operad instance + differential kind + inclusive degree range.
 
     The kind is looked up in ``DIFFERENTIALS`` once, here, and its builder
-    makes whatever a column needs that does not depend on its key: the
-    signed point or product for the operadic kinds, and the filed structure
-    constants for the classical one.  It also names the stream that
-    ``columns`` reads: key by key, from face ranks for the assoc
-    boundary, or from key ranks for the classical kind.  The degree window
-    is checked after the builder has accepted the operad.  No method
-    compares the kind string: the classical degree 0 is the algebra, keyed
-    (j,) like any other degree, with no special case.
+    gives the kind's dimension and its column stream, with whatever a column
+    needs that does not depend on its key: the signed point or product for
+    the operadic kinds, and the filed structure constants for the classical
+    one.  The stream is key by key, from face ranks for the assoc boundary,
+    or from key ranks for the classical kind.  The degree window is checked
+    after the builder has accepted the operad.  No method compares the kind
+    string: the classical degree 0 is the algebra, keyed (j,) like any
+    other degree, with no special case.
     """
 
     def __init__(self, operad, differential, lo, hi, column_cap=DEFAULT_COLUMN_CAP, allow_large=False):
         if differential not in DIFFERENTIALS:
             raise OperadError(f"unknown differential {differential!r}")
         self.ascending, build = DIFFERENTIALS[differential]
-        self._column, self._keys, self._dimension, self._columns = build(operad)
+        self._dimension, self._columns = build(operad)
         if not 0 <= lo <= hi:
             raise OperadError(f"bad degree range [{lo}, {hi}]")
         self.operad = operad
@@ -266,20 +270,9 @@ class ComplexSpec:
         self.column_cap = column_cap
         self.allow_large = allow_large
 
-    def keys_at(self, degree):
-        """The degree-n basis keys in basis order, yielded lazily."""
-        return () if degree < 0 else self._keys(degree)
-
     def dimension_at(self, degree):
-        """The number of keys ``keys_at(degree)`` yields, counted without
-        listing them."""
+        """The size of the degree-n basis, counted without listing it."""
         return 0 if degree < 0 else self._dimension(degree)
-
-    def column(self, key):
-        """The differential of one basis key, as a canonical {key: coeff}
-        dict, from the kind's builder.  The Element-level operators are the
-        oracle of every kind."""
-        return self._column(key)
 
     def columns(self, degree):
         """The columns of the degree-n matrix in basis order, each a list
@@ -312,22 +305,16 @@ def _check_cap(spec, count, noun, where):
 
 def differential_matrix(spec, degree):
     """Matrix of the chosen differential out of the stated degree; columns
-    indexed by the degree-n basis, rows by the target-degree basis.  Every
-    refusal comes before the first column is built: the cap on the counted
-    sizes of both bases, columns first, before any key is listed; then the
-    row keys are counted, and the column keys are counted against their
-    dimension.  The kind's columns are then walked lazily and handed over
-    in canonical order."""
+    indexed by the degree-n basis, rows by the target-degree basis, both
+    sized by ``dimension_at``.  Every refusal comes before the first column
+    is built: here the cap on both sizes, columns first, with no key
+    listed; then, on a key-by-key kind, ``_by_key``'s key counts.  The
+    kind's columns are walked lazily and handed over in canonical order."""
     target = spec.target_degree(degree)
     n_cols = spec.dimension_at(degree)
     _check_cap(spec, n_cols, "column", f"at degree {degree}")
-    _check_cap(spec, spec.dimension_at(target), "row", f"at degree {target}")
-    n_rows = sum(1 for _ in spec.keys_at(target))
-    n_keys = sum(1 for _ in spec.keys_at(degree))
-    if n_keys != n_cols:
-        raise OperadError(
-            f"the degree-{degree} basis has {n_keys} keys, but its dimension is {n_cols}"
-        )
+    n_rows = spec.dimension_at(target)
+    _check_cap(spec, n_rows, "row", f"at degree {target}")
     return SparseMatrix._from_canonical(n_rows, n_cols, spec.operad.field, _triples(spec, degree))
 
 
@@ -348,8 +335,9 @@ def betti(spec):
     dim H(n) = kernel_dim(matrix at n) minus the rank of the incoming
     differential.  The incoming matrix lives at n-1 for ascending kinds and
     n+1 for the boundary; at the open end of the window the incoming rank is
-    unknown, so that degree is reported one-sided and flagged (degree 0 of an
-    ascending complex is genuinely closed, not flagged).
+    unknown, so that degree is reported one-sided and flagged, unless the
+    incoming differential leaves an empty basis: its rank is then 0, as at
+    degree 0 of an ascending complex or above a truncated shift basis.
     """
     # the window is walked lazily, so the cap refuses a huge one at its first
     # oversized degree; the degree list exists only once every matrix does.
@@ -374,7 +362,7 @@ def betti(spec):
         m = 2 * n - spec.target_degree(n)
         if m in mats:
             k -= mats[m].rank()
-        elif m >= 0:
+        elif spec.dimension_at(m):
             warnings.append(f"degree {n}: incoming rank at degree {m} not computed (one-sided)")
         dims.append(k)
     return {

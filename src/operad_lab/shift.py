@@ -63,22 +63,6 @@ def gamma_shift(x, blocks):
     return key
 
 
-def face_shift(x, i):
-    """Delete entry i and pull the tail down by one."""
-    n = len(x)
-    if not 1 <= i <= n:
-        raise OperadError(f"slot {i} out of range for arity {n}")
-    return x[: i - 1] + tuple(a - 1 for a in x[i:])
-
-
-def degeneracy_shift(x, i):
-    """Duplicate entry i (shifted copy) and push the tail up by one."""
-    n = len(x)
-    if not 1 <= i <= n:
-        raise OperadError(f"slot {i} out of range for arity {n}")
-    return x[:i] + (x[i - 1] + 1,) + tuple(a + 1 for a in x[i:])
-
-
 class ShiftOperad(Operad):
     """Operad instance on strictly increasing positive integer tuples.
 

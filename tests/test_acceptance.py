@@ -41,7 +41,7 @@ from operad_lab import (
 from operad_lab.assoc import compose_blocks, compose_formula, standardize
 from operad_lab.endo import dual_numbers, ground_field_algebra, matrix2
 from operad_lab.linalg import equal_up_to_global_sign
-from operad_lab.shift import compose_shift, degeneracy_shift, face_shift
+from operad_lab.shift import compose_shift
 from operad_lab.verify import _tensor2, report_to_json, run_verify
 
 Q = get_field("q")
@@ -127,8 +127,8 @@ def test_criterion_1_goldens():
 
     sh = ShiftOperad(Q, max_entry=12)
     shift_checks = [
-        (face_shift((2, 5, 7), 1), (4, 6)),
-        (degeneracy_shift((1, 3), 1), (1, 2, 4)),
+        (face(Element.basis(sh, (2, 5, 7)), 1), Element.basis(sh, (4, 6))),
+        (degeneracy(Element.basis(sh, (1, 3)), 1), Element.basis(sh, (1, 2, 4))),
         (sh.dimension(2), 66),
     ]
 

@@ -4,7 +4,7 @@ The expected Hochschild numbers are reproduced here first by a brute-force
 oracle that builds the textbook coboundary matrices straight from the
 structure constants and row-reduces them, independently of the library's
 differential and matrix code.  Only then are they compared against betti().
-The key-level matrix assembly is also checked against matrices summed from
+Every kind's matrix assembly is also checked against matrices summed from
 the Element-level operators, column by column, and betti() against closed
 forms for three more algebras in three characteristics.
 """
@@ -33,7 +33,7 @@ from operad_lab import (
     get_field,
 )
 from operad_lab.cli import main, make_operad
-from operad_lab.cohomology import DEFAULT_COLUMN_CAP, DIFFERENTIALS, _by_key
+from operad_lab.cohomology import DEFAULT_COLUMN_CAP, DIFFERENTIALS, _by_key, _operadic_boundary
 from operad_lab.endo import algebra_from_json, dual_numbers, ground_field_algebra, matrix2
 from operad_lab.linalg import equal_up_to_global_sign
 from test_linalg import to_dense
@@ -192,7 +192,7 @@ def test_operadic_and_classical_ranks_agree():
             assert a.rank() == b.rank()
 
 
-# --- key-level assembly against the Element operators ---------------------
+# --- every kind's assembly against the Element operators -------------------
 
 ELEMENT_OPERATORS = {
     "boundary": boundary,
@@ -201,21 +201,39 @@ ELEMENT_OPERATORS = {
 }
 
 
-def element_matrix(spec, degree):
-    """The differential matrix summed from the Element-level operator applied
-    to each basis key; a term outside the row basis raises OperadError."""
-    op = spec.operad
-    cols = list(spec.keys_at(degree))
-    rows = list(spec.keys_at(spec.target_degree(degree)))
-    row_index = {key: r for r, key in enumerate(rows)}
+def basis_keys(spec, degree):
+    """The degree-n basis keys in the order of the matrices' columns: the
+    operad's, or for the classical kind the keys (i1..in, j) in
+    ``itertools.product`` order, degree 0 keyed (j,)."""
+    if degree < 0:
+        return []
+    if spec.differential == "hochschild":
+        return list(itertools.product(range(spec.operad.algebra.dim), repeat=degree + 1))
+    return list(spec.operad.basis_keys(degree))
+
+
+def element_columns(spec, degree):
+    """The columns of the degree-n matrix, each summed from the Element-level
+    operator applied to its basis key; a term outside the row basis raises
+    OperadError."""
+    rows = {key: r for r, key in enumerate(basis_keys(spec, spec.target_degree(degree)))}
     apply = ELEMENT_OPERATORS[spec.differential]
-    triples = []
-    for c, key in enumerate(cols):
-        for bkey, coeff in apply(Element.basis(op, key)).terms.items():
-            if bkey not in row_index:
+    for key in basis_keys(spec, degree):
+        column = []
+        for bkey, coeff in apply(Element.basis(spec.operad, key)).terms.items():
+            if bkey not in rows:
                 raise OperadError(f"{bkey!r} is outside the row basis")
-            triples.append((row_index[bkey], c, coeff))
-    return SparseMatrix(len(rows), len(cols), op.field, triples)
+            column.append((rows[bkey], coeff))
+        yield sorted(column)
+
+
+def element_matrix(spec, degree):
+    """The differential matrix of ``element_columns``, through the
+    constructor that checks every entry."""
+    n_rows, n_cols = (len(basis_keys(spec, n)) for n in (spec.target_degree(degree), degree))
+    columns = enumerate(element_columns(spec, degree))
+    triples = [(r, c, v) for c, column in columns for r, v in column]
+    return SparseMatrix(n_rows, n_cols, spec.operad.field, triples)
 
 
 def scaled_line(field):
@@ -390,76 +408,100 @@ def test_empty_degrees_are_capped():
     assert lifted["degrees"] == list(range(11)) and lifted["dims"] == within["dims"] + [0] * 5
 
 
-@pytest.mark.parametrize("selector,max_entry,top", [
+PRESET_WINDOWS = [
     ("assoc", 8, 6), ("shift", 8, 10), ("shift", 3, 5),
     ("endo:k", 8, 6), ("endo:dual", 8, 6), ("endo:m2", 8, 4),
-])
-def test_dimension_counts_the_keys(selector, max_entry, top):
-    # differential_matrix sizes a matrix by dimension_at and walks keys_at
-    # lazily; the two agree on every preset and kind, below degree 0, at the
-    # classical degree 0 (the algebra itself) and above a truncated shift
+]
+
+
+def preset_specs(selector, max_entry, top):
+    """A complex over degrees 0..top for each kind the preset accepts; the
+    shift coboundary is refused, as the check of that refusal shows."""
     op = make_operad(selector, Q, max_entry)
     kinds = list(DIFFERENTIALS) if isinstance(op, EndoOperad) else ["boundary", "coboundary"]
     if isinstance(op, ShiftOperad):
         kinds.remove("coboundary")
         with pytest.raises(OperadError, match=SHIFT_COBOUNDARY_REFUSAL.format(max_entry)):
             ComplexSpec(op, "coboundary", 0, top)
-    for kind in kinds:
-        spec = ComplexSpec(op, kind, 0, top)
+    return [ComplexSpec(op, kind, 0, top) for kind in kinds]
+
+
+@pytest.mark.parametrize("selector,max_entry,top", PRESET_WINDOWS)
+def test_dimension_counts_the_keys(selector, max_entry, top):
+    # differential_matrix sizes a matrix by dimension_at, which lists no
+    # key; it counts the basis on every preset and kind, below degree 0, at
+    # the classical degree 0 (the algebra itself) and above a truncated shift
+    for spec in preset_specs(selector, max_entry, top):
         for n in range(-1, top + 1):
-            keys = list(spec.keys_at(n))
-            assert spec.dimension_at(n) == len(keys) == len(set(keys)), (kind, n)
-    assert list(ComplexSpec(op, "boundary", 0, 1).keys_at(-1)) == []
-    if isinstance(op, EndoOperad):
-        spec = ComplexSpec(op, "hochschild", 0, 1)
-        assert list(spec.keys_at(0)) == [(j,) for j in range(op.algebra.dim)]
+            keys = basis_keys(spec, n)
+            assert spec.dimension_at(n) == len(keys) == len(set(keys)), (spec.differential, n)
+    if selector.startswith("endo:"):
+        spec = ComplexSpec(make_operad(selector, Q), "hochschild", 0, 1)
+        assert spec.dimension_at(0) == spec.operad.algebra.dim
+
+
+@pytest.mark.parametrize("selector,max_entry,top", PRESET_WINDOWS)
+def test_every_stream_yields_its_dimension_in_sorted_columns(selector, max_entry, top):
+    # the matrix trusts its stream: exactly dimension_at(n) columns, each
+    # sorted by row with no repeat and no zero, every row in the target basis
+    for spec in preset_specs(selector, max_entry, top):
+        is_zero = spec.operad.field.is_zero
+        for n in range(top + 1):
+            n_rows = spec.dimension_at(spec.target_degree(n))
+            columns = list(spec.columns(n))
+            assert len(columns) == spec.dimension_at(n), (spec.differential, n)
+            for column in columns:
+                rows = [r for r, _ in column]
+                assert rows == sorted(set(rows)), (spec.differential, n)
+                assert all(0 <= r < n_rows for r in rows), (spec.differential, n)
+                assert not any(is_zero(v) for _, v in column), (spec.differential, n)
+
+
+class OffSpec(ComplexSpec):
+    """A complex whose dimension is off by ``off`` at degree ``at``."""
+
+    def __init__(self, op, differential, lo, hi, at, off):
+        super().__init__(op, differential, lo, hi)
+        self.at, self.off = at, off
+
+    def dimension_at(self, degree):
+        return super().dimension_at(degree) + (self.off if degree == self.at else 0)
 
 
 @pytest.mark.parametrize("off", [1, -1])
 def test_column_count_must_match_the_dimension(off):
-    # a spec whose dimension is off at degree 4: the walk counts the columns
-    # it yields and refuses the matrix, with an error that survives python -O
-    class OffSpec(ComplexSpec):
-        def dimension_at(self, degree):
-            return super().dimension_at(degree) + (off if degree == 4 else 0)
-
-    spec = OffSpec(AssocOperad(Q), "boundary", 0, 4)
-    with pytest.raises(OperadError, match=(
-        f"^the degree-4 basis has 24 keys, but its dimension is {24 + off}$"
-    )):
-        differential_matrix(spec, 4)
-    assert differential_matrix(spec, 3).n_cols == 6
+    # a key-by-key complex whose dimension is off at degree 4: ``_by_key``
+    # counts both bases and refuses the matrix out of degree 4 (columns) and
+    # the one into it (rows), with an error that survives python -O
+    spec = OffSpec(AssocOperad(Q), "coboundary", 0, 5, 4, off)
+    for n in (3, 4):
+        with pytest.raises(OperadError, match=(
+            f"^the degree-4 basis has 24 keys, but its dimension is {24 + off}$"
+        )):
+            differential_matrix(spec, n)
+    assert differential_matrix(spec, 2).n_cols == 2
+    assert differential_matrix(spec, 5).n_cols == 120
 
 
 def test_key_count_is_checked_before_any_column_is_built():
-    # the keys are counted without assembling them, so a wrong dimension is
-    # refused even where building a column would fail or never be reached
-    class OffSpec(ComplexSpec):
-        def dimension_at(self, degree):
-            return super().dimension_at(degree) + (1 if degree == 3 else 0)
+    # ``_by_key`` counts the keys before it builds a column, so a wrong
+    # dimension is refused even where building a column would fail; the
+    # face-rank and key-rank streams list no key, and yield their
+    # dimension's columns by the test of every stream above
+    def column(key):
+        raise AssertionError(f"the column of {key!r} was built")
 
-        def column(self, key):
-            raise AssertionError(f"the column of {key!r} was built")
-
-    def refuses_degree_3(spec, keys):
+    op = ShiftOperad(Q, max_entry=5)
+    spec = OffSpec(op, "boundary", 0, 4, 3, 1)
+    # the rows of degree 4, then the columns of degree 3
+    for degree in (4, 3):
         with pytest.raises(OperadError, match=(
-            f"^the degree-3 basis has {keys} keys, but its dimension is {keys + 1}$"
+            "^the degree-3 basis has 10 keys, but its dimension is 11$"
         )):
-            differential_matrix(spec, 3)
-
-    # the assoc boundary is assembled from face ranks and the hochschild
-    # kind from key ranks, with no call to ``column``, as degree 2 shows
-    for op, kind, keys in [(AssocOperad(Q), "boundary", 6),
-                           (EndoOperad(dual_numbers(Q)), "hochschild", 16)]:
-        spec = OffSpec(op, kind, 0, 3)
-        refuses_degree_3(spec, keys)
-        assert differential_matrix(spec, 2) == differential_matrix(ComplexSpec(op, kind, 2, 2), 2)
-    # the shift boundary builds every column from it, so the raising
-    # override is on its path, as degree 2 shows
-    spec = OffSpec(ShiftOperad(Q, max_entry=5), "boundary", 0, 3)
-    refuses_degree_3(spec, 10)
-    with pytest.raises(AssertionError, match="^the column of .* was built$"):
-        differential_matrix(spec, 2)
+            next(_by_key(op, column, spec, degree))
+    # the counts of degree 2 and its target agree, so its first column is built
+    with pytest.raises(AssertionError, match=r"^the column of \(1, 2\) was built$"):
+        next(_by_key(op, column, spec, 2))
 
 
 def test_construction_refusals_come_in_order(capsys):
@@ -506,18 +548,25 @@ def test_assembly_and_rank_hold_little_besides_the_matrix():
     assert (rank_peak - held) / held < 0.35
 
 
-# --- the assoc boundary from face ranks and the hochschild kind from key
-# ranks, against the key-level columns ---
+# --- the assoc boundary from face ranks against the key-by-key stream, and
+# the hochschild kind from key ranks against classical_coboundary ---
 
 
 class KeyLevelSpec(ComplexSpec):
-    """A complex whose matrices are assembled key by key from
-    ``ComplexSpec.column``, as every kind but the assoc boundary and the
-    hochschild kind is: the oracle of the face-rank and key-rank
-    assemblies."""
+    """A boundary complex whose matrices are assembled key by key, by the
+    stream the operadic boundary builder gives every operad: the oracle of
+    the assoc boundary's face-rank assembly."""
 
     def columns(self, degree):
-        return _by_key(self, degree)
+        return _operadic_boundary(self.operad)[1](self, degree)
+
+
+class ElementLevelSpec(ComplexSpec):
+    """A complex whose columns are summed key by key from the Element-level
+    operator of its kind (``element_columns``)."""
+
+    def columns(self, degree):
+        return element_columns(self, degree)
 
 
 @pytest.mark.parametrize("field", ["q", "gfp:2", "gfp:3", "gfp:5"])
@@ -573,11 +622,13 @@ HOCHSCHILD_CASES = [
 
 @pytest.mark.parametrize("selector,top,field", HOCHSCHILD_CASES)
 def test_key_rank_matrices_match_the_key_level_ones(selector, top, field):
-    # over gfp:2 the signs of a commutator's two terms are equal
+    # the key-level matrices are summed key by key from classical_coboundary,
+    # which reads the structure constants ``mul`` on its own; over gfp:2 the
+    # signs of a commutator's two terms are equal
     op = key_level_operad(selector, get_field(field))
-    spec, oracle = ComplexSpec(op, "hochschild", 0, top), KeyLevelSpec(op, "hochschild", 0, top)
+    spec = ComplexSpec(op, "hochschild", 0, top)
     for n in range(top + 1):
-        mat, want = differential_matrix(spec, n), differential_matrix(oracle, n)
+        mat, want = differential_matrix(spec, n), element_matrix(spec, n)
         assert mat == want, n
         # the same values of the same types: ints over q, and the Fractions
         # of a non-integral algebra kept
@@ -587,15 +638,17 @@ def test_key_rank_matrices_match_the_key_level_ones(selector, top, field):
             assert (Fraction in types) == (selector == "fractional_x2" and n > 0), n
     # a window above degree 0, whose first rank no lower degree bounds
     window = betti(ComplexSpec(op, "hochschild", 2, top))
-    assert window == betti(KeyLevelSpec(op, "hochschild", 2, top))
+    assert window == betti(ElementLevelSpec(op, "hochschild", 2, top))
 
 
 def test_key_rank_assembly_holds_no_more_than_the_key_level_one():
-    # the key-rank assembly shares one int object per row, as the key-level
-    # row index does, and lists no row key
+    # the key-rank assembly shares one int object per row, as the row index
+    # of the Element-level assembly does, and lists no row key; with a fresh
+    # int per entry it would hold about a third more
     op = make_operad("endo:m2", Q)
     mat, held, peak = traced_assembly(ComplexSpec(op, "hochschild", 0, 5), 2, 5)
-    want, oracle_held, oracle_peak = traced_assembly(KeyLevelSpec(op, "hochschild", 0, 5), 2, 5)
+    oracle = ElementLevelSpec(op, "hochschild", 0, 5)
+    want, oracle_held, oracle_peak = traced_assembly(oracle, 2, 5)
     assert mat == want and mat.nnz == 37028
     assert held <= oracle_held and peak <= oracle_peak
 
@@ -617,6 +670,16 @@ def test_one_sided_warnings():
     assert closed["warnings"] == []
     descending = betti(ComplexSpec(AssocOperad(Q), "boundary", 1, 3))
     assert any("one-sided" in w for w in descending["warnings"])
+
+
+def test_no_one_sided_warning_past_an_empty_basis():
+    # the shift basis truncated at max-entry 8 is empty at degree 9, so the
+    # rank into degree 8 is 0 and its dimension is exact; degree 5 is not
+    op = ShiftOperad(Q)
+    closed = betti(ComplexSpec(op, "boundary", 0, 8))
+    assert closed["warnings"] == [] and closed["dims"][-1] == 1
+    assert betti(ComplexSpec(op, "boundary", 0, 5))["warnings"] == [
+        "degree 5: incoming rank at degree 6 not computed (one-sided)"]
 
 
 def test_spec_validation():

@@ -1,12 +1,13 @@
 """Endomorphism operad of a finite-dimensional algebra."""
 
+import itertools
 import json
 import random
 
 import pytest
 
 from operad_lab import Element, EndoOperad, OperadError, get_field
-from operad_lab.cohomology import ComplexSpec, betti
+from operad_lab.cohomology import ComplexSpec, betti, differential_matrix
 from operad_lab.core import coboundary, compose, face, odot_product
 from operad_lab.endo import (
     FinAlgebra,
@@ -139,11 +140,15 @@ def test_compose_with_point():
 
 def test_classical_keys_and_degree_zero():
     op = EndoOperad(dual_numbers(Q))
-    assert list(ComplexSpec(op, "hochschild", 0, 0).keys_at(0)) == [(0,), (1,)]
-    assert len(list(ComplexSpec(op, "hochschild", 0, 2).keys_at(2))) == 8
+    # degree n has the d^(n+1) keys (i1..in, j): degree 0 is the algebra
+    # itself, keyed (j,), with d columns, not the operad's one point
+    spec = ComplexSpec(op, "hochschild", 0, 2)
+    assert [spec.dimension_at(n) for n in (0, 1, 2)] == [2, 4, 8]
     # degree-0 coboundary is the commutator map; dual numbers are commutative
     elem = Element.basis(op, (1,))
     assert classical_coboundary(elem).is_zero()
+    zero = differential_matrix(spec, 0)
+    assert (zero.n_rows, zero.n_cols, zero.nnz) == (4, 2, 0)
     m2op = EndoOperad(matrix2(F5))
     e01 = Element.basis(m2op, (1,))
     dm = classical_coboundary(e01)
@@ -172,7 +177,7 @@ def test_operadic_equals_classical_coboundary():
 def test_classical_coboundary_squares_to_zero():
     op = EndoOperad(dual_numbers(F3))
     for degree in (0, 1, 2):
-        for key in ComplexSpec(op, "hochschild", 0, degree).keys_at(degree):
+        for key in itertools.product(range(op.algebra.dim), repeat=degree + 1):
             x = Element.basis(op, key)
             assert classical_coboundary(classical_coboundary(x)).is_zero()
 

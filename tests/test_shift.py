@@ -5,14 +5,8 @@ import random
 
 import pytest
 
-from operad_lab import Element, OperadError, ShiftOperad, get_field
-from operad_lab.shift import (
-    compose_shift,
-    degeneracy_shift,
-    face_shift,
-    gamma_shift,
-    is_increasing,
-)
+from operad_lab import Element, OperadError, ShiftOperad, degeneracy, face, get_field
+from operad_lab.shift import compose_shift, gamma_shift, is_increasing
 
 Q = get_field("q")
 SHIFT = ShiftOperad(Q, max_entry=12)
@@ -111,11 +105,15 @@ def test_gamma_closed_form_matches_iteration():
 
 
 def test_face_degeneracy_goldens():
-    assert face_shift((2, 5, 7), 1) == (4, 6)
-    assert face_shift((2, 5, 7), 2) == (2, 6)
-    assert face_shift((2, 5, 7), 3) == (2, 5)
-    assert degeneracy_shift((1, 3), 1) == (1, 2, 4)
-    assert degeneracy_shift((1, 3), 2) == (1, 3, 4)
+    # a face deletes entry i and pulls the tail down by one; a degeneracy
+    # duplicates entry i, shifted up, and pushes the tail up by one
+    key = Element.basis(SHIFT, (2, 5, 7))
+    assert face(key, 1) == Element.basis(SHIFT, (4, 6))
+    assert face(key, 2) == Element.basis(SHIFT, (2, 6))
+    assert face(key, 3) == Element.basis(SHIFT, (2, 5))
+    pair = Element.basis(SHIFT, (1, 3))
+    assert degeneracy(pair, 1) == Element.basis(SHIFT, (1, 2, 4))
+    assert degeneracy(pair, 2) == Element.basis(SHIFT, (1, 3, 4))
 
 
 def test_operad_interface():
