@@ -8,15 +8,14 @@ built once per complex: its dimension, the size of each degree's basis,
 and its column stream, which yields a degree's matrix columns in basis
 order.  Only the key-by-key stream (``_by_key``) lists keys.
 
-The operadic kinds (``boundary`` and ``coboundary``) share one builder: the
-key goes through the operad's ``compose_basis`` with the point or the
-product, with the signs of ``core.boundary`` and ``core.coboundary``, and
-the coboundary also composes the product around the key.  Its stream
-assembles each column from its key (``_by_key``), with the rows looked up
-in an index of the target basis.  The boundary builder gives assoc a
-stream of its own (``_by_face_rank``): each face of a permutation is named
-by its lexicographic rank (``assoc._face_rows``), so a column composes
-nothing, looks up no key and multiplies no scalars.  The classical kind
+The operadic kinds (``boundary`` and ``coboundary``) assemble each column
+key by key (``_by_key``), as the terms of ``core.boundary`` or
+``core.coboundary`` on the key, the one definition of their slots and
+signs, with the rows looked up in an index of the target basis.  The
+boundary builder gives assoc a stream of its own (``_by_face_rank``): each
+face of a permutation is named by its lexicographic rank
+(``assoc._face_rows``), so a column composes nothing, looks up no key and
+multiplies no scalars.  The classical kind
 (``hochschild``, endomorphism operads only) is the textbook complex of
 maps A^(x)n -> A, whose keys are (i1..in, j) at every degree n >= 0:
 degree 0 is the algebra itself, keyed (j,), with no special case.  Its
@@ -24,9 +23,10 @@ columns are read off tables filed from ``FinAlgebra.nonzero``, each
 constant stored with its negation, so a column needs no field
 multiplication, and its stream names every row by its rank, read off the
 rank of the column's key, so it builds no key either.  The key-by-key
-stream is the test oracle of the face-rank one, and the Element-level
-operators (``core.boundary``, ``core.coboundary`` and
-``endo.classical_coboundary``) are the oracle of every stream.
+stream is the test oracle of the face-rank one, and
+``endo.classical_coboundary`` that of the key-rank one.  The tests sum the
+boundary and the coboundary from ``core.compose`` on their own, as the
+oracle of the two operators and of their key-by-key columns.
 
 Every refusal of a complex comes before its first column is built.
 Construction refuses what the kind table cannot build: an unknown kind, an
@@ -54,45 +54,13 @@ from functools import partial
 from math import factorial
 
 from .assoc import AssocOperad, _face_rows, _face_table
-from .elements import OperadError
+from .core import boundary, coboundary
+from .elements import Element, OperadError
 from .endo import EndoOperad
 from .linalg import SparseMatrix, rank_complex
-from .scalars import linear_combination
 from .shift import ShiftOperad
 
 DEFAULT_COLUMN_CAP = 20000
-
-
-def _operadic(inserted, outer):
-    """The builder of an operadic kind.  ``inserted`` names the operad's
-    point or product, composed into every slot of the key; ``outer(n)``
-    lists the slots of the product that the key is composed into, each with
-    the parity of its sign (the coboundary's m o_1 x and m o_2 x).  Its
-    dimension is the operad's, and its matrices are assembled key by key
-    (``_by_key``)."""
-
-    def build(operad):
-        field = operad.field
-        mul, compose_basis = field.mul, operad.compose_basis
-        # each weight stored with its negation, indexed by the parity of its sign
-        signed = [(k, (c, field.neg(c))) for k, c in getattr(operad, inserted)().terms.items()]
-
-        def column(key):
-            n = operad.arity_of(key)
-            if n == 0:
-                return {}
-            pairs = []
-            for slot, odd in outer(n):
-                for mk, w in signed:
-                    pairs += [(k, mul(w[odd], c)) for k, c in compose_basis(mk, slot, key)]
-            for i in range(1, n + 1):
-                for ik, w in signed:
-                    pairs += [(k, mul(w[i % 2], c)) for k, c in compose_basis(key, i, ik)]
-            return linear_combination(field, pairs)
-
-        return operad.dimension, partial(_by_key, operad, column)
-
-    return build
 
 
 def _classical(operad):
@@ -173,33 +141,34 @@ def _classical(operad):
     return (lambda n: dim ** (n + 1)), columns
 
 
-_operadic_boundary = _operadic("unit_zero", lambda n: ())
-
-
 def _boundary(operad):
-    """The builder of the boundary kind: the operadic one, whose matrices
-    on assoc are assembled from face ranks (``_by_face_rank``) instead of
-    key by key.  The key-by-key stream stays their test oracle."""
-    dimension, columns = _operadic_boundary(operad)
-    return dimension, _by_face_rank if isinstance(operad, AssocOperad) else columns
+    """The builder of the boundary kind: its matrices are assembled key by
+    key from ``core.boundary``, and on assoc from face ranks
+    (``_by_face_rank``).  The key-by-key stream stays the test oracle of
+    the face-rank one."""
+    return operad.dimension, (
+        _by_face_rank if isinstance(operad, AssocOperad) else partial(_by_key, boundary))
 
 
 def _coboundary(operad):
-    """The builder of the coboundary kind.  Every term of the coboundary of
-    a shift key ends in the key's last entry plus one, so every degree from
-    1 to max-entry - 1 leaves the truncated basis: shift is refused whole."""
+    """The builder of the coboundary kind, whose matrices are assembled key
+    by key from ``core.coboundary``.  Every term of the coboundary of a
+    shift key ends in the key's last entry plus one, so every degree from 1
+    to max-entry - 1 leaves the truncated basis: shift is refused whole."""
     if isinstance(operad, ShiftOperad):
         raise OperadError(f"the shift basis truncated at max-entry {operad.max_entry} "
                           "is not closed under the coboundary")
-    return _operadic("multiplication", lambda n: ((1, (n - 1) % 2), (2, 0)))(operad)
+    return operad.dimension, partial(_by_key, coboundary)
 
 
-def _by_key(operad, column, spec, degree):
-    """The columns of the degree-n matrix, each from ``column`` of its key,
-    with its rows looked up in an index of the target basis, which holds
-    one int object per row.  The one stream that lists keys: before its
-    first column it lists the target basis once, for the index, counts the
-    column keys, and refuses a count that differs from the dimension."""
+def _by_key(operator, spec, degree):
+    """The columns of the degree-n matrix, each the terms of ``operator``
+    (``core.boundary`` or ``core.coboundary``) on its key, with its rows
+    looked up in an index of the target basis, which holds one int object
+    per row.  The one stream that lists keys: before its first column it
+    lists the target basis once, for the index, counts the column keys, and
+    refuses a count that differs from the dimension."""
+    operad = spec.operad
     target = spec.target_degree(degree)
     row_index = {key: r for r, key in enumerate(operad.basis_keys(target) if target >= 0 else ())}
     counts = ((target, len(row_index)), (degree, sum(1 for _ in operad.basis_keys(degree))))
@@ -208,8 +177,10 @@ def _by_key(operad, column, spec, degree):
         if count != dimension:
             raise OperadError(
                 f"the degree-{n} basis has {count} keys, but its dimension is {dimension}")
+    one = operad.field.one
     for key in operad.basis_keys(degree):
-        yield sorted([(row_index[k], v) for k, v in column(key).items()])
+        terms = operator(Element._sum(operad, degree, [(key, one)])).terms
+        yield sorted([(row_index[k], v) for k, v in terms.items()])
 
 
 def _by_face_rank(spec, degree):
@@ -247,10 +218,10 @@ class ComplexSpec:
 
     The kind is looked up in ``DIFFERENTIALS`` once, here, and its builder
     gives the kind's dimension and its column stream, with whatever a column
-    needs that does not depend on its key: the signed point or product for
-    the operadic kinds, and the filed structure constants for the classical
-    one.  The stream is key by key, from face ranks for the assoc boundary,
-    or from key ranks for the classical kind.  The degree window is checked
+    needs that does not depend on its key: the operator for the operadic
+    kinds, and the filed structure constants for the classical one.  The
+    stream is key by key, from face ranks for the assoc boundary, or from
+    key ranks for the classical kind.  The degree window is checked
     after the builder has accepted the operad.  No method compares the kind
     string: the classical degree 0 is the algebra, keyed (j,) like any
     other degree, with no special case.

@@ -5,6 +5,11 @@ increasing sequences, endomorphisms): partial and total composition, faces and
 degeneracies, the boundary and coboundary operators, right braces, the two m-
 products, the prefix/suffix coproduct, and multi-index face/degeneracy maps.
 
+The boundary and the coboundary are defined here once, as one pass over the
+terms of an element (``_differential``); the key-by-key matrix columns of
+``cohomology`` are these operators applied to one key, and the tests sum
+both from ``compose`` on their own as the oracle.
+
 Conventions fixed here (and exercised by the test suites):
 - total composition plugs arguments right to left, so earlier slots keep
   their indices while later blocks are already in place;
@@ -75,35 +80,47 @@ def subset_restriction(x, keep):
     return gamma(x, [one if i in keep else point for i in range(1, x.arity + 1)])
 
 
-def _signed_sum(operad, arity, signed):
-    """Sum (odd, element) pairs in one pass, negating the odd ones."""
-    neg = operad.field.neg
-    return Element._sum(operad, arity, [
-        (key, neg(c) if odd else c) for odd, x in signed for key, c in x.terms.items()
-    ])
-
-
 def boundary(x):
-    """Alternating sum of faces; zero on points."""
+    """Alternating sum of faces, face i with sign (-1)^i; zero on points."""
     if x.arity == 0:
         _point(x)
         return Element.zero(x.operad, 0)
-    return _signed_sum(
-        x.operad, x.arity - 1, [(i % 2, face(x, i)) for i in range(1, x.arity + 1)]
-    )
+    return _differential(x, x.operad.unit_zero(), ())
 
 
 def coboundary(x):
-    """Degree +1 operator driven by the product m; zero on points."""
-    operad = x.operad
+    """Degree +1 operator driven by the product m: m o_1 x with sign
+    (-1)^(n-1), m o_2 x, and x o_i m with sign (-1)^i; zero on points."""
     if x.arity == 0:
         _point(x)
-        return Element.zero(operad, 1)
-    m = operad.multiplication()
-    n = x.arity
-    signed = [((n - 1) % 2, compose(m, 1, x)), (0, compose(m, 2, x))]
-    signed += [(i % 2, compose(x, i, m)) for i in range(1, n + 1)]
-    return _signed_sum(operad, n + 1, signed)
+        return Element.zero(x.operad, 1)
+    return _differential(x, x.operad.multiplication(), ((1, (x.arity - 1) % 2), (2, 0)))
+
+
+def _differential(x, inserted, outer):
+    """One pass over the terms of x into one sum: ``inserted`` (the point or
+    the product) composed into every slot i of each key with sign (-1)^i,
+    and each key composed into the slots of ``inserted`` that ``outer``
+    lists, each with the parity of its sign.  Nothing is built for a slot
+    before a term is read, so a zero element costs nothing."""
+    operad = x.operad
+    field = operad.field
+    mul, neg, compose_basis = field.mul, field.neg, operad.compose_basis
+    arity = x.arity + inserted.arity - 1
+    weights = inserted.terms.items()
+    slots = range(1, x.arity + 1)
+    pairs = []
+    for key, cx in x.terms.items():
+        # each weight of ``inserted`` times cx, stored with its negation and
+        # indexed by the parity of its sign
+        signed = [(ik, (w, neg(w))) for ik, c in weights for w in (mul(c, cx),)]
+        for slot, odd in outer:
+            for ik, w in signed:
+                pairs += [(k, mul(w[odd], c)) for k, c in compose_basis(ik, slot, key)]
+        for i in slots:
+            for ik, w in signed:
+                pairs += [(k, mul(w[i % 2], c)) for k, c in compose_basis(key, i, ik)]
+    return Element._sum(operad, arity, pairs)
 
 
 def brace(p, qs):
@@ -111,7 +128,8 @@ def brace(p, qs):
 
     Each summand plugs q_1..q_n into n chosen slots of p (units elsewhere)
     and carries the sign (-1)^e with e the sum over j of |q_j| times the
-    number of inputs of the composite strictly left of q_j's block.
+    number of inputs of the composite strictly left of q_j's block.  A zero
+    p or argument gives zero before any insertion is tried.
     """
     from itertools import combinations
 
@@ -124,7 +142,10 @@ def brace(p, qs):
     operad = p.operad
     arities = [q.arity for q in qs]
     result_arity = r - n + sum(arities)
-    signed = []
+    if p.is_zero() or any(q.is_zero() for q in qs):
+        return Element.zero(operad, result_arity)
+    neg = operad.field.neg
+    pairs = []
     for slots in combinations(range(1, r + 1), n):
         exponent = 0
         left_inputs = 0
@@ -137,8 +158,9 @@ def brace(p, qs):
         term = p
         for j in range(n - 1, -1, -1):
             term = compose(term, slots[j], qs[j])
-        signed.append((exponent % 2, term))
-    return _signed_sum(operad, result_arity, signed)
+        odd = exponent % 2
+        pairs += [(key, neg(c) if odd else c) for key, c in term.terms.items()]
+    return Element._sum(operad, result_arity, pairs)
 
 
 def dot_product(p, q):

@@ -1,6 +1,7 @@
 """End-to-end coverage of the operad-lab command line."""
 
 import json
+import resource
 import shutil
 import subprocess
 import sys
@@ -269,6 +270,23 @@ def test_cap_refuses_a_count_too_long_to_print(argv, message):
     assert done.stderr.startswith(f"error: {message}")
     assert len(done.stderr.splitlines()) == 1
     assert "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ("boundary",), ("coboundary",), ("brace", "--with", "1", "--with", "1"),
+], ids=("boundary", "coboundary", "brace"))
+def test_zero_element_of_a_huge_arity_prints_zero_at_once(argv):
+    # the differentials walk the terms, not the 10^8 slots, and the brace
+    # of a zero tries none of its C(10^8, 2) slot choices; a walk over the
+    # slots would fill memory, so the command gets 1 GiB of address space
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    command, *rest = argv
+    done = subprocess.run([sys.executable, "-m", "operad_lab.cli", command,
+                           "--element", '{"arity":100000000,"terms":[]}', *rest],
+                          capture_output=True, text=True, timeout=20, preexec_fn=limit_memory)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "0\n", "")
 
 
 def test_shift_degree_0_does_not_list_a_huge_entry_range():

@@ -4,9 +4,11 @@ The expected Hochschild numbers are reproduced here first by a brute-force
 oracle that builds the textbook coboundary matrices straight from the
 structure constants and row-reduces them, independently of the library's
 differential and matrix code.  Only then are they compared against betti().
-Every kind's matrix assembly is also checked against matrices summed from
-the Element-level operators, column by column, and betti() against closed
-forms for three more algebras in three characteristics.
+Every kind's matrix assembly is also checked against matrices summed,
+column by column, from code it does not share: the compose-and-sum
+definitions of the boundary and coboundary in ``test_core`` and
+``classical_coboundary``.  betti() is checked against closed forms for
+three more algebras in three characteristics.
 """
 
 import gc
@@ -28,14 +30,14 @@ from operad_lab import (
     betti,
     boundary,
     classical_coboundary,
-    coboundary,
     differential_matrix,
     get_field,
 )
 from operad_lab.cli import main, make_operad
-from operad_lab.cohomology import DEFAULT_COLUMN_CAP, DIFFERENTIALS, _by_key, _operadic_boundary
+from operad_lab.cohomology import DEFAULT_COLUMN_CAP, DIFFERENTIALS, _by_key
 from operad_lab.endo import algebra_from_json, dual_numbers, ground_field_algebra, matrix2
 from operad_lab.linalg import equal_up_to_global_sign
+from test_core import summed_boundary, summed_coboundary
 from test_linalg import to_dense
 
 Q = get_field("q")
@@ -192,11 +194,13 @@ def test_operadic_and_classical_ranks_agree():
             assert a.rank() == b.rank()
 
 
-# --- every kind's assembly against the Element operators -------------------
+# --- every kind's assembly against Element-level oracles -------------------
 
+# the operadic kinds' columns come from ``core.boundary`` and
+# ``core.coboundary``, so their oracles are the compose-and-sum definitions
 ELEMENT_OPERATORS = {
-    "boundary": boundary,
-    "coboundary": coboundary,
+    "boundary": summed_boundary,
+    "coboundary": summed_coboundary,
     "hochschild": classical_coboundary,
 }
 
@@ -213,9 +217,9 @@ def basis_keys(spec, degree):
 
 
 def element_columns(spec, degree):
-    """The columns of the degree-n matrix, each summed from the Element-level
-    operator applied to its basis key; a term outside the row basis raises
-    OperadError."""
+    """The columns of the degree-n matrix, each summed from the kind's
+    oracle in ``ELEMENT_OPERATORS`` applied to its basis key; a term outside
+    the row basis raises OperadError."""
     rows = {key: r for r, key in enumerate(basis_keys(spec, spec.target_degree(degree)))}
     apply = ELEMENT_OPERATORS[spec.differential]
     for key in basis_keys(spec, degree):
@@ -488,7 +492,8 @@ def test_key_count_is_checked_before_any_column_is_built():
     # dimension is refused even where building a column would fail; the
     # face-rank and key-rank streams list no key, and yield their
     # dimension's columns by the test of every stream above
-    def column(key):
+    def operator(x):
+        (key,) = x.terms
         raise AssertionError(f"the column of {key!r} was built")
 
     op = ShiftOperad(Q, max_entry=5)
@@ -498,10 +503,10 @@ def test_key_count_is_checked_before_any_column_is_built():
         with pytest.raises(OperadError, match=(
             "^the degree-3 basis has 10 keys, but its dimension is 11$"
         )):
-            next(_by_key(op, column, spec, degree))
+            next(_by_key(operator, spec, degree))
     # the counts of degree 2 and its target agree, so its first column is built
     with pytest.raises(AssertionError, match=r"^the column of \(1, 2\) was built$"):
-        next(_by_key(op, column, spec, 2))
+        next(_by_key(operator, spec, 2))
 
 
 def test_construction_refusals_come_in_order(capsys):
@@ -553,12 +558,13 @@ def test_assembly_and_rank_hold_little_besides_the_matrix():
 
 
 class KeyLevelSpec(ComplexSpec):
-    """A boundary complex whose matrices are assembled key by key, by the
-    stream the operadic boundary builder gives every operad: the oracle of
-    the assoc boundary's face-rank assembly."""
+    """A boundary complex whose matrices are assembled key by key from
+    ``core.boundary``, by the stream the boundary builder gives every
+    operad but assoc: the oracle of the assoc boundary's face-rank
+    assembly."""
 
     def columns(self, degree):
-        return _operadic_boundary(self.operad)[1](self, degree)
+        return _by_key(boundary, self, degree)
 
 
 class ElementLevelSpec(ComplexSpec):

@@ -31,7 +31,8 @@ from operad_lab import (
 )
 from operad_lab.assoc import compose_formula, delete_and_standardize
 from operad_lab.core import random_element
-from operad_lab.endo import dual_numbers
+from operad_lab.cli import make_operad
+from operad_lab.endo import algebra_from_json, dual_numbers
 from operad_lab.serialize import dumps, element_to_json
 from operad_lab.shift import compose_shift
 
@@ -173,6 +174,21 @@ def test_brace_multi_argument_golden():
         brace(one, [m, m])
 
 
+def test_a_zero_input_gives_zero_of_the_result_arity():
+    # the CLI tests time the same on an arity of 10^8, in a subprocess
+    m, one = ASSOC.multiplication(), ASSOC.unit_one()
+    zero = Element.zero(ASSOC, 3)
+    assert boundary(zero) == Element.zero(ASSOC, 2)
+    assert coboundary(zero) == Element.zero(ASSOC, 4)
+    assert brace(zero, [m, one]) == Element.zero(ASSOC, 4)
+    assert brace(m, [Element.zero(ASSOC, 2)]) == Element.zero(ASSOC, 3)
+    assert brace(m, [one, Element.zero(ASSOC, 0)]) == Element.zero(ASSOC, 1)
+    # no arguments gives p itself, and too many are refused, zero or not
+    assert brace(zero, []) is zero
+    with pytest.raises(OperadError, match=r"^brace needs at most deg\(p\)=3 arguments, got 4$"):
+        brace(zero, [one] * 4)
+
+
 def test_dot_and_odot():
     p, q = B((1, 2)), B((2, 1))
     assert odot_product(p, q) == B((1, 2, 4, 3))
@@ -261,6 +277,86 @@ def _quadratic_aw_coproduct(x):
             pairs.append((left, right))
         pairs.append((weighted, point))
     return pairs
+
+
+def _signed_sum(operad, arity, signed):
+    """Sum (odd, element) pairs, negating the odd ones."""
+    neg = operad.field.neg
+    return Element._sum(operad, arity, [
+        (key, neg(c) if odd else c) for odd, x in signed for key, c in x.terms.items()
+    ])
+
+
+def summed_boundary(x):
+    """The boundary as the alternating sum of the faces, each built by
+    ``compose``.  Oracle for ``boundary`` and for the key-by-key boundary
+    columns built from it."""
+    if x.arity == 0:
+        return Element.zero(x.operad, 0)
+    return _signed_sum(
+        x.operad, x.arity - 1, [(i % 2, face(x, i)) for i in range(1, x.arity + 1)]
+    )
+
+
+def summed_coboundary(x):
+    """The coboundary as the signed sum of m o_1 x, m o_2 x and every
+    x o_i m, each built by ``compose``.  Oracle for ``coboundary`` and for
+    the key-by-key coboundary columns built from it."""
+    operad = x.operad
+    if x.arity == 0:
+        return Element.zero(operad, 1)
+    m = operad.multiplication()
+    n = x.arity
+    signed = [((n - 1) % 2, compose(m, 1, x)), (0, compose(m, 2, x))]
+    signed += [(i % 2, compose(x, i, m)) for i in range(1, n + 1)]
+    return _signed_sum(operad, n + 1, signed)
+
+
+# the CI's structure-constant file: T_2, whose unit e11 + e22 is not basis vector 0
+T2_JSON = {"dim": 3, "unit": [1, 0, 1], "mul": [
+    [[1, 0, 0], [0, 1, 0], [0, 0, 0]],
+    [[0, 0, 0], [0, 0, 0], [0, 1, 0]],
+    [[0, 0, 0], [0, 0, 0], [0, 0, 1]],
+]}
+
+
+def _differential_cases(field):
+    """Each operad with the top arity up to which every key is checked."""
+    return [
+        (AssocOperad(field), 5),
+        (ShiftOperad(field, max_entry=8), 5),
+        (make_operad("endo:k", field), 4),
+        (make_operad("endo:dual", field), 4),
+        (make_operad("endo:m2", field), 3),
+        (EndoOperad(algebra_from_json(T2_JSON, field, "t2")), 4),
+    ]
+
+
+def _agree(x, fast, slow):
+    assert fast == slow, x
+    # the same values of the same types: ints over q
+    assert sorted((k, type(v)) for k, v in fast.terms.items()) == sorted(
+        (k, type(v)) for k, v in slow.terms.items()), x
+
+
+@pytest.mark.parametrize("label", ["q", "gfp:2", "gfp:3"])
+def test_differentials_match_the_compose_and_sum_oracle(label):
+    field = get_field(label)
+    rng = random.Random(f"differentials:{label}")
+    coeffs = [field.from_int(c) for c in (2, -3, 4)]
+    if label == "q":
+        coeffs.append(Fraction(1, 2))
+    for operad, top in _differential_cases(field):
+        for n in range(top + 1):
+            for key in operad.basis_keys(n):
+                x = Element.basis(operad, key)
+                _agree(x, boundary(x), summed_boundary(x))
+                _agree(x, coboundary(x), summed_coboundary(x))
+            for _ in range(3):
+                # several keys (repeats merge), whose terms may cancel across keys
+                x = Element._sum(operad, n, [(operad.random_basis(n, rng), c) for c in coeffs])
+                _agree(x, boundary(x), summed_boundary(x))
+                _agree(x, coboundary(x), summed_coboundary(x))
 
 
 def _constant_operads(field):
