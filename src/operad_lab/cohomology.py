@@ -5,8 +5,8 @@ window.  Degrees are arities.  ``DIFFERENTIALS`` is the one table of kinds:
 each maps to whether it raises the degree and to a builder, which takes the
 operad, refuses one it cannot serve, and returns the kind's two parts,
 built once per complex: its dimension, the size of each degree's basis,
-and its column stream, which yields a degree's matrix columns in basis
-order.  Only the key-by-key stream (``_by_key``) lists keys.
+and its column stream, which yields a degree's matrix columns, as raw
+terms, in basis order.  Only the key-by-key stream (``_by_key``) lists keys.
 
 The operadic kinds (``boundary`` and ``coboundary``) assemble each column
 key by key (``_by_key``), as the terms of ``core.boundary`` or
@@ -35,13 +35,12 @@ non-endomorphism operad, the coboundary on shift, whose basis truncated at
 max-entry is not closed under it), then a bad window.
 ``differential_matrix`` refuses only sizes past the cap, before any key is
 listed, and ``_by_key`` a key count that differs from the dimension, before
-its first column.  So the assembly loop, ``_triples``, knows no operad and
-has no error path.
+its first column.
 
-A matrix is built column-major, the order ``SparseMatrix`` stores: the
-columns are walked lazily, one at a time, and each column's entries are
-sorted by row as it is made, so neither the column basis nor the whole
-matrix's triples are ever listed or sorted.
+A stream only names terms, in any order, a row possibly repeated.
+``SparseMatrix._from_columns`` pulls the columns lazily and makes each
+canonical, so no stream knows the matrix's stored form, and neither the
+column basis nor the matrix's triples are ever listed whole.
 
 ``betti`` builds the matrices of its whole window before it ranks any, so
 the ranking can pass what one degree learned to the next (see
@@ -51,7 +50,6 @@ skipped unread.
 """
 
 from functools import partial
-from math import factorial
 
 from .assoc import AssocOperad, _face_rows, _face_table
 from .core import boundary, coboundary
@@ -94,11 +92,8 @@ def _classical(operad):
         + I d + m, the right one on I d^2 + u d + m, and the merge (u, v)
         at input p, with L = n - p + 1 entries after it, on head d^(L+2) +
         (u d + v) d^L + tail, where c = head d^(L+1) + i d^L + tail.  A
-        column's terms come in ``classical_coboundary``'s order and are
-        merged as ``linear_combination`` merges them, so the values and
-        their types agree; each row is one shared int object, as in
-        ``_by_key``."""
-        add, is_zero = field.add, field.is_zero
+        column's terms come in ``classical_coboundary``'s order, so the
+        matrix constructor adds each row's terms in that operator's order."""
         top, odd = dim ** (degree + 1), (degree + 1) % 2
         # per j, each product as (row - I d, value) and (row - I d^2, value)
         lefts = [[(u * top + m, c) for u, m, (c, _) in left[j]] for j in range(dim)]
@@ -110,7 +105,6 @@ def _classical(operad):
             s = dim ** (degree - p + 1)
             merges.append((s, s * dim, s * dim * (dim - 1), [
                 [((u * dim + v - i) * s, w[p % 2]) for u, v, w in merge[i]] for i in range(dim)]))
-        row = list(range(top * dim)).__getitem__
         for inputs in range(top // dim):
             # the merges of the key (inputs, 0): j is the last entry of
             # every tail, so the column of (inputs, j) adds j to their rows
@@ -124,19 +118,7 @@ def _classical(operad):
                 pairs += [(r + j, v) for r, v in inner]
                 base = c * dim
                 pairs += [(base + r, v) for r, v in rights[j]]
-                # ``linear_combination`` without its test of each term: no
-                # constant is zero, so only a merged row can be
-                entries = {}
-                merged = False
-                for r, v in pairs:
-                    if r in entries:
-                        entries[r] = add(entries[r], v)
-                        merged = True
-                    else:
-                        entries[r] = v
-                if merged:
-                    entries = {r: v for r, v in entries.items() if not is_zero(v)}
-                yield sorted([(row(r), v) for r, v in entries.items()])
+                yield pairs
 
     return (lambda n: dim ** (n + 1)), columns
 
@@ -164,10 +146,10 @@ def _coboundary(operad):
 def _by_key(operator, spec, degree):
     """The columns of the degree-n matrix, each the terms of ``operator``
     (``core.boundary`` or ``core.coboundary``) on its key, with its rows
-    looked up in an index of the target basis, which holds one int object
-    per row.  The one stream that lists keys: before its first column it
-    lists the target basis once, for the index, counts the column keys, and
-    refuses a count that differs from the dimension."""
+    looked up in an index of the target basis.  The one stream that lists
+    keys: before its first column it lists the target basis once, for the
+    index, counts the column keys, and refuses a count that differs from
+    the dimension."""
     operad = spec.operad
     target = spec.target_degree(degree)
     row_index = {key: r for r, key in enumerate(operad.basis_keys(target) if target >= 0 else ())}
@@ -180,29 +162,18 @@ def _by_key(operator, spec, degree):
     one = operad.field.one
     for key in operad.basis_keys(degree):
         terms = operator(Element._sum(operad, degree, [(key, one)])).terms
-        yield sorted([(row_index[k], v) for k, v in terms.items()])
+        yield zip(map(row_index.__getitem__, terms), terms.values())
 
 
 def _by_face_rank(spec, degree):
     """The columns of the assoc boundary matrix, from ``_face_rows``: face
     i carries the sign (-1)^i, and faces i and i + 1 coincide when the
-    letters at i and i + 1 are consecutive.  Each column is merged once
-    with ``field.add``, zeros dropped; the signs are never zero, so unlike
-    ``linear_combination`` the merge tests only its sums.  Each row is one
-    shared int object, as in ``_by_key``'s index."""
+    letters at i and i + 1 are consecutive, which the matrix constructor
+    merges."""
     field = spec.operad.field
-    add, is_zero = field.add, field.is_zero
     signs = [field.neg(field.one) if i % 2 else field.one for i in range(1, degree + 1)]
-    row = list(range(factorial(max(degree - 1, 0)))).__getitem__
     for faces in _face_rows(degree, _face_table(degree - 1)):
-        column = {}
-        for r, s in zip(map(row, faces), signs):
-            if r in column:
-                s = add(column.pop(r), s)
-                if is_zero(s):
-                    continue
-            column[r] = s
-        yield sorted(column.items())
+        yield zip(faces, signs)
 
 
 # kind -> (ascending, builder)
@@ -246,8 +217,9 @@ class ComplexSpec:
         return 0 if degree < 0 else self._dimension(degree)
 
     def columns(self, degree):
-        """The columns of the degree-n matrix in basis order, each a list
-        of (row, value) pairs sorted by row, from the kind's builder."""
+        """The columns of the degree-n matrix in basis order, from the
+        kind's builder, each an iterable of raw (row, value) terms: rows in
+        range, values nonzero, a row possibly repeated."""
         return self._columns(self, degree)
 
     def target_degree(self, degree):
@@ -280,21 +252,14 @@ def differential_matrix(spec, degree):
     sized by ``dimension_at``.  Every refusal comes before the first column
     is built: here the cap on both sizes, columns first, with no key
     listed; then, on a key-by-key kind, ``_by_key``'s key counts.  The
-    kind's columns are walked lazily and handed over in canonical order."""
+    kind's columns are pulled lazily by ``SparseMatrix._from_columns``,
+    which makes each canonical."""
     target = spec.target_degree(degree)
     n_cols = spec.dimension_at(degree)
     _check_cap(spec, n_cols, "column", f"at degree {degree}")
     n_rows = spec.dimension_at(target)
     _check_cap(spec, n_rows, "row", f"at degree {target}")
-    return SparseMatrix._from_canonical(n_rows, n_cols, spec.operad.field, _triples(spec, degree))
-
-
-def _triples(spec, degree):
-    """The (row, col, value) triples of the matrix, column by column, each
-    column's sorted by row: the canonical order of ``SparseMatrix``."""
-    for c, column in enumerate(spec.columns(degree)):
-        for r, v in column:
-            yield r, c, v
+    return SparseMatrix._from_columns(n_rows, n_cols, spec.operad.field, spec.columns(degree))
 
 
 def betti(spec):

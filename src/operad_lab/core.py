@@ -22,6 +22,8 @@ Conventions fixed here (and exercised by the test suites):
   refused wherever a point is expected.
 """
 
+from itertools import combinations
+
 from .elements import Element, OperadError
 from .scalars import power_sign
 
@@ -131,8 +133,6 @@ def brace(p, qs):
     number of inputs of the composite strictly left of q_j's block.  A zero
     p or argument gives zero before any insertion is tried.
     """
-    from itertools import combinations
-
     n = len(qs)
     if n == 0:
         return p

@@ -56,20 +56,20 @@ def json_scalar(field, value):
 
 class Element:
     """Public construction, ``Element(operad, arity, terms)`` and
-    ``Element.basis``, validates every basis key with a nonzero coefficient.
-    Every combination the library builds from keys it produced itself goes
-    through ``Element._sum``, which does not validate again."""
+    ``Element.basis``, checks every coefficient (``field.coerce``) and
+    validates every basis key with a nonzero one.  Every combination the
+    library builds itself goes through ``Element._sum``, which does neither."""
 
     __slots__ = ("operad", "arity", "terms")
 
     def __init__(self, operad, arity, terms):
         if arity < 0:
             raise OperadError(f"negative arity {arity}")
-        is_zero, validate = operad.field.is_zero, operad.validate_basis
+        field, validate = operad.field, operad.validate_basis
         self._fill(operad, arity, [
-            (validate(key, arity), coeff)
+            (validate(key, arity), c)
             for key, coeff in (terms.items() if isinstance(terms, dict) else terms)
-            if not is_zero(coeff)
+            if not field.is_zero(c := field.coerce(coeff))
         ])
 
     @classmethod

@@ -8,8 +8,9 @@ that point evaluates f on the algebra unit and projects back to the line via
 a fixed normalized functional.
 
 Keys of length 1, (j,), encode algebra elements e_j themselves; they form the
-degree-0 term of the classical Hochschild complex, whose keys
-``cohomology.ComplexSpec`` enumerates, and carry no operadic slots.
+degree-0 term of the classical Hochschild complex, whose degree-n keys
+(i1..in, j) the classical column stream (``cohomology._classical``) names by
+rank without listing them, and carry no operadic slots.
 
 ``FinAlgebra.nonzero`` lists the nonzero structure constants.  All code reads
 them there except the oracle ``classical_coboundary``, which reads ``mul``.

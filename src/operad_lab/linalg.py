@@ -1,20 +1,22 @@
 """Exact sparse linear algebra: rank, kernel dimension, sign comparison.
 
 Matrices are stored column-major, as canonical triplet tuples sorted by
-(column, row), over an explicit field from :mod:`operad_lab.scalars`.  A
-matrix is immutable, so its rank is computed once and memoised.  The
-rank is a column reduction on plain ints that pulls columns one at a time
-from a stream, keys each pivot by its largest row index and stops pulling
-once it holds as many pivots as a given bound.  The field picks its
-arithmetic once: modular over GF(p), fraction-free over Q (each column's
-denominators cleared, columns kept primitive).  ``_columns`` streams a
-matrix's columns in ascending order from one read of its entries, and
-skips a given set of columns unread.  ``SparseMatrix.rank`` ranks a
-one-matrix complex, bounded by its shape however dense it is.
-``rank_complex`` ranks the differentials of one complex in degree order,
-and d∘d = 0 tightens the bound of each degree and, on an ascending
-complex, clears columns of the next.  The int row-pivot elimination, the
-field-generic one before it and the dense elimination are test oracles.
+(column, row), over an explicit field from :mod:`operad_lab.scalars`; the
+library's own matrices are made canonical in one place, the trusted
+``SparseMatrix._from_columns``.  A matrix is immutable, so its rank is
+computed once and memoised.  The rank is a column reduction on plain ints
+that pulls columns one at a time from a stream, keys each pivot by its
+largest row index and stops pulling once it holds as many pivots as a
+given bound.  The field picks its arithmetic once: modular over GF(p),
+fraction-free over Q (each column's denominators cleared, columns kept
+primitive).  ``_columns`` streams a matrix's columns in ascending order
+from one read of its entries, and skips a given set of columns unread.
+``SparseMatrix.rank`` ranks a one-matrix complex, bounded by its shape
+however dense it is.  ``rank_complex`` ranks the differentials of one
+complex in degree order, and d∘d = 0 tightens the bound of each degree
+and, on an ascending complex, clears columns of the next.  The int
+row-pivot elimination, the field-generic one before it and the dense
+elimination are test oracles.
 """
 
 from functools import partial
@@ -37,8 +39,9 @@ class SparseMatrix:
 
     Entries are ``(row, col, value)`` triples kept column-major, sorted by
     (col, row), with duplicates summed and zeros dropped, so two equal
-    matrices always have identical entry tuples.  The rank is memoised in
-    ``_rank``, which equality, hashing and ``repr`` ignore.
+    matrices always have identical entry tuples.  The public constructor
+    checks every entry, its value through ``field.coerce``.  The rank is
+    memoised in ``_rank``, which equality, hashing and ``repr`` ignore.
     """
 
     __slots__ = ("n_rows", "n_cols", "field", "entries", "_rank")
@@ -54,22 +57,38 @@ class SparseMatrix:
             for r, c, v in triples:
                 if not (0 <= r < n_rows and 0 <= c < n_cols):
                     raise LinalgError(f"entry ({r},{c}) outside {n_rows}x{n_cols}")
-                yield (c, r), v
+                yield (c, r), field.coerce(v)
 
         self.entries = tuple(
             (r, c, v) for (c, r), v in sorted(linear_combination(field, cells()).items())
         )
 
     @classmethod
-    def _from_canonical(cls, n_rows, n_cols, field, triples):
-        """Trusted constructor: ``triples`` (any iterable) are in range and
-        already in canonical order, sorted by (col, row), with no repeated
-        cell and no zero value, so they are stored as they come."""
-        out = cls.__new__(cls)
-        out.n_rows = n_rows
-        out.n_cols = n_cols
-        out.field = field
-        out.entries = tuple(triples)
+    def _from_columns(cls, n_rows, n_cols, field, columns):
+        """Trusted constructor, pulling lazily from ``columns`` one iterable
+        of (row, value) terms per column, empty ones included: rows in
+        range, values nonzero, a row possibly repeated.  A repeated row is
+        merged with ``field.add``, the older value first, and only such a
+        sum is tested for zero: a row that cancels is dropped, and a later
+        term on it starts afresh.  Each column's rows are sorted and stored
+        as int objects shared by the whole matrix."""
+        add, is_zero = field.add, field.is_zero
+        row = list(range(n_rows)).__getitem__
+
+        def triples():
+            for c, terms in enumerate(columns):
+                column = {}
+                for r, v in terms:
+                    if r in column:
+                        v = add(column.pop(r), v)
+                        if is_zero(v):
+                            continue
+                    column[r] = v
+                for r, v in sorted(column.items()):
+                    yield row(r), c, v
+
+        out = cls(n_rows, n_cols, field)
+        out.entries = tuple(triples())
         return out
 
     @property

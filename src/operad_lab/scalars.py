@@ -50,6 +50,12 @@ class RationalField:
     def from_int(self, n):
         return n
 
+    def coerce(self, a):
+        """A public constructor's coefficient: an int or a Fraction as it is."""
+        if isinstance(a, (int, Fraction)) and not isinstance(a, bool):
+            return a
+        raise ScalarError(f"a rational coefficient must be an int or a Fraction, got {a!r}")
+
     def add(self, a, b):
         return a + b
 
@@ -123,6 +129,12 @@ class PrimeField:
 
     def from_int(self, n):
         return n % self.p
+
+    def coerce(self, a):
+        """A public constructor's coefficient: an int, reduced into [0, p)."""
+        if isinstance(a, int) and not isinstance(a, bool):
+            return a % self.p
+        raise ScalarError(f"a coefficient over {self.label} must be an int, got {a!r}")
 
     def add(self, a, b):
         return (a + b) % self.p

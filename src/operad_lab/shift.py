@@ -6,6 +6,8 @@ is (1, 2).  Composition splices a translated copy of the inner sequence into
 one slot of the outer one and pushes the tail up.
 """
 
+from itertools import combinations
+from math import comb
 from operator import lt
 
 from .elements import Operad, OperadError
@@ -88,8 +90,6 @@ class ShiftOperad(Operad):
         return [(_splice(key, i, other), self.field.one)]
 
     def basis_keys(self, arity):
-        from itertools import combinations
-
         # combinations copies its whole pool into a tuple first, so the one
         # key of arity 0 must not go through it when max_entry is huge, and
         # a pool too long to copy is refused by name
@@ -103,8 +103,6 @@ class ShiftOperad(Operad):
             ) from None
 
     def dimension(self, arity):
-        from math import comb
-
         return comb(self.max_entry, arity)
 
     def random_basis(self, arity, rng):

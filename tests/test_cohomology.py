@@ -446,19 +446,23 @@ def test_dimension_counts_the_keys(selector, max_entry, top):
 
 @pytest.mark.parametrize("selector,max_entry,top", PRESET_WINDOWS)
 def test_every_stream_yields_its_dimension_in_sorted_columns(selector, max_entry, top):
-    # the matrix trusts its stream: exactly dimension_at(n) columns, each
-    # sorted by row with no repeat and no zero, every row in the target basis
+    # the trusted constructor takes a stream's raw terms on trust: exactly
+    # dimension_at(n) columns, every row in the target basis and no value
+    # zero, a row possibly repeated.  It sorts and merges them into the
+    # matrix the public constructor builds from the same terms, which
+    # checks every entry
     for spec in preset_specs(selector, max_entry, top):
-        is_zero = spec.operad.field.is_zero
+        field = spec.operad.field
         for n in range(top + 1):
-            n_rows = spec.dimension_at(spec.target_degree(n))
-            columns = list(spec.columns(n))
-            assert len(columns) == spec.dimension_at(n), (spec.differential, n)
+            n_rows, n_cols = (spec.dimension_at(m) for m in (spec.target_degree(n), n))
+            columns = [list(column) for column in spec.columns(n)]
+            assert len(columns) == n_cols, (spec.differential, n)
             for column in columns:
-                rows = [r for r, _ in column]
-                assert rows == sorted(set(rows)), (spec.differential, n)
-                assert all(0 <= r < n_rows for r in rows), (spec.differential, n)
-                assert not any(is_zero(v) for _, v in column), (spec.differential, n)
+                assert all(0 <= r < n_rows for r, _ in column), (spec.differential, n)
+                assert not any(field.is_zero(v) for _, v in column), (spec.differential, n)
+            triples = [(r, c, v) for c, column in enumerate(columns) for r, v in column]
+            mat = differential_matrix(spec, n)
+            assert mat == SparseMatrix(n_rows, n_cols, field, triples), (spec.differential, n)
 
 
 class OffSpec(ComplexSpec):

@@ -10,6 +10,7 @@ from operad_lab import (
     Element,
     EndoOperad,
     OperadError,
+    ScalarError,
     ShiftOperad,
     aw_coproduct,
     block_sign_exponent,
@@ -252,6 +253,26 @@ def test_fraction_coefficients_equal_their_int_twins():
         assert twin == x and hash(twin) == hash(x)
         assert twin.format() == x.format()
         assert dumps(element_to_json(twin)) == dumps(element_to_json(x))
+
+
+def test_public_coefficients_are_stored_as_field_scalars():
+    """``Element(...)`` stores an int over gfp:p reduced into [0, p), so
+    -1 and 4 give equal elements with equal hashes, and refuses a float or
+    a bool, which are not exact scalars of any field."""
+    F5 = get_field("gfp:5")
+    op = AssocOperad(F5)
+    minus = Element(op, 2, {(1, 2): -1})
+    assert minus.terms == {(1, 2): 4} and type(minus.terms[(1, 2)]) is int
+    assert minus == -Element.basis(op, (1, 2)) and hash(minus) == hash(-Element.basis(op, (1, 2)))
+    assert Element(op, 2, [((1, 2), 6), ((2, 1), 5)]) == Element.basis(op, (1, 2))
+    assert Element(op, 2, {(1, 2): 0}).is_zero() and Element(op, 2, {(9, 9): 10}).is_zero()
+    for field in (Q, F5):
+        op = AssocOperad(field)
+        for bad in (0.5, 1.0, 0.0, True, False):
+            with pytest.raises(ScalarError, match=f"got {bad!r}$"):
+                Element(op, 2, {(1, 2): bad})
+    half = Element(ASSOC, 2, {(1, 2): Fraction(1, 2)})
+    assert half.terms == {(1, 2): Fraction(1, 2)} and type(half.terms[(1, 2)]) is Fraction
 
 
 def _quadratic_aw_coproduct(x):

@@ -2,11 +2,13 @@
 
 Basis keys are validated where they enter (``Element(...)``,
 ``Element.basis``, ``parse_basis``, element JSON); every combination the
-library builds from them is summed without validating again.  These seeded
-tests re-check that every key it produces is valid, and that no operation
-calls ``validate_basis`` once its inputs exist.  The library also avoids
-``assert``, which ``python -O`` strips, and neither it nor the tests import
-a name they do not use.
+library builds from them is summed without validating again.  Coefficients
+are made scalars of the field (``field.coerce``) where they enter too, and
+never again.  These seeded tests re-check that every key the library
+produces is valid, and that no operation or matrix assembly calls
+``validate_basis`` or ``coerce`` once its inputs exist.  The library also
+avoids ``assert``, which ``python -O`` strips, and neither it nor the tests
+import a name they do not use.
 """
 
 import ast
@@ -18,6 +20,7 @@ import pytest
 import operad_lab
 from operad_lab import (
     AssocOperad,
+    ComplexSpec,
     Element,
     EndoOperad,
     ShiftOperad,
@@ -28,6 +31,7 @@ from operad_lab import (
     compose,
     cup_product,
     degeneracy,
+    differential_matrix,
     dual_numbers,
     face,
     get_field,
@@ -102,17 +106,35 @@ def test_results_hold_only_valid_keys(label):
             assert Element(op, result.arity, result.terms) == result, name
 
 
+def matrices(op):
+    """The differential matrices of degrees 0..3 of every kind ``op`` takes."""
+    kinds = ["boundary"] if isinstance(op, ShiftOperad) else ["boundary", "coboundary"]
+    if isinstance(op, EndoOperad):
+        kinds.append("hochschild")
+    return [differential_matrix(ComplexSpec(op, kind, 0, 3), n)
+            for kind in kinds for n in range(4)]
+
+
 @pytest.mark.parametrize("label", sorted(OPERADS))
 def test_operations_do_not_validate_again(label, monkeypatch):
+    # nor make a coefficient a scalar again: the matrix constructor that
+    # merges the columns of every kind is trusted too
     op = OPERADS[label]
     cases = make_cases(op, random.Random(f"keys:{label}"))
     expected = [operations(op, case) for case in cases]
+    expected_matrices = matrices(op)
+    assert any(m.nnz for m in expected_matrices)
 
     def refuse(self, key, arity):
         raise RuntimeError(f"validate_basis({key!r}, {arity}) called on library output")
 
+    def refuse_coerce(self, value):
+        raise RuntimeError(f"coerce({value!r}) called on library output")
+
     monkeypatch.setattr(type(op), "validate_basis", refuse)
+    monkeypatch.setattr(type(op.field), "coerce", refuse_coerce)
     assert [operations(op, case) for case in cases] == expected
+    assert matrices(op) == expected_matrices
 
 
 def test_library_has_no_assert_statements():

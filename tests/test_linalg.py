@@ -29,7 +29,7 @@ from operad_lab.linalg import (
     equal_up_to_global_sign,
     rank_complex,
 )
-from operad_lab.scalars import get_field
+from operad_lab.scalars import ScalarError, get_field, linear_combination
 
 Q = get_field("q")
 F5 = get_field("gfp:5")
@@ -66,6 +66,25 @@ def test_construction_merges_and_drops_zeros():
     ])
     assert m.nnz == 1
     assert to_dense(m) == [[Q.zero, Q.zero], [Q.zero, Q.from_int(3)]]
+
+
+def test_construction_stores_field_scalars():
+    # an int over gfp:p is stored reduced into [0, p), so 6 and -1 give
+    # the matrix written with 1 and 4; a float or a bool is refused
+    m = M(2, 2, F5, [(0, 0, 6), (1, 1, -1), (0, 1, 2), (1, 0, 2)])
+    same = M(2, 2, F5, [(0, 0, 1), (1, 1, 4), (0, 1, 2), (1, 0, 2)])
+    assert m == same and hash(m) == hash(same)
+    assert m.entries == ((0, 0, 1), (1, 0, 2), (0, 1, 2), (1, 1, 4))
+    assert equal_up_to_global_sign(m, same) == 1
+    negated = M(2, 2, F5, [(r, c, -v) for r, c, v in m.entries])
+    assert equal_up_to_global_sign(m, negated) == -1
+    assert M(2, 2, F5, [(0, 0, 5), (1, 1, -10)]).nnz == 0
+    for field in (Q, F5):
+        for bad in (0.5, 2.0, 0.0, True):
+            with pytest.raises(ScalarError, match=f"got {bad!r}$"):
+                M(2, 2, field, [(0, 0, bad)])
+    assert [type(v) for *_, v in M(1, 2, Q, [(0, 0, Fraction(1, 2)), (0, 1, 3)]).entries] == [
+        Fraction, int]
 
 
 def test_bounds_checked():
@@ -180,11 +199,122 @@ def test_entries_are_column_major():
     assert m.entries == ((0, 0, Q.from_int(3)), (1, 0, Q.from_int(2)), (0, 1, Q.one))
 
 
+def raw_columns(m):
+    """The columns of ``m`` as the trusted constructor takes them: one list
+    of (row, value) pairs per column, in column order, empty ones included."""
+    columns = [[] for _ in range(m.n_cols)]
+    for r, c, v in m.entries:
+        columns[c].append((r, v))
+    return columns
+
+
 def test_trusted_constructor_keeps_its_input_order():
-    # it stores any iterable as it comes, a generator included, sorting nothing
-    triples = [(1, 1, Q.one), (0, 0, Q.from_int(2)), (1, 0, Q.from_int(3))]
-    trusted = SparseMatrix._from_canonical(2, 2, Q, (t for t in triples))
-    assert trusted.entries == tuple(triples)
+    # column c is the stream's c-th iterable, empty ones included, pulled
+    # from any iterable, a generator of generators included
+    columns = [[(1, Q.from_int(3))], [], [(0, Q.from_int(2)), (1, Q.one)], []]
+    trusted = SparseMatrix._from_columns(2, 4, Q, ((t for t in col) for col in columns))
+    assert trusted.entries == ((1, 0, 3), (0, 2, 2), (1, 2, 1))
+    assert trusted == M(2, 4, Q, [(r, c, v) for c, col in enumerate(columns) for r, v in col])
+
+
+class SpyField(type(Q)):
+    """Q, recording each ``add`` and ``is_zero`` it is asked and refusing
+    ``coerce``, which no trusted constructor may call."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = []
+
+    def add(self, a, b):
+        self.calls.append(("add", a, b))
+        return super().add(a, b)
+
+    def is_zero(self, a):
+        self.calls.append(("is_zero", a))
+        return super().is_zero(a)
+
+    def coerce(self, a):
+        raise AssertionError(f"coerce({a!r}) called on a trusted path")
+
+
+def test_trusted_constructor_merges_repeated_rows_only():
+    # a repeated row is merged, the older value first; only a sum can
+    # cancel, so no other value is tested for zero
+    spy = SpyField()
+    columns = [[(2, 1), (0, 3), (2, 3)], [(1, 1), (0, 1), (1, -1)], [], [(3, 1), (1, 2)]]
+    m = SparseMatrix._from_columns(4, 4, spy, columns)
+    assert m.entries == ((0, 0, 3), (2, 0, 4), (0, 1, 1), (1, 3, 2), (3, 3, 1))
+    assert spy.calls == [("add", 1, 3), ("is_zero", 4), ("add", 1, -1), ("is_zero", 0)]
+
+
+@pytest.mark.parametrize("label", ("q", "gfp:2", "gfp:5"))
+def test_trusted_constructor_sums_each_column_as_linear_combination_does(label):
+    # each column is the canonical sum of its terms, rows sorted; a pair
+    # +1, -1 cancels in every field, since over gfp:2 the two signs are
+    # equal and add to 2 = 0
+    field = get_field(label)
+    one, minus = field.one, field.neg(field.one)
+    three = field.from_int(3)
+    columns = [
+        [(2, one), (0, three), (2, three)],  # a repeated row
+        [(1, one), (0, one), (1, minus)],  # a pair that cancels
+        [(0, one), (0, minus), (0, three)],  # a cancelled row met again
+        [],  # an empty column
+        [(3, one), (1, three), (0, minus)],  # no repeat, rows out of order
+    ]
+    m = SparseMatrix._from_columns(4, 5, field, columns)
+    want = [(r, c, v) for c, col in enumerate(columns)
+            for r, v in sorted(linear_combination(field, col).items())]
+    assert m.entries == tuple(want)
+    assert [type(v) for *_, v in m.entries] == [type(v) for *_, v in want]
+    assert (0, 1, one) in m.entries and not any(c == 1 and r == 1 for r, c, _ in m.entries)
+    assert m == M(4, 5, field, [(r, c, v) for c, col in enumerate(columns) for r, v in col])
+
+
+def test_trusted_constructor_keeps_the_value_types_over_q():
+    # ints stay ints and a Fraction stays a Fraction even where it sums to
+    # an integer, as ``linear_combination`` leaves them; a row that cancels
+    # is dropped, so a later int on it stays an int, where
+    # ``linear_combination`` adds it to a zero Fraction
+    half = Fraction(1, 2)
+    columns = [[(0, 2), (0, 3)], [(0, 1), (0, half)], [(0, half), (0, half)],
+               [(0, half), (0, -half), (0, 3)]]
+    m = SparseMatrix._from_columns(1, 4, Q, columns)
+    assert [(v, type(v)) for *_, v in m.entries] == [
+        (5, int), (Fraction(3, 2), Fraction), (1, Fraction), (3, int)]
+    for (*_, v), col in zip(m.entries[:3], columns):
+        (want,) = linear_combination(Q, col).values()
+        assert (v, type(v)) == (want, type(want))
+
+
+def test_trusted_constructor_shares_one_object_per_row():
+    # rows computed afresh are stored as one int object each, shared by
+    # every column they appear in
+    rows = [int(str(n)) for n in (700, 999, 700, 999)]
+    assert rows[0] is not rows[2] and rows[1] is not rows[3]
+    m = SparseMatrix._from_columns(1000, 2, F5, [
+        [(rows[0], 1), (rows[1], 2)], [(rows[3], 3), (rows[2], 4)]])
+    assert m.entries == ((700, 0, 1), (999, 0, 2), (700, 1, 4), (999, 1, 3))
+    assert m.entries[0][0] is m.entries[2][0] and m.entries[1][0] is m.entries[3][0]
+
+
+def shuffled_columns(rng, m):
+    """``raw_columns(m)``, each column in a random order with some of its
+    values split into two nonzero summands: raw terms whose canonical sums
+    are the columns of ``m``."""
+    field = m.field
+    columns = []
+    for column in raw_columns(m):
+        terms = []
+        for r, v in column:
+            a = random_scalar(rng, field)
+            if rng.random() < 0.4 and not field.is_zero(a) and not field.is_zero(field.sub(v, a)):
+                terms += [(r, a), (r, field.sub(v, a))]
+            else:
+                terms.append((r, v))
+        rng.shuffle(terms)
+        columns.append(terms)
+    return columns
 
 
 def test_trusted_and_public_matrices_agree():
@@ -193,9 +323,10 @@ def test_trusted_and_public_matrices_agree():
         field = get_field(label)
         for _ in range(20):
             m = random_matrix(rng, field, rng.randint(0, 12), rng.randint(0, 12))
-            trusted = SparseMatrix._from_canonical(m.n_rows, m.n_cols, field, iter(m.entries))
-            negated = SparseMatrix._from_canonical(
-                m.n_rows, m.n_cols, field, [(r, c, field.neg(v)) for r, c, v in m.entries])
+            trusted = SparseMatrix._from_columns(
+                m.n_rows, m.n_cols, field, iter(shuffled_columns(rng, m)))
+            negated = SparseMatrix._from_columns(m.n_rows, m.n_cols, field, [
+                [(r, field.neg(v)) for r, v in column] for column in shuffled_columns(rng, m)])
             assert trusted == m and hash(trusted) == hash(m)
             assert transpose(trusted) == transpose(m)
             assert hash(transpose(trusted)) == hash(transpose(m))
@@ -463,7 +594,7 @@ def test_rank_is_memoised_and_invisible():
         for _ in range(20):
             m = random_matrix(rng, field, rng.randint(0, 12), rng.randint(0, 12))
             twin = SparseMatrix(m.n_rows, m.n_cols, field, m.entries)
-            trusted = SparseMatrix._from_canonical(m.n_rows, m.n_cols, field, m.entries)
+            trusted = SparseMatrix._from_columns(m.n_rows, m.n_cols, field, raw_columns(m))
             r = m.rank()
             assert m == twin and hash(m) == hash(twin) and repr(m) == repr(twin)
             assert [m.rank(), m.rank()] == [r, r]
@@ -499,7 +630,7 @@ def test_constructors_leave_the_rank_unset(monkeypatch):
     monkeypatch.setattr("operad_lab.linalg._reduce",
                         lambda field, columns, bound: calls.append(list(columns)) or {0: {0: 1}})
     m = M(5, 5, Q, [(0, 0, Q.one), (1, 0, Q.one)])  # sparse: density 0.08
-    trusted = SparseMatrix._from_canonical(5, 5, Q, m.entries)
+    trusted = SparseMatrix._from_columns(5, 5, Q, raw_columns(m))
     full = M(3, 3, Q, [(r, c, Q.one) for r in range(3) for c in range(3)])  # dense
     for mat in (m, trusted, full):
         assert not hasattr(mat, "_rank")
@@ -564,7 +695,7 @@ def check_rank_complex(mats, ascending):
     """rank_complex memoises, for each matrix, the rank that ``rank()`` and
     the row-pivot oracle give on a fresh copy; returns the sum of the
     homology dimensions inside the list, zero when every bound was tight."""
-    fresh = [SparseMatrix._from_canonical(m.n_rows, m.n_cols, m.field, m.entries)
+    fresh = [SparseMatrix._from_columns(m.n_rows, m.n_cols, m.field, raw_columns(m))
              for m in mats]
     rank_complex(mats, ascending)
     ranks = [m._rank for m in mats]
@@ -598,8 +729,8 @@ def spy_on_column_reads(monkeypatch):
 
     def columns(mat, skip=()):
         cols = reads.setdefault(id(mat.entries), [])
-        tagged = SparseMatrix._from_canonical(
-            mat.n_rows, mat.n_cols, mat.field, [(r, c, (c, v)) for r, c, v in mat.entries])
+        tagged = SparseMatrix._from_columns(mat.n_rows, mat.n_cols, mat.field, [
+            [(r, (c, v)) for r, v in column] for c, column in enumerate(raw_columns(mat))])
         for col in stream(tagged, skip):
             cols.append(next(iter(col.values()))[0])
             yield {r: v for r, (_, v) in col.items()}

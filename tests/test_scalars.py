@@ -107,6 +107,21 @@ def test_prime_field_rejects_composite_and_zero_division():
         f.inv(0)
 
 
+def test_coerce_makes_a_public_coefficient_a_scalar():
+    f5, q = PrimeField(5), RationalField()
+    assert [f5.coerce(n) for n in (-6, -1, 0, 4, 5, 12, 10**30 + 1)] == [4, 4, 0, 4, 0, 2, 1]
+    assert q.coerce(-3) == -3 and type(q.coerce(-3)) is int
+    half = Fraction(1, 2)
+    assert q.coerce(half) is half
+    assert type(q.coerce(Fraction(4, 2))) is Fraction
+    for field in (f5, q):
+        for bad in (0.5, 1.0, 0.0, True, False, "1", None):
+            with pytest.raises(ScalarError, match=f"got {bad!r}$"):
+                field.coerce(bad)
+    with pytest.raises(ScalarError, match="over gfp:5 must be an int"):
+        f5.coerce(half)
+
+
 def test_get_field_labels():
     assert get_field("q").label == "q"
     assert get_field("gfp:13").label == "gfp:13"
