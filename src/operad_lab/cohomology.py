@@ -219,8 +219,9 @@ class ComplexSpec:
     def columns(self, degree):
         """The columns of the degree-n matrix in basis order, from the
         kind's builder, each an iterable of raw (row, value) terms: rows in
-        range, values nonzero, a row possibly repeated."""
-        return self._columns(self, degree)
+        range, values nonzero, a row possibly repeated.  A degree below 0
+        has none, as its dimension says."""
+        return self._columns(self, degree) if degree >= 0 else iter(())
 
     def target_degree(self, degree):
         return degree + 1 if self.ascending else degree - 1

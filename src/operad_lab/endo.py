@@ -18,13 +18,16 @@ them there except the oracle ``classical_coboundary``, which reads ``mul``.
 
 from itertools import product
 
+from .core import compose, face
 from .elements import Element, Operad, OperadError, json_int, json_scalar, read_json
 from .scalars import power_sign
 
 
 class FinAlgebra:
     """Finite-dimensional unital associative algebra given by structure
-    constants: mul[i][j][k] is the e_k coefficient of e_i * e_j."""
+    constants: mul[i][j][k] is the e_k coefficient of e_i * e_j.  Every
+    constant is made a field scalar (``field.coerce``) once the shapes
+    match."""
 
     def __init__(self, name, field, dim, unit, mul):
         if dim < 1:
@@ -32,12 +35,15 @@ class FinAlgebra:
         self.name = name
         self.field = field
         self.dim = dim
-        self.unit = tuple(unit)
-        self.mul = tuple(tuple(tuple(row) for row in plane) for plane in mul)
-        if len(self.unit) != dim or any(
-            len(p) != dim or any(len(r) != dim for r in p) for p in self.mul
+        unit = tuple(unit)
+        mul = tuple(tuple(tuple(row) for row in plane) for plane in mul)
+        if len(unit) != dim or len(mul) != dim or any(
+            len(p) != dim or any(len(r) != dim for r in p) for p in mul
         ):
             raise OperadError("structure constant shapes do not match dim")
+        coerce = field.coerce
+        self.unit = tuple(map(coerce, unit))
+        self.mul = tuple(tuple(tuple(map(coerce, row)) for row in plane) for plane in mul)
         # nonzero[a][b] = ((t, c), ...): the terms c e_t of e_a e_b, t ascending
         self.nonzero = tuple(tuple(
             tuple((t, c) for t, c in enumerate(row) if not field.is_zero(c)) for row in plane
@@ -53,42 +59,21 @@ class FinAlgebra:
         self._check_axioms()
 
     def _check_axioms(self):
-        d = self.dim
-        for i in range(d):
-            for j in range(d):
-                left = self.multiply(self.basis_vector(i), self.basis_vector(j))
-                for k in range(d):
-                    lhs = self.multiply(left, self.basis_vector(k))
-                    rhs = self.multiply(
-                        self.basis_vector(i),
-                        self.multiply(self.basis_vector(j), self.basis_vector(k)),
-                    )
-                    if lhs != rhs:
-                        raise OperadError(
-                            f"algebra {self.name!r} is not associative at ({i},{j},{k})"
-                        )
-            ei = self.basis_vector(i)
-            if self.multiply(self.unit, ei) != ei or self.multiply(ei, self.unit) != ei:
-                raise OperadError(f"unit axiom fails at basis index {i}")
-
-    def basis_vector(self, i):
-        return tuple(
-            self.field.one if k == i else self.field.zero for k in range(self.dim)
-        )
-
-    def multiply(self, a, b):
-        f = self.field
-        out = [f.zero] * self.dim
-        for i, ai in enumerate(a):
-            if f.is_zero(ai):
-                continue
-            for j, bj in enumerate(b):
-                if f.is_zero(bj):
-                    continue
-                coeff = f.mul(ai, bj)
-                for k, c in self.nonzero[i][j]:
-                    out[k] = f.add(out[k], f.mul(coeff, c))
-        return tuple(out)
+        """The algebra is associative and unital exactly when its product m
+        in the endomorphism operad is: m o_1 m = m o_2 m, and the unit in
+        either slot of m (a face) is the identity.  The first failure is
+        named as a loop over i would meet it, checking every triple
+        (i, j, k) and then the unit laws at i."""
+        op = EndoOperad(self)
+        m, one = op.multiplication(), op.unit_one()
+        triples = (compose(m, 1, m) - compose(m, 2, m)).terms
+        i, j, k, _ = min(triples, default=(self.dim,) * 4)
+        unit_index = min((key[0] for s in (1, 2) for key in (face(m, s) - one).terms),
+                         default=self.dim)
+        if unit_index < i:
+            raise OperadError(f"unit axiom fails at basis index {unit_index}")
+        if triples:
+            raise OperadError(f"algebra {self.name!r} is not associative at ({i},{j},{k})")
 
     def signature(self):
         return ("algebra", self.name, self.field.signature(), self.dim, self.unit, self.mul)
@@ -282,7 +267,7 @@ def classical_coboundary(x):
 
     if x.arity == 0:
         for key, coeff in x.terms.items():
-            vec = alg.unit if key == () else alg.basis_vector(key[0])
+            vec = alg.unit if key == () else [f.one if t == key[0] else f.zero for t in range(d)]
             for u in range(d):
                 for m in range(d):
                     for t in range(d):

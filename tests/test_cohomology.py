@@ -465,6 +465,18 @@ def test_every_stream_yields_its_dimension_in_sorted_columns(selector, max_entry
             assert mat == SparseMatrix(n_rows, n_cols, field, triples), (spec.differential, n)
 
 
+@pytest.mark.parametrize("selector,max_entry,top", PRESET_WINDOWS)
+def test_a_negative_degree_has_no_columns(selector, max_entry, top):
+    # dimension_at says every degree below 0 is empty, and every stream
+    # agrees: the matrix out of it is the empty dim(target) x 0 one
+    for spec in preset_specs(selector, max_entry, top):
+        for n in (-1, -2):
+            assert list(spec.columns(n)) == [], (spec.differential, n)
+            n_rows = spec.dimension_at(spec.target_degree(n))
+            mat = differential_matrix(spec, n)
+            assert mat == SparseMatrix(n_rows, 0, spec.operad.field), (spec.differential, n)
+
+
 class OffSpec(ComplexSpec):
     """A complex whose dimension is off by ``off`` at degree ``at``."""
 

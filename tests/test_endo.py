@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from operad_lab import Element, EndoOperad, OperadError, get_field
+from operad_lab import Element, EndoOperad, OperadError, ScalarError, get_field
 from operad_lab.cohomology import ComplexSpec, betti, differential_matrix
 from operad_lab.core import coboundary, compose, face, odot_product
 from operad_lab.endo import (
@@ -29,11 +29,31 @@ F5 = get_field("gfp:5")
 def test_presets_validate():
     for algebra in (ground_field_algebra(Q), dual_numbers(Q), dual_numbers(F3), matrix2(F5)):
         assert algebra.dim >= 1
-        # unit laws held during construction; spot-check multiply
-        for i in range(algebra.dim):
-            e = algebra.basis_vector(i)
-            assert algebra.multiply(algebra.unit, e) == e
-            assert algebra.multiply(e, algebra.unit) == e
+        # the axioms held during construction; check them again through the
+        # operad: the unit in either slot of the product is the identity
+        op = EndoOperad(algebra)
+        m = op.multiplication()
+        assert compose(m, 1, m) == compose(m, 2, m)
+        for s in (1, 2):
+            assert face(m, s) == op.unit_one()
+
+
+def test_structure_constants_are_stored_as_field_scalars():
+    # a constant of the wrong range is reduced, as in Element(...)
+    algebra = FinAlgebra("x", F5, 1, (6,), (((6,),),))
+    assert (algebra.unit, algebra.mul) == ((1,), (((1,),),))
+    op = EndoOperad(algebra)
+    assert op.multiplication() == Element.basis(op, (0, 0, 0))
+    # a float is refused where it enters, before any complex is built
+    for unit, product in [(1.0, 1), (1, 1.0)]:
+        with pytest.raises(ScalarError, match=f"got {1.0!r}$"):
+            FinAlgebra("x", Q, 1, (unit,), (((product,),),))
+
+
+def test_structure_constants_need_one_plane_per_basis_element():
+    for mul in ([[[1]], [[5]]], []):
+        with pytest.raises(OperadError, match="^structure constant shapes do not match dim$"):
+            FinAlgebra("x", Q, 1, [1], mul)
 
 
 def test_non_associative_rejected():
@@ -51,8 +71,42 @@ def test_non_associative_rejected():
         [vec(1), vec(2), vec(None)],
         [vec(2), vec(1), vec(None)],
     ]
-    with pytest.raises(OperadError):
+    with pytest.raises(OperadError) as refused:
         FinAlgebra("bad", Q, 3, unit, mul)
+    assert str(refused.value) == "algebra 'bad' is not associative at (1,1,1)"
+
+
+def constants(dim, products):
+    """The structure constants with ``products[(a, b)]`` as the coordinates
+    of e_a e_b, every other product 0."""
+    return [[products.get((a, b), [0] * dim) for b in range(dim)] for a in range(dim)]
+
+
+# (dim, unit, products, message): each axiom failure is refused with its
+# first failing triple (i, j, k) or basis index i, in the order of the loop
+# over i that checks every triple (i, j, k), then the unit laws at i
+AXIOM_REFUSALS = [
+    # e0 e0 = 2 e0 is associative, but the unit does not act as one
+    (1, [1], {(0, 0): [2]}, "unit axiom fails at basis index 0"),
+    # (e0e0)e1 = 2e1 but e0(e0e1) = e1, and the unit laws fail at 0 too:
+    # at an equal index the associativity failure comes first
+    (2, [1, 0], {(0, 0): [2, 0], (0, 1): [0, 1], (1, 0): [0, 1]},
+     "algebra 'pinned' is not associative at (0,0,1)"),
+    # e0 e0 = 0 breaks the unit laws at 0 before the first associativity
+    # failure, (e1e0)e0 = e1 but e1(e0e0) = 0, at (1,0,0)
+    (2, [1, 0], {(1, 0): [0, 1]}, "unit axiom fails at basis index 0"),
+    # e0 is only a left unit, or only a right one: each fails at index 1
+    (2, [1, 0], {(0, 0): [1, 0], (0, 1): [0, 1]}, "unit axiom fails at basis index 1"),
+    (2, [1, 0], {(0, 0): [1, 0], (1, 0): [0, 1]}, "unit axiom fails at basis index 1"),
+]
+
+
+def test_axiom_refusals_name_the_first_failure():
+    for field in (Q, F5):
+        for dim, unit, products, message in AXIOM_REFUSALS:
+            with pytest.raises(OperadError) as refused:
+                FinAlgebra("pinned", field, dim, unit, constants(dim, products))
+            assert str(refused.value) == message, (field.label, products)
 
 
 def test_theta_picks_unit_coordinate():
