@@ -8,6 +8,7 @@ from operad_lab import (
     ComplexSpec,
     Element,
     EndoOperad,
+    SparseMatrix,
     betti,
     coboundary,
     differential_matrix,
@@ -35,10 +36,27 @@ print()
 print("== the operadic coboundary is the classical one ==")
 operad = EndoOperad(dual_numbers(get_field("gfp:3")))
 for degree in (1, 2, 3):
-    op_mat = differential_matrix(ComplexSpec(operad, "coboundary", degree, degree, allow_large=True), degree)
+    # the operadic side summed key by key from the Element-level coboundary
+    rows = {key: r for r, key in enumerate(operad.basis_keys(degree + 1))}
+    triples = [(rows[k], c, v) for c, key in enumerate(operad.basis_keys(degree))
+               for k, v in coboundary(Element.basis(operad, key)).terms.items()]
+    op_mat = SparseMatrix(len(rows), operad.dimension(degree), operad.field, triples)
     cl_mat = differential_matrix(ComplexSpec(operad, "hochschild", degree, degree, allow_large=True), degree)
     same = "equal" if op_mat == cl_mat else "differ"
     print(f"  degree {degree}: matrices {same}, rank {op_mat.rank()}")
+
+print()
+print("== where the two complexes differ: degrees 0 and 1 ==")
+# the operadic degree 0 is the point, whose coboundary is zero; the classical
+# one is the algebra, whose coboundary a -> [-, a] names the inner derivations
+for name, algebra in (("dual numbers over GF(3)", dual_numbers(get_field("gfp:3"))),
+                      ("2x2 matrices over GF(5)", matrix2(get_field("gfp:5")))):
+    endo = EndoOperad(algebra)
+    operadic = betti(ComplexSpec(endo, "coboundary", 0, 2))
+    classical = betti(ComplexSpec(endo, "hochschild", 0, 2))
+    print(f"  {name:<26} H^0={operadic['dims'][0]} (the point), HH^0={classical['dims'][0]};"
+          f" Der A={operadic['dims'][1]}, HH^1={classical['dims'][1]},"
+          f" inner={classical['ranks'][0]}")
 
 print()
 print("== cup product through the operad ==")

@@ -22,11 +22,13 @@ degree 0 is the algebra itself, keyed (j,), with no special case.  Its
 columns are read off tables filed from ``FinAlgebra.nonzero``, each
 constant stored with its negation, so a column needs no field
 multiplication, and its stream names every row by its rank, read off the
-rank of the column's key, so it builds no key either.  The key-by-key
-stream is the test oracle of the face-rank one, and
-``endo.classical_coboundary`` that of the key-rank one.  The tests sum the
-boundary and the coboundary from ``core.compose`` on their own, as the
-oracle of the two operators and of their key-by-key columns.
+rank of the column's key, so it builds no key either.  The coboundary
+builder gives an endomorphism operad the same stream, with the point's one
+empty column at degree 0.  The key-by-key stream is the test oracle of the
+face-rank one and of the endo coboundary, and ``endo.classical_coboundary``
+that of the key-rank one.  The tests sum the boundary and the coboundary
+from ``core.compose`` on their own, as the oracle of the two operators and
+of their key-by-key columns.
 
 Every refusal of a complex comes before its first column is built.
 Construction refuses what the kind table cannot build: an unknown kind, an
@@ -133,13 +135,19 @@ def _boundary(operad):
 
 
 def _coboundary(operad):
-    """The builder of the coboundary kind, whose matrices are assembled key
-    by key from ``core.coboundary``.  Every term of the coboundary of a
-    shift key ends in the key's last entry plus one, so every degree from 1
-    to max-entry - 1 leaves the truncated basis: shift is refused whole."""
+    """The builder of the coboundary kind: key by key from
+    ``core.coboundary``, or on an endomorphism operad, whose coboundary has
+    the Hochschild terms and signs from degree 1 on, the classical kind's
+    stream, with one empty column for the point.  Every term of the
+    coboundary of a shift key ends in the key's last entry plus one, so
+    every degree from 1 to max-entry - 1 leaves the truncated basis: shift
+    is refused whole."""
     if isinstance(operad, ShiftOperad):
         raise OperadError(f"the shift basis truncated at max-entry {operad.max_entry} "
                           "is not closed under the coboundary")
+    if isinstance(operad, EndoOperad):
+        classical = _classical(operad)[1]
+        return operad.dimension, lambda spec, n: classical(spec, n) if n else iter(((),))
     return operad.dimension, partial(_by_key, coboundary)
 
 
@@ -189,13 +197,13 @@ class ComplexSpec:
 
     The kind is looked up in ``DIFFERENTIALS`` once, here, and its builder
     gives the kind's dimension and its column stream, with whatever a column
-    needs that does not depend on its key: the operator for the operadic
-    kinds, and the filed structure constants for the classical one.  The
+    needs that does not depend on its key: the operator for a key-by-key
+    stream, and the filed structure constants for a key-rank one.  The
     stream is key by key, from face ranks for the assoc boundary, or from
-    key ranks for the classical kind.  The degree window is checked
-    after the builder has accepted the operad.  No method compares the kind
-    string: the classical degree 0 is the algebra, keyed (j,) like any
-    other degree, with no special case.
+    key ranks for the classical kind and the endo coboundary.  The degree
+    window is checked after the builder has accepted the operad.  No method
+    compares the kind string: the classical degree 0 is the algebra, keyed
+    (j,) like any other degree, with no special case.
     """
 
     def __init__(self, operad, differential, lo, hi, column_cap=DEFAULT_COLUMN_CAP, allow_large=False):

@@ -1,9 +1,9 @@
 """Exact sparse linear algebra: rank, kernel dimension, sign comparison.
 
 Matrices are stored column-major, as canonical triplet tuples sorted by
-(column, row), over an explicit field from :mod:`operad_lab.scalars`; the
-library's own matrices are made canonical in one place, the trusted
-``SparseMatrix._from_columns``.  A matrix is immutable, so its rank is
+(column, row), over an explicit field from :mod:`operad_lab.scalars`, and
+made canonical in one place, the column merge ``_canonical`` that both
+constructors call.  A matrix is immutable, so its rank is
 computed once and memoised.  The rank is a column reduction on plain ints
 that pulls columns one at a time from a stream, keys each pivot by its
 largest row index and stops pulling once it holds as many pivots as a
@@ -23,8 +23,6 @@ from functools import partial
 from itertools import groupby
 from math import gcd, lcm
 from operator import itemgetter
-
-from .scalars import linear_combination
 
 # read only by the benchmark tracer, to split its rank timings by density
 DENSE_DENSITY = 0.25
@@ -52,43 +50,24 @@ class SparseMatrix:
         self.n_rows = n_rows
         self.n_cols = n_cols
         self.field = field
-
-        def cells():
-            for r, c, v in triples:
-                if not (0 <= r < n_rows and 0 <= c < n_cols):
-                    raise LinalgError(f"entry ({r},{c}) outside {n_rows}x{n_cols}")
-                yield (c, r), field.coerce(v)
-
-        self.entries = tuple(
-            (r, c, v) for (c, r), v in sorted(linear_combination(field, cells()).items())
-        )
+        groups = {}
+        for r, c, v in triples:
+            if not (0 <= r < n_rows and 0 <= c < n_cols):
+                raise LinalgError(f"entry ({r},{c}) outside {n_rows}x{n_cols}")
+            v = field.coerce(v)
+            if not field.is_zero(v):
+                groups.setdefault(c, []).append((r, v))
+        self.entries = tuple(_canonical(field, sorted(groups.items()), int))
 
     @classmethod
     def _from_columns(cls, n_rows, n_cols, field, columns):
         """Trusted constructor, pulling lazily from ``columns`` one iterable
         of (row, value) terms per column, empty ones included: rows in
-        range, values nonzero, a row possibly repeated.  A repeated row is
-        merged with ``field.add``, the older value first, and only such a
-        sum is tested for zero: a row that cancels is dropped, and a later
-        term on it starts afresh.  Each column's rows are sorted and stored
-        as int objects shared by the whole matrix."""
-        add, is_zero = field.add, field.is_zero
-        row = list(range(n_rows)).__getitem__
-
-        def triples():
-            for c, terms in enumerate(columns):
-                column = {}
-                for r, v in terms:
-                    if r in column:
-                        v = add(column.pop(r), v)
-                        if is_zero(v):
-                            continue
-                    column[r] = v
-                for r, v in sorted(column.items()):
-                    yield row(r), c, v
-
+        range, values nonzero, a row possibly repeated.  Each column is
+        made canonical by ``_canonical``, its rows stored as int objects
+        shared by the whole matrix."""
         out = cls(n_rows, n_cols, field)
-        out.entries = tuple(triples())
+        out.entries = tuple(_canonical(field, enumerate(columns), list(range(n_rows)).__getitem__))
         return out
 
     @property
@@ -126,6 +105,27 @@ class SparseMatrix:
 
     def __repr__(self):
         return f"SparseMatrix({self.n_rows}x{self.n_cols}, nnz={self.nnz}, {self.field.label})"
+
+
+def _canonical(field, columns, row):
+    """The canonical triples of ``(column index, terms)`` pairs, in the
+    pairs' order, each an iterable of (row, value) terms: values nonzero, a
+    row possibly repeated.  A repeated row is merged with ``field.add``,
+    the older value first, and only such a sum is tested for zero: a row
+    that cancels is dropped, and a later term on it starts afresh.  Each
+    column's rows are sorted and stored as ``row(r)``, which may intern
+    them."""
+    add, is_zero = field.add, field.is_zero
+    for c, terms in columns:
+        column = {}
+        for r, v in terms:
+            if r in column:
+                v = add(column.pop(r), v)
+                if is_zero(v):
+                    continue
+            column[r] = v
+        for r, v in sorted(column.items()):
+            yield row(r), c, v
 
 
 def rank_complex(mats, ascending):

@@ -29,7 +29,7 @@ import itertools
 import random
 
 from .assoc import AssocOperad, concat, deconcat_coproduct
-from .cohomology import ComplexSpec, betti, differential_matrix
+from .cohomology import ComplexSpec, _by_key, betti, differential_matrix
 from .core import (
     aw_coproduct,
     boundary,
@@ -47,7 +47,7 @@ from .core import (
 )
 from .elements import Element
 from .endo import EndoOperad, cup_product, dual_numbers, ground_field_algebra, matrix2
-from .linalg import equal_up_to_global_sign
+from .linalg import SparseMatrix, equal_up_to_global_sign
 from .scalars import get_field, linear_combination, power_sign
 from .shift import ShiftOperad, gamma_shift
 from .serialize import dumps
@@ -477,12 +477,16 @@ def gamma_shift_cases(operad):
 
 
 def make_batch_rank_comparison(op):
+    # the operadic side is summed key by key from core.coboundary, since the
+    # library reads both kinds off one key-rank stream on an endomorphism operad
     def run(ops, label, rng, trials):
         degrees = []
         for n in (1, 2, 3):
             operadic = ComplexSpec(op, "coboundary", n, n)
             classical = ComplexSpec(op, "hochschild", n, n)
-            mat_o = differential_matrix(operadic, n)
+            mat_o = SparseMatrix._from_columns(
+                operadic.dimension_at(n + 1), operadic.dimension_at(n), op.field,
+                _by_key(coboundary, operadic, n))
             mat_c = differential_matrix(classical, n)
             sign = equal_up_to_global_sign(mat_o, mat_c)
             if sign is None:

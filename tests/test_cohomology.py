@@ -8,7 +8,8 @@ Every kind's matrix assembly is also checked against matrices summed,
 column by column, from code it does not share: the compose-and-sum
 definitions of the boundary and coboundary in ``test_core`` and
 ``classical_coboundary``.  betti() is checked against closed forms for
-three more algebras in three characteristics.
+three more algebras in three characteristics, and the endo coboundary's
+dims against the classical kind's as theory relates them.
 """
 
 import gc
@@ -33,6 +34,7 @@ from operad_lab import (
     differential_matrix,
     get_field,
 )
+from operad_lab import cohomology, core
 from operad_lab.cli import main, make_operad
 from operad_lab.cohomology import DEFAULT_COLUMN_CAP, DIFFERENTIALS, _by_key
 from operad_lab.endo import algebra_from_json, dual_numbers, ground_field_algebra, matrix2
@@ -185,10 +187,12 @@ def test_matrices_match_oracle_entrywise():
 
 
 def test_operadic_and_classical_ranks_agree():
+    # the library reads both kinds off key ranks on an endomorphism operad,
+    # so the operadic side is summed from the compose-and-sum coboundary
     for algebra in (dual_numbers(F3), matrix2(F5)):
         op = EndoOperad(algebra)
         for n in (1, 2):
-            a = differential_matrix(ComplexSpec(op, "coboundary", n, n), n)
+            a = element_matrix(ComplexSpec(op, "coboundary", n, n), n)
             b = differential_matrix(ComplexSpec(op, "hochschild", n, n), n)
             assert equal_up_to_global_sign(a, b) == 1
             assert a.rank() == b.rank()
@@ -797,6 +801,58 @@ def test_betti_matches_closed_forms(name, field_label, p):
     # degree 0 closes the window, so every degree is two-sided
     assert report["warnings"] == []
     assert report["dims"] == closed_form_hh(name, p)
+
+
+# --- the endo coboundary, read off key ranks, against the classical kind ---
+
+
+def test_endo_coboundary_lists_no_key_and_calls_no_operator(monkeypatch):
+    # on an endomorphism operad the coboundary is read off key ranks, as the
+    # classical kind is: no key is listed and core.coboundary never runs
+    def refuse(*args):
+        raise AssertionError("the key-by-key stream ran")
+
+    op = make_operad("endo:m2", F5)
+    for target in (core, cohomology):
+        monkeypatch.setattr(target, "coboundary", refuse)
+    monkeypatch.setattr(EndoOperad, "basis_keys", refuse)
+    report = betti(ComplexSpec(op, "coboundary", 0, 4))
+    assert report["dims"] == [1, 3, 0, 0, 0]
+    assert report["ranks"] == [0, 13, 51, 205, 819]
+
+
+ENDO_SELECTORS = [("endo:k", 6), ("endo:dual", 6), ("endo:m2", 4)] + [
+    (name, 4) for name in sorted(CLOSED_FORM_ALGEBRAS)]
+
+
+@pytest.mark.parametrize("field", ["q", "gfp:2", "gfp:3", "gfp:5"])
+@pytest.mark.parametrize("selector,top", ENDO_SELECTORS)
+def test_endo_coboundary_and_hochschild_dims_agree_as_theory_says(selector, top, field):
+    # the two kinds share every differential of degree n >= 1 and differ at
+    # degree 0: the operadic one is the point, whose coboundary is zero, and
+    # the classical one the algebra, with d0(a) = [-, a].  So operadic H^0
+    # is the point, operadic H^1 the derivations of A, which is HH^1 plus the
+    # inner ones (the rank of d0), and H^n = HH^n for n >= 2
+    op = key_level_operad(selector, get_field(field))
+    operadic = betti(ComplexSpec(op, "coboundary", 0, top))
+    classical = betti(ComplexSpec(op, "hochschild", 0, top))
+    assert operadic["warnings"] == classical["warnings"] == []
+    assert operadic["dims"][0] == 1
+    assert operadic["dims"][1] == classical["dims"][1] + classical["ranks"][0]
+    assert operadic["dims"][2:] == classical["dims"][2:]
+    assert operadic["ranks"][1:] == classical["ranks"][1:]
+
+
+@pytest.mark.parametrize("selector,field,top,operadic,classical", [
+    # Der M_2 is sl_2, all inner, and M_2 is separable
+    ("endo:m2", "gfp:5", 5, [1, 3, 0, 0, 0, 0], [1, 0, 0, 0, 0, 0]),
+    # k[x]/(x^2) is commutative: no inner derivation, and Der = HH^1 = k
+    ("endo:dual", "q", 6, [1] * 7, [2] + [1] * 6),
+])
+def test_endo_coboundary_and_hochschild_dims(selector, field, top, operadic, classical):
+    op = make_operad(selector, get_field(field))
+    assert betti(ComplexSpec(op, "coboundary", 0, top))["dims"] == operadic
+    assert betti(ComplexSpec(op, "hochschild", 0, top))["dims"] == classical
 
 
 @pytest.mark.parametrize("field_label", ["q", "gfp:2"])

@@ -287,6 +287,23 @@ def test_trusted_constructor_keeps_the_value_types_over_q():
         assert (v, type(v)) == (want, type(want))
 
 
+def test_public_constructor_merges_its_columns_as_the_trusted_one_does():
+    # the two constructors share one column merge: entries given in any
+    # column order, zero values dropped, give the trusted matrix of the same
+    # columns, value types included; a row that cancels is dropped, so a
+    # later int on it stays an int
+    half = Fraction(1, 2)
+    columns = [[(0, 2), (0, 3)], [], [(1, half), (0, 0), (1, -half), (1, 3)],
+               [(1, 1), (0, half)]]
+    triples = [(r, c, v) for c, col in reversed(list(enumerate(columns))) for r, v in col]
+    public = M(2, 4, Q, triples)
+    trusted = SparseMatrix._from_columns(2, 4, Q, [[t for t in col if t[1]] for col in columns])
+    assert public.entries == trusted.entries == (
+        (0, 0, 5), (1, 2, 3), (0, 3, half), (1, 3, 1))
+    typed = [[(v, type(v)) for *_, v in m.entries] for m in (public, trusted)]
+    assert typed[0] == typed[1] and typed[0][1] == (3, int)
+
+
 def test_trusted_constructor_shares_one_object_per_row():
     # rows computed afresh are stored as one int object each, shared by
     # every column they appear in
