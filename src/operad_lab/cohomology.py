@@ -40,9 +40,10 @@ listed, and ``_by_key`` a key count that differs from the dimension, before
 its first column.
 
 A stream only names terms, in any order, a row possibly repeated.
-``SparseMatrix._from_columns`` pulls the columns lazily and makes each
-canonical, so no stream knows the matrix's stored form, and neither the
-column basis nor the matrix's triples are ever listed whole.
+``SparseMatrix._from_columns`` pulls the columns lazily and stores each as
+the canonical ``{row: value}`` dict that the reduction reads, so no stream
+knows the matrix's stored form, the column basis is never listed whole and
+no column is ever sorted.
 
 ``betti`` builds the matrices of its whole window before it ranks any, so
 the ranking can pass what one degree learned to the next (see

@@ -1,28 +1,27 @@
 """Exact sparse linear algebra: rank, kernel dimension, sign comparison.
 
-Matrices are stored column-major, as canonical triplet tuples sorted by
-(column, row), over an explicit field from :mod:`operad_lab.scalars`, and
-made canonical in one place, the column merge ``_canonical`` that both
-constructors call.  A matrix is immutable, so its rank is
-computed once and memoised.  The rank is a column reduction on plain ints
-that pulls columns one at a time from a stream, keys each pivot by its
-largest row index and stops pulling once it holds as many pivots as a
-given bound.  The field picks its arithmetic once: modular over GF(p),
-fraction-free over Q (each column's denominators cleared, columns kept
-primitive).  ``_columns`` streams a matrix's columns in ascending order
-from one read of its entries, and skips a given set of columns unread.
-``SparseMatrix.rank`` ranks a one-matrix complex, bounded by its shape
-however dense it is.  ``rank_complex`` ranks the differentials of one
-complex in degree order, and d∘d = 0 tightens the bound of each degree
-and, on an ascending complex, clears columns of the next.  The int
-row-pivot elimination, the field-generic one before it and the dense
-elimination are test oracles.
+A matrix is stored as the columns its reduction reads: a dict from column
+index to that column's canonical ``{row: value}`` dict, nonzero columns
+only, in ascending column order, over an explicit field from
+:mod:`operad_lab.scalars`.  Each column is made canonical in one place,
+the column merge ``_canonical`` that both constructors call.  A matrix is
+immutable, so its rank is computed once and memoised.  The rank is a
+column reduction on plain ints that pulls columns one at a time from a
+stream, keys each pivot by its largest row index and stops pulling once
+it holds as many pivots as a given bound.  The field picks its arithmetic
+once: modular over GF(p), fraction-free over Q (each column's
+denominators cleared, columns kept primitive).  ``_columns`` streams a
+copy of each stored column in ascending order, and skips a given set of
+columns uncopied.  ``SparseMatrix.rank`` ranks a one-matrix complex,
+bounded by its shape however dense it is.  ``rank_complex`` ranks the
+differentials of one complex in degree order, and d∘d = 0 tightens the
+bound of each degree and, on an ascending complex, clears columns of the
+next.  The int row-pivot elimination, the field-generic one before it and
+the dense elimination are test oracles.
 """
 
 from functools import partial
-from itertools import groupby
 from math import gcd, lcm
-from operator import itemgetter
 
 # read only by the benchmark tracer, to split its rank timings by density
 DENSE_DENSITY = 0.25
@@ -33,16 +32,18 @@ class LinalgError(ValueError):
 
 
 class SparseMatrix:
-    """Immutable exact matrix in canonical triplet form.
+    """Immutable exact matrix, stored as its canonical columns.
 
-    Entries are ``(row, col, value)`` triples kept column-major, sorted by
-    (col, row), with duplicates summed and zeros dropped, so two equal
-    matrices always have identical entry tuples.  The public constructor
-    checks every entry, its value through ``field.coerce``.  The rank is
-    memoised in ``_rank``, which equality, hashing and ``repr`` ignore.
+    ``columns`` maps each nonzero column's index, ascending, to its
+    ``{row: value}`` dict, with repeated rows summed and zeros dropped, so
+    two equal matrices always have equal columns.  ``entries`` lists them
+    as ``(row, col, value)`` triples sorted by (col, row).  The public
+    constructor checks every entry: its indices are ints in range, its
+    value goes through ``field.coerce``.  The rank is memoised in
+    ``_rank``, which equality, hashing and ``repr`` ignore.
     """
 
-    __slots__ = ("n_rows", "n_cols", "field", "entries", "_rank")
+    __slots__ = ("n_rows", "n_cols", "field", "columns", "_rank")
 
     def __init__(self, n_rows, n_cols, field, triples=()):
         if n_rows < 0 or n_cols < 0:
@@ -52,27 +53,35 @@ class SparseMatrix:
         self.field = field
         groups = {}
         for r, c, v in triples:
+            if not all(isinstance(i, int) and not isinstance(i, bool) for i in (r, c)):
+                raise LinalgError(f"entry ({r!r},{c!r}) has an index that is not an int")
             if not (0 <= r < n_rows and 0 <= c < n_cols):
                 raise LinalgError(f"entry ({r},{c}) outside {n_rows}x{n_cols}")
             v = field.coerce(v)
             if not field.is_zero(v):
                 groups.setdefault(c, []).append((r, v))
-        self.entries = tuple(_canonical(field, sorted(groups.items()), int))
+        self.columns = dict(_canonical(field, sorted(groups.items()), int))
 
     @classmethod
     def _from_columns(cls, n_rows, n_cols, field, columns):
         """Trusted constructor, pulling lazily from ``columns`` one iterable
         of (row, value) terms per column, empty ones included: rows in
         range, values nonzero, a row possibly repeated.  Each column is
-        made canonical by ``_canonical``, its rows stored as int objects
-        shared by the whole matrix."""
+        stored as ``_canonical`` yields it, its rows int objects shared by
+        the whole matrix."""
         out = cls(n_rows, n_cols, field)
-        out.entries = tuple(_canonical(field, enumerate(columns), list(range(n_rows)).__getitem__))
+        out.columns = dict(_canonical(field, enumerate(columns), list(range(n_rows)).__getitem__))
         return out
 
     @property
+    def entries(self):
+        """The ``(row, col, value)`` triples, sorted by (col, row)."""
+        return tuple((r, c, v) for c, column in self.columns.items()
+                     for r, v in sorted(column.items()))
+
+    @property
     def nnz(self):
-        return len(self.entries)
+        return sum(map(len, self.columns.values()))
 
     @property
     def density(self):
@@ -97,7 +106,7 @@ class SparseMatrix:
             and self.n_rows == other.n_rows
             and self.n_cols == other.n_cols
             and self.field == other.field
-            and self.entries == other.entries
+            and self.columns == other.columns
         )
 
     def __hash__(self):
@@ -108,24 +117,27 @@ class SparseMatrix:
 
 
 def _canonical(field, columns, row):
-    """The canonical triples of ``(column index, terms)`` pairs, in the
-    pairs' order, each an iterable of (row, value) terms: values nonzero, a
-    row possibly repeated.  A repeated row is merged with ``field.add``,
-    the older value first, and only such a sum is tested for zero: a row
-    that cancels is dropped, and a later term on it starts afresh.  Each
-    column's rows are sorted and stored as ``row(r)``, which may intern
-    them."""
+    """Yield ``(c, column)`` lazily, in the pairs' order, for each
+    ``(column index, terms)`` pair whose terms do not sum to zero, with
+    ``column`` the canonical ``{row: value}`` dict of the terms: an
+    iterable of (row, value) terms, values nonzero, a row possibly
+    repeated.  A repeated row is merged with ``field.add``, the older value
+    first, and only such a sum is tested for zero: a row that cancels is
+    dropped, and a later term on it starts afresh.  Rows are stored
+    unsorted, as ``row(r)``, which may intern them.  A column in which a
+    row merged is copied once, so that it keeps no dead dict slots."""
     add, is_zero = field.add, field.is_zero
     for c, terms in columns:
-        column = {}
+        column, merged = {}, False
         for r, v in terms:
             if r in column:
+                merged = True
                 v = add(column.pop(r), v)
                 if is_zero(v):
                     continue
-            column[r] = v
-        for r, v in sorted(column.items()):
-            yield row(r), c, v
+            column[row(r)] = v
+        if column:
+            yield c, dict(column.items()) if merged else column
 
 
 def rank_complex(mats, ascending):
@@ -155,11 +167,11 @@ def rank_complex(mats, ascending):
 
 
 def _columns(mat, skip=()):
-    """The nonzero columns of ``mat`` as fresh ``{row: value}`` dicts, in
-    ascending order from one pass over its entries; those in ``skip`` unbuilt."""
-    for c, run in groupby(mat.entries, itemgetter(1)):
+    """Fresh copies of the nonzero columns of ``mat``, in ascending order;
+    those in ``skip`` uncopied."""
+    for c, column in mat.columns.items():
         if c not in skip:
-            yield {r: v for r, _, v in run}
+            yield dict(column)
 
 
 def _reduce(field, columns, bound):
@@ -255,12 +267,9 @@ def equal_up_to_global_sign(a, b):
     """Return +1 if a == b, -1 if a == -b, else None.  Zero matrices give +1."""
     if a.n_rows != b.n_rows or a.n_cols != b.n_cols or a.field != b.field:
         return None
-    if a.entries == b.entries:
+    if a.columns == b.columns:
         return 1
-    field = a.field
-    if len(a.entries) == len(b.entries) and all(
-        ra == rb and ca == cb and field.is_zero(field.add(va, vb))
-        for (ra, ca, va), (rb, cb, vb) in zip(a.entries, b.entries)
-    ):
+    neg = a.field.neg
+    if b.columns == {c: {r: neg(v) for r, v in column.items()} for c, column in a.columns.items()}:
         return -1
     return None

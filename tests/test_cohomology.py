@@ -549,12 +549,13 @@ def test_construction_refusals_come_in_order(capsys):
 
 
 def test_assembly_and_rank_hold_little_besides_the_matrix():
-    # Column-major assembly keeps only the row index and one column besides
-    # the growing entry tuple, and the rank only one column besides its
-    # pivots.  Sorting a list of every triple (assembly), or grouping the
-    # entries into one dict per column (rank), costs about 0.38 and 0.77 of
-    # the matrix's own size on this matrix (5040 columns, nnz 20076); the
-    # column-major code stays near 0.05 and 0.10.
+    # Assembly keeps only the row index and the column it merges besides
+    # the growing dict of stored columns, and the rank only its pivots and
+    # the column it reduces, each a copy of a stored column.  Sorting a
+    # list of every triple (assembly) costs about 0.4 of the matrix's own
+    # size on this matrix (5040 columns, nnz 20076), and copying every
+    # column before the reduction (rank) about 0.83; the code stays near
+    # 0.03 and 0.12.
     spec = ComplexSpec(AssocOperad(F5), "boundary", 0, 7)
     differential_matrix(spec, 3)  # build the point and the caches first
     gc.collect()

@@ -14,6 +14,8 @@ pulls no column past its bound.
 """
 
 import random
+import re
+import sys
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -66,6 +68,17 @@ def test_construction_merges_and_drops_zeros():
     ])
     assert m.nnz == 1
     assert to_dense(m) == [[Q.zero, Q.zero], [Q.zero, Q.from_int(3)]]
+
+
+def test_construction_refuses_an_index_that_is_not_an_int():
+    # a float, a bool or a string index is refused by name, before the
+    # range check, which a string would fail with a bare TypeError and a
+    # float or a bool would pass
+    for entry in [(0.5, 0, 1), (0, 1.0, 1), (True, 0, 1), ("1", 0, 1)]:
+        message = f"entry ({entry[0]!r},{entry[1]!r}) has an index that is not an int"
+        with pytest.raises(LinalgError, match=f"^{re.escape(message)}$"):
+            M(2, 2, F5, [(0, 1, 1), entry])
+    assert M(2, 2, F5, [(1, 0, 1)]).entries == ((1, 0, 1),)
 
 
 def test_construction_stores_field_scalars():
@@ -202,10 +215,7 @@ def test_entries_are_column_major():
 def raw_columns(m):
     """The columns of ``m`` as the trusted constructor takes them: one list
     of (row, value) pairs per column, in column order, empty ones included."""
-    columns = [[] for _ in range(m.n_cols)]
-    for r, c, v in m.entries:
-        columns[c].append((r, v))
-    return columns
+    return [list(m.columns.get(c, {}).items()) for c in range(m.n_cols)]
 
 
 def test_trusted_constructor_keeps_its_input_order():
@@ -313,6 +323,21 @@ def test_trusted_constructor_shares_one_object_per_row():
         [(rows[0], 1), (rows[1], 2)], [(rows[3], 3), (rows[2], 4)]])
     assert m.entries == ((700, 0, 1), (999, 0, 2), (700, 1, 4), (999, 1, 3))
     assert m.entries[0][0] is m.entries[2][0] and m.entries[1][0] is m.entries[3][0]
+
+
+@pytest.mark.parametrize("selector,kind,degree,label", [
+    ("assoc", "boundary", 7, "gfp:5"),
+    ("assoc", "boundary", 7, "q"),
+    ("endo:m2", "hochschild", 5, "q"),
+])
+def test_every_stored_column_is_compact(selector, kind, degree, label):
+    # a column whose rows merged is copied once, so no stored column keeps
+    # the dead slots its merges left: each is as small as a fresh copy
+    spec = ComplexSpec(make_operad(selector, get_field(label)), kind, degree, degree)
+    mat = differential_matrix(spec, degree)
+    assert len(mat.columns) == mat.n_cols
+    for col in mat.columns.values():
+        assert sys.getsizeof(col) == sys.getsizeof(dict(col.items()))
 
 
 def shuffled_columns(rng, m):
@@ -623,9 +648,10 @@ def test_rank_is_memoised_and_invisible():
 
 
 def test_rank_leaves_its_input_alone():
-    """The kernel reduces its own copies of the columns: the entries of a
-    ranked matrix stay the same object, equal value for value (and type for
-    type, so no Fraction turns into an int) to a twin that was never ranked."""
+    """The kernel reduces its own copies of the columns: the stored column
+    dicts of a ranked matrix stay the same objects, equal value for value
+    (and type for type, so no Fraction turns into an int) to those of a twin
+    that was never ranked."""
     rng = random.Random(13)
     for label in ORACLE_FIELDS:
         field = get_field(label)
@@ -633,12 +659,15 @@ def test_rank_leaves_its_input_alone():
             seed, rows, cols = rng.random(), rng.randint(1, 12), rng.randint(1, 12)
             m = random_matrix(random.Random(seed), field, rows, cols)
             twin = random_matrix(random.Random(seed), field, rows, cols)
-            entries, digest = m.entries, hash(m)
+            stored, digest = list(m.columns.values()), hash(m)
             _reduce(field, _columns(m), min(rows, cols))
             m.rank()
-            assert m.entries is entries
+            assert len(m.columns) == len(stored)
+            assert all(a is b for a, b in zip(m.columns.values(), stored))
             assert m == twin and hash(m) == hash(twin) == digest
-            assert [type(v) for *_, v in m.entries] == [type(v) for *_, v in twin.entries]
+            typed = [[[(r, v, type(v)) for r, v in col.items()] for col in mat.columns.values()]
+                     for mat in (m, twin)]
+            assert typed[0] == typed[1]
             assert twin.rank() == m.rank()
 
 
@@ -737,7 +766,7 @@ def test_rank_complex_matches_rank_on_random_complexes(label):
 
 def spy_on_column_reads(monkeypatch):
     """Wrap the column stream ``_columns`` to record, under the id of the
-    entries it streams, the index of every column the reduction pulls; a
+    matrix it streams, the index of every column the reduction pulls; a
     column it skips or never reaches is not listed.  The real stream runs
     on a copy of the matrix whose values carry their column index, which
     the spy records and strips.  The function returned lists the pulls for
@@ -745,7 +774,7 @@ def spy_on_column_reads(monkeypatch):
     reads, stream = {}, linalg._columns
 
     def columns(mat, skip=()):
-        cols = reads.setdefault(id(mat.entries), [])
+        cols = reads.setdefault(id(mat), [])
         tagged = SparseMatrix._from_columns(mat.n_rows, mat.n_cols, mat.field, [
             [(r, (c, v)) for r, v in column] for c, column in enumerate(raw_columns(mat))])
         for col in stream(tagged, skip):
@@ -753,11 +782,11 @@ def spy_on_column_reads(monkeypatch):
             yield {r: v for r, (_, v) in col.items()}
 
     monkeypatch.setattr(linalg, "_columns", columns)
-    return lambda m: reads.get(id(m.entries), [])
+    return lambda m: reads.get(id(m), [])
 
 
 def nonzero_columns(m):
-    return sorted({c for _, c, _ in m.entries})
+    return list(m.columns)
 
 
 def columns(m, keep):
