@@ -41,15 +41,19 @@ its first column.
 
 A stream only names terms, in any order, a row possibly repeated.
 ``SparseMatrix._from_columns`` pulls the columns lazily and stores each as
-the canonical ``{row: value}`` dict that the reduction reads, so no stream
-knows the matrix's stored form, the column basis is never listed whole and
-no column is ever sorted.
+the canonical ``{row: value}`` dict that the reduction reads, when a reader
+first asks for it, so no stream knows the matrix's stored form, the column
+basis is never listed whole and no column is ever sorted.
 
-``betti`` builds the matrices of its whole window before it ranks any, so
+``betti`` makes the matrices of its whole window before it ranks any, so
 the ranking can pass what one degree learned to the next (see
 ``linalg.rank_complex``): the rank of d_{n-1} bounds that of d_n, and on
 the ascending kinds the pivot rows of d_{n-1} name columns of d_n that are
-skipped unread.
+skipped unread.  Making a matrix builds only its first nonzero column, and
+each reduction builds columns only as far as it reads them, so no column
+past a reduction's bound is built: on the assoc boundary, only the first
+(n-1)! of the n! columns of d_n, the permutations that start with 1.
+Reading a matrix's ``columns``, ``entries`` or ``nnz`` builds the rest.
 """
 
 from functools import partial
@@ -261,9 +265,9 @@ def differential_matrix(spec, degree):
     indexed by the degree-n basis, rows by the target-degree basis, both
     sized by ``dimension_at``.  Every refusal comes before the first column
     is built: here the cap on both sizes, columns first, with no key
-    listed; then, on a key-by-key kind, ``_by_key``'s key counts.  The
-    kind's columns are pulled lazily by ``SparseMatrix._from_columns``,
-    which makes each canonical."""
+    listed; then, on a key-by-key kind, ``_by_key``'s key counts, since
+    ``SparseMatrix._from_columns`` pulls the first nonzero column.  It pulls
+    the others lazily, as they are read, and makes each canonical."""
     target = spec.target_degree(degree)
     n_cols = spec.dimension_at(degree)
     _check_cap(spec, n_cols, "column", f"at degree {degree}")
@@ -275,8 +279,10 @@ def differential_matrix(spec, degree):
 def betti(spec):
     """Cohomology dimensions over the degree window.
 
-    Every matrix of the window is built first, then all are ranked at once,
-    in degree order, by ``linalg.rank_complex``.
+    Every matrix of the window is made first, then all are ranked at once,
+    in degree order, by ``linalg.rank_complex``.  Each reduction pulls its
+    matrix's columns only up to its rank bound, so the columns past it are
+    never built.
 
     dim H(n) = kernel_dim(matrix at n) minus the rank of the incoming
     differential.  The incoming matrix lives at n-1 for ascending kinds and

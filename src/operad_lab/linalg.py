@@ -4,23 +4,28 @@ A matrix is stored as the columns its reduction reads: a dict from column
 index to that column's canonical ``{row: value}`` dict, nonzero columns
 only, in ascending column order, over an explicit field from
 :mod:`operad_lab.scalars`.  Each column is made canonical in one place,
-the column merge ``_canonical`` that both constructors call.  A matrix is
-immutable, so its rank is computed once and memoised.  The rank is a
-column reduction on plain ints that pulls columns one at a time from a
-stream, keys each pivot by its largest row index and stops pulling once
-it holds as many pivots as a given bound.  The field picks its arithmetic
-once: modular over GF(p), fraction-free over Q (each column's
-denominators cleared, columns kept primitive).  ``_columns`` streams a
-copy of each stored column in ascending order, and skips a given set of
-columns uncopied.  ``SparseMatrix.rank`` ranks a one-matrix complex,
-bounded by its shape however dense it is.  ``rank_complex`` ranks the
-differentials of one complex in degree order, and d∘d = 0 tightens the
-bound of each degree and, on an ascending complex, clears columns of the
-next.  The int row-pivot elimination, the field-generic one before it and
-the dense elimination are test oracles.
+the column merge ``_canonical`` that both constructors call.  The trusted
+constructor ``_from_columns`` is lazy: it keeps the merge as the matrix's
+pending columns, and ``_pull`` stores them one at a time, in ascending
+order, as readers ask for them.  The reduction's feed ``_columns`` pulls no
+further than the reduction reads, and ``columns`` pulls the rest first, so
+every other reader sees the whole matrix.  A matrix is immutable, so its
+rank is computed once and memoised.  The rank is a column reduction on
+plain ints that pulls columns one at a time from a stream, keys each pivot
+by its largest row index and stops pulling once it holds as many pivots as
+a given bound.  The field picks its arithmetic once: modular over GF(p),
+fraction-free over Q (each column's denominators cleared, columns kept
+primitive).  ``_columns`` streams a copy of each column in ascending
+order, and skips a given set of columns uncopied.  ``SparseMatrix.rank``
+ranks a one-matrix complex, bounded by its shape however dense it is.
+``rank_complex`` ranks the differentials of one complex in degree order,
+and d∘d = 0 tightens the bound of each degree and, on an ascending
+complex, clears columns of the next.  The int row-pivot elimination, the
+field-generic one before it and the dense elimination are test oracles.
 """
 
 from functools import partial
+from itertools import islice
 from math import gcd, lcm
 
 # read only by the benchmark tracer, to split its rank timings by density
@@ -38,14 +43,22 @@ class SparseMatrix:
     ``{row: value}`` dict, with repeated rows summed and zeros dropped, so
     two equal matrices always have equal columns.  ``entries`` lists them
     as ``(row, col, value)`` triples sorted by (col, row).  The public
-    constructor checks every entry: its indices are ints in range, its
-    value goes through ``field.coerce``.  The rank is memoised in
-    ``_rank``, which equality, hashing and ``repr`` ignore.
+    constructor is eager, since it holds every entry: it checks the shape
+    and every entry (sizes and indices are ints, indices in range, each
+    value through ``field.coerce``) and stores every column.  The trusted
+    one stores its columns as ``_pull`` is asked for them: ``_stored`` holds
+    the columns pulled so far, a prefix of ``columns``, and ``_pending``
+    the rest, None once the matrix is whole.  ``columns``, and so
+    ``entries``, ``nnz``, equality, hashing and ``repr``, pull the rest
+    first.  The rank is memoised in ``_rank``, which equality, hashing and
+    ``repr`` ignore.
     """
 
-    __slots__ = ("n_rows", "n_cols", "field", "columns", "_rank")
+    __slots__ = ("n_rows", "n_cols", "field", "_stored", "_pending", "_rank")
 
     def __init__(self, n_rows, n_cols, field, triples=()):
+        if not all(isinstance(n, int) and not isinstance(n, bool) for n in (n_rows, n_cols)):
+            raise LinalgError(f"shape {n_rows!r}x{n_cols!r} has a size that is not an int")
         if n_rows < 0 or n_cols < 0:
             raise LinalgError("negative matrix dimensions")
         self.n_rows = n_rows
@@ -60,7 +73,8 @@ class SparseMatrix:
             v = field.coerce(v)
             if not field.is_zero(v):
                 groups.setdefault(c, []).append((r, v))
-        self.columns = dict(_canonical(field, sorted(groups.items()), int))
+        self._stored = dict(_canonical(field, sorted(groups.items()), int))
+        self._pending = None
 
     @classmethod
     def _from_columns(cls, n_rows, n_cols, field, columns):
@@ -68,10 +82,43 @@ class SparseMatrix:
         of (row, value) terms per column, empty ones included: rows in
         range, values nonzero, a row possibly repeated.  Each column is
         stored as ``_canonical`` yields it, its rows int objects shared by
-        the whole matrix."""
+        the whole matrix, when a reader first asks for it.  The first
+        nonzero column is pulled here, so that whatever the stream refuses
+        before its first column it refuses at construction."""
         out = cls(n_rows, n_cols, field)
-        out.columns = dict(_canonical(field, enumerate(columns), list(range(n_rows)).__getitem__))
+        out._pending = _canonical(field, enumerate(columns), list(range(n_rows)).__getitem__)
+        out._pull()
         return out
+
+    def _pull(self):
+        """Store the next pending column and return its index, or None once
+        the matrix is whole.  The source is dropped after the last column,
+        so the stream's working state goes with it.  A pull that raises
+        leaves a source that raises the same error at every later pull, so
+        a matrix missing a column is never read as whole."""
+        pending = self._pending
+        if pending is None:
+            return None
+        try:
+            c, column = next(pending)
+            self._stored[c] = column
+        except StopIteration:
+            self._pending = None
+            return None
+        except BaseException as exc:
+            self._pending = _raising(exc)
+            raise
+        if c == self.n_cols - 1:
+            self._pending = None
+        return c
+
+    @property
+    def columns(self):
+        """The ``{column: {row: value}}`` dict of every nonzero column,
+        ascending, each pending column pulled first."""
+        while self._pull() is not None:
+            pass
+        return self._stored
 
     @property
     def entries(self):
@@ -168,10 +215,33 @@ def rank_complex(mats, ascending):
 
 def _columns(mat, skip=()):
     """Fresh copies of the nonzero columns of ``mat``, in ascending order;
-    those in ``skip`` uncopied."""
-    for c, column in mat.columns.items():
-        if c not in skip:
-            yield dict(column)
+    those in ``skip`` uncopied.  The columns already stored come first;
+    then each pending one is pulled as it is read, so a reduction that
+    stops at its bound leaves the rest pending for the next reader.  Any
+    number of readers may interleave: each first reads what the others
+    have stored since it last looked."""
+    stored, n = mat._stored, 0
+    while True:
+        if n < len(stored):
+            # the columns stored since this reader last looked
+            fresh = list(islice(stored, n, None))
+            n = len(stored)
+            for c in fresh:
+                if c not in skip:
+                    yield dict(stored[c])
+        elif (c := mat._pull()) is None:
+            return
+        else:
+            n += 1
+            if c not in skip:
+                yield dict(stored[c])
+
+
+def _raising(exc):
+    """The source of a matrix whose assembly failed: it raises ``exc`` again
+    at every pull."""
+    raise exc
+    yield
 
 
 def _reduce(field, columns, bound):

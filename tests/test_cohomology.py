@@ -555,7 +555,9 @@ def test_assembly_and_rank_hold_little_besides_the_matrix():
     # list of every triple (assembly) costs about 0.4 of the matrix's own
     # size on this matrix (5040 columns, nnz 20076), and copying every
     # column before the reduction (rank) about 0.83; the code stays near
-    # 0.03 and 0.12.
+    # 0.03 and 0.14.  The build step reads ``columns``, which pulls every
+    # pending column, so the two ratios measure a whole assembly and a
+    # rank on a whole matrix.
     spec = ComplexSpec(AssocOperad(F5), "boundary", 0, 7)
     differential_matrix(spec, 3)  # build the point and the caches first
     gc.collect()
@@ -563,6 +565,7 @@ def test_assembly_and_rank_hold_little_besides_the_matrix():
     try:
         base = tracemalloc.get_traced_memory()[0]
         mat = differential_matrix(spec, 7)
+        mat.columns
         held, build_peak = (size - base for size in tracemalloc.get_traced_memory())
         tracemalloc.reset_peak()
         rank = mat.rank()
@@ -610,6 +613,50 @@ def test_face_rank_matrices_match_the_key_level_ones(field):
     window = betti(ComplexSpec(op, "boundary", 3, 7))
     assert window == betti(KeyLevelSpec(op, "boundary", 3, 7))
     assert window["ranks"] == [2, 4, 20, 100, 620]
+
+
+class CountingSpec(ComplexSpec):
+    """A complex that counts, per degree, the columns its stream yields."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.pulled = {}
+
+    def columns(self, degree):
+        self.pulled[degree] = 0
+        for column in super().columns(degree):
+            self.pulled[degree] += 1
+            yield column
+
+
+@pytest.mark.parametrize("field", ["gfp:5", "q"])
+def test_betti_assembles_each_matrix_as_far_as_its_reduction_reads(field, monkeypatch):
+    # each reduction of assoc boundary 0..7 reaches its bound after the
+    # first (n-1)! columns of d_n, the permutations that start with 1, so
+    # betti pulls only those; reading ``columns`` pulls the rest, and each
+    # matrix is then the one the public constructor builds eagerly
+    field = get_field(field)
+    built = {}
+
+    def recording(spec, degree):
+        built[degree] = mat = differential_matrix(spec, degree)
+        return mat
+
+    monkeypatch.setattr(cohomology, "differential_matrix", recording)
+    spec = CountingSpec(AssocOperad(field), "boundary", 0, 7)
+    assert betti(spec)["ranks"] == [0, 1, 0, 2, 4, 20, 100, 620]
+    monkeypatch.undo()
+    dims = [spec.dimension_at(n) for n in range(8)]
+    assert dims == [1, 1, 2, 6, 24, 120, 720, 5040]
+    assert [spec.pulled[n] for n in range(8)] == [1, 1, 2, 2, 6, 24, 120, 720]
+    eager = ComplexSpec(AssocOperad(field), "boundary", 0, 7)
+    for n, mat in built.items():
+        mat.columns
+        assert spec.pulled[n] == dims[n]
+        twin = SparseMatrix(mat.n_rows, mat.n_cols, field, differential_matrix(eager, n).entries)
+        assert mat == twin and hash(mat) == hash(twin) and repr(mat) == repr(twin), n
+        assert (mat.entries, mat.nnz) == (twin.entries, twin.nnz), n
+        assert twin.rank() == mat.rank(), n
 
 
 def traced_assembly(spec, warm, degree):

@@ -10,7 +10,10 @@ real complexes.
 degree and clears columns, is compared with ``rank()`` and
 ``_row_pivot_rank`` on random chain complexes, and the columns it reads on
 real complexes are counted.  A recording stream shows that ``_reduce``
-pulls no column past its bound.
+pulls no column past its bound, and that a matrix from the trusted
+constructor builds a column only when a reader first pulls it: readers
+that interleave, or stop at a bound, each see every column they read once,
+and a stream that fails part way leaves a matrix that fails at every read.
 """
 
 import random
@@ -98,6 +101,20 @@ def test_construction_stores_field_scalars():
                 M(2, 2, field, [(0, 0, bad)])
     assert [type(v) for *_, v in M(1, 2, Q, [(0, 0, Fraction(1, 2)), (0, 1, 3)]).entries] == [
         Fraction, int]
+
+
+def test_construction_refuses_a_shape_that_is_not_an_int():
+    # a float, a bool or a string size is refused by name, before the
+    # negativity check, which a string would fail with a bare TypeError,
+    # and a float or a bool would pass, to print as 2.5x3 or Truex2 and to
+    # give a float kernel dimension
+    for shape in [(2.5, 3), (True, 2), (2.0, 2.0), (2, "3")]:
+        message = f"shape {shape[0]!r}x{shape[1]!r} has a size that is not an int"
+        with pytest.raises(LinalgError, match=f"^{re.escape(message)}$"):
+            M(*shape, Q, [(0, 0, 1)])
+    with pytest.raises(LinalgError, match="^negative matrix dimensions$"):
+        M(2, -1, Q, [])
+    assert repr(M(2, 3, Q, [(0, 0, 1)])) == "SparseMatrix(2x3, nnz=1, q)"
 
 
 def test_bounds_checked():
@@ -856,3 +873,78 @@ def test_reduce_pulls_no_column_past_its_bound(label):
         assert (len(pivots), pulled) == (min(bound, 4), list(range(read))), bound
     m = M(4, 6, field, [(r, c, v) for c, col in enumerate(cols) for r, v in col.items()])
     assert m.rank() == 4
+
+
+# --- the columns pulled as they are read ------------------------------------
+
+
+def recorded(columns, pulled, closed):
+    """A stream of ``columns`` that records each index it yields, and
+    records in ``closed`` that it was closed or ran out."""
+    try:
+        for c, column in enumerate(columns):
+            pulled.append(c)
+            yield column
+    finally:
+        closed.append(len(pulled))
+
+
+def watched(columns, seen):
+    """``columns``, with a copy of each recorded in ``seen`` before the
+    reduction reduces it in place."""
+    for col in columns:
+        seen.append(dict(col))
+        yield col
+
+
+def test_readers_share_the_columns_they_pull():
+    # Two interleaved readers and a third abandoned at its bound each see
+    # every nonzero column once, in ascending order, each as a fresh copy.
+    # The stream is pulled once per column, only as far as the furthest
+    # reader has read, and is dropped once its last column is pulled.
+    # Column 5 sums to zero and columns 0 and 3 are empty.
+    columns = [[], [(0, 1)], [(1, 2)], [], [(0, 4), (1, 4)], [(2, 5), (2, -5)], [(2, 6)], [(0, 7)]]
+    nonzero = [{0: 1}, {1: 2}, {0: 4, 1: 4}, {2: 6}, {0: 7}]
+    pulled, closed = [], []
+    m = SparseMatrix._from_columns(3, 8, Q, recorded(columns, pulled, closed))
+    assert pulled == [0, 1]  # construction pulls the first nonzero column
+    a, b = _columns(m), _columns(m)
+    seen_a, seen_b, seen_bounded = [next(a), next(a)], [next(b)], []
+    assert pulled == [0, 1, 2]
+    # rank 3, reached at column 6: the reduction abandons its feed there,
+    # which leaves column 7 pending
+    pivots = _reduce(Q, watched(_columns(m), seen_bounded), 3)
+    assert (len(pivots), pulled, closed) == (3, [0, 1, 2, 3, 4, 5, 6], [])
+    seen_b += [next(b), next(b)]  # columns 2 and 4, stored by the others
+    seen_a += [next(a), next(a), next(a)]  # 4 and 6 stored, 7 pulled
+    assert (pulled, closed) == (list(range(8)), [8])
+    seen_b += list(b)
+    seen_a += list(a)
+    assert seen_a == seen_b == nonzero and seen_bounded == nonzero[:4]
+    assert all(col is not stored for col, stored in zip(seen_a, m.columns.values()))
+    assert list(m.columns) == [1, 2, 4, 6, 7] and list(m.columns.values()) == nonzero
+    assert m == M(3, 8, Q, [(r, c, v) for c, col in enumerate(columns) for r, v in col])
+    assert list(_columns(m, {2, 6})) == [{0: 1}, {0: 4, 1: 4}, {0: 7}]
+    assert pulled == list(range(8))
+
+
+@pytest.mark.parametrize("error", [ArithmeticError("column 2"), KeyboardInterrupt()])
+def test_a_failed_pull_leaves_no_short_matrix(error):
+    # a stream that raises at its third column: construction pulls only the
+    # first, the rank needs the third and raises the stream's error, and so
+    # does every later read, where a truncated matrix would have rank 2
+    # and nnz 2
+    def stream():
+        yield [(0, 1)]
+        yield [(1, 1)]
+        raise error
+
+    m = SparseMatrix._from_columns(3, 4, Q, stream())
+    reads = [m.rank, m.rank, lambda: m.columns, lambda: m.nnz, m.kernel_dim,
+             lambda: m.entries, lambda: hash(m), lambda: m == m, lambda: repr(m),
+             lambda: list(_columns(m)), m.rank]
+    for read in reads:
+        with pytest.raises(type(error)) as excinfo:
+            read()
+        assert excinfo.value is error
+    assert not hasattr(m, "_rank")
