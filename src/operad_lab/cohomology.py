@@ -6,7 +6,8 @@ each maps to whether it raises the degree and to a builder, which takes the
 operad, refuses one it cannot serve, and returns the kind's two parts,
 built once per complex: its dimension, the size of each degree's basis,
 and its column stream, which yields a degree's matrix columns, as raw
-terms, in basis order.  Only the key-by-key stream (``_by_key``) lists keys.
+terms, in basis order, and may yield empty any column it is told to skip.
+Only the key-by-key stream (``_by_key``) lists keys.
 
 The operadic kinds (``boundary`` and ``coboundary``) assemble each column
 key by key (``_by_key``), as the terms of ``core.boundary`` or
@@ -36,24 +37,30 @@ operad the kind's builder does not serve (the classical kind on a
 non-endomorphism operad, the coboundary on shift, whose basis truncated at
 max-entry is not closed under it), then a bad window.
 ``differential_matrix`` refuses only sizes past the cap, before any key is
-listed, and ``_by_key`` a key count that differs from the dimension, before
-its first column.
+listed, and ``_by_key`` a key count that differs from the dimension, on
+opening its stream, before its first column.
 
-A stream only names terms, in any order, a row possibly repeated.
-``SparseMatrix._from_columns`` pulls the columns lazily and stores each as
-the canonical ``{row: value}`` dict that the reduction reads, when a reader
-first asks for it, so no stream knows the matrix's stored form, the column
-basis is never listed whole and no column is ever sorted.
+A stream only names terms, in any order, a row possibly repeated.  A
+matrix from ``SparseMatrix._from_columns`` holds what opens its stream,
+``ComplexSpec.columns`` bound to its degree, and no column: each reader
+opens a fresh stream, and ``linalg._canonical`` makes each column it reads
+the canonical ``{row: value}`` dict that the reduction reduces.  So no
+stream knows the matrix's stored form, the column basis is never listed
+whole and no column is ever sorted.
 
 ``betti`` makes the matrices of its whole window before it ranks any, so
 the ranking can pass what one degree learned to the next (see
 ``linalg.rank_complex``): the rank of d_{n-1} bounds that of d_n, and on
-the ascending kinds the pivot rows of d_{n-1} name columns of d_n that are
-skipped unread.  Making a matrix builds only its first nonzero column, and
-each reduction builds columns only as far as it reads them, so no column
-past a reduction's bound is built: on the assoc boundary, only the first
-(n-1)! of the n! columns of d_n, the permutations that start with 1.
-Reading a matrix's ``columns``, ``entries`` or ``nnz`` builds the rest.
+the ascending kinds the pivot rows of d_{n-1} name columns of d_n, the
+cleared ones, that d_n's stream is opened to skip.  Making a matrix builds
+no column.  Each reduction reads its columns straight off its own stream
+and owns them, so none is stored or copied; the key-rank and key-by-key
+streams step over a cleared column before they build any of its terms,
+and the stream is dropped, with its working state, when the reduction
+stops at its bound.  So no column past a bound is built (on the assoc
+boundary, only the first (n-1)! of the n! columns of d_n, the
+permutations that start with 1), and no cleared column.  Reading a
+matrix's ``columns``, ``entries`` or ``nnz`` builds and stores it whole.
 """
 
 from functools import partial
@@ -92,7 +99,7 @@ def _classical(operad):
                 merge[t].append((a, b, signed))
                 right[a].append((b, t, signed))
 
-    def columns(spec, degree):
+    def columns(spec, degree, skip):
         """The columns of the degree-n matrix, each row named by its rank:
         key c = (i1..in, j) is c in base d, big-endian, so I = c // d is
         the rank of its inputs.  The left product (u, m) lands on u d^(n+1)
@@ -100,7 +107,8 @@ def _classical(operad):
         at input p, with L = n - p + 1 entries after it, on head d^(L+2) +
         (u d + v) d^L + tail, where c = head d^(L+1) + i d^L + tail.  A
         column's terms come in ``classical_coboundary``'s order, so the
-        matrix constructor adds each row's terms in that operator's order."""
+        matrix constructor adds each row's terms in that operator's order.
+        A column in ``skip`` comes empty, its terms never built."""
         top, odd = dim ** (degree + 1), (degree + 1) % 2
         # per j, each product as (row - I d, value) and (row - I d^2, value)
         lefts = [[(u * top + m, c) for u, m, (c, _) in left[j]] for j in range(dim)]
@@ -121,6 +129,9 @@ def _classical(operad):
                 base = c + c // block * stride
                 inner += [(base + r, v) for r, v in by_input[c // s % dim]]
             for j in range(dim):
+                if c + j in skip:
+                    yield ()
+                    continue
                 pairs = [(c + r, v) for r, v in lefts[j]]
                 pairs += [(r + j, v) for r, v in inner]
                 base = c * dim
@@ -152,37 +163,48 @@ def _coboundary(operad):
                           "is not closed under the coboundary")
     if isinstance(operad, EndoOperad):
         classical = _classical(operad)[1]
-        return operad.dimension, lambda spec, n: classical(spec, n) if n else iter(((),))
+        return operad.dimension, (
+            lambda spec, n, skip: classical(spec, n, skip) if n else iter(((),)))
     return operad.dimension, partial(_by_key, coboundary)
 
 
-def _by_key(operator, spec, degree):
+def _by_key(operator, spec, degree, skip=()):
     """The columns of the degree-n matrix, each the terms of ``operator``
     (``core.boundary`` or ``core.coboundary``) on its key, with its rows
-    looked up in an index of the target basis.  The one stream that lists
-    keys: before its first column it lists the target basis once, for the
-    index, counts the column keys, and refuses a count that differs from
-    the dimension."""
+    looked up in an index of the target basis; a column in ``skip`` comes
+    empty, its operator never applied.  The one stream that lists keys: on
+    opening, before it builds anything, it counts the keys of both bases
+    and refuses a count that differs from the dimension; its first column
+    lists the target basis once more, for the index, which the stream
+    drops with itself."""
     operad = spec.operad
     target = spec.target_degree(degree)
-    row_index = {key: r for r, key in enumerate(operad.basis_keys(target) if target >= 0 else ())}
-    counts = ((target, len(row_index)), (degree, sum(1 for _ in operad.basis_keys(degree))))
-    for n, count in counts:
+    for n in (target, degree):
+        count = sum(1 for _ in operad.basis_keys(n)) if n >= 0 else 0
         dimension = spec.dimension_at(n)
         if count != dimension:
             raise OperadError(
                 f"the degree-{n} basis has {count} keys, but its dimension is {dimension}")
-    one = operad.field.one
-    for key in operad.basis_keys(degree):
-        terms = operator(Element._sum(operad, degree, [(key, one)])).terms
-        yield zip(map(row_index.__getitem__, terms), terms.values())
+
+    def columns():
+        keys = operad.basis_keys(target) if target >= 0 else ()
+        row_index = {key: r for r, key in enumerate(keys)}
+        one = operad.field.one
+        for c, key in enumerate(operad.basis_keys(degree)):
+            if c in skip:
+                yield ()
+                continue
+            terms = operator(Element._sum(operad, degree, [(key, one)])).terms
+            yield zip(map(row_index.__getitem__, terms), terms.values())
+
+    return columns()
 
 
-def _by_face_rank(spec, degree):
+def _by_face_rank(spec, degree, skip):
     """The columns of the assoc boundary matrix, from ``_face_rows``: face
     i carries the sign (-1)^i, and faces i and i + 1 coincide when the
     letters at i and i + 1 are consecutive, which the matrix constructor
-    merges."""
+    merges.  The boundary clears no column, so ``skip`` is ignored."""
     field = spec.operad.field
     signs = [field.neg(field.one) if i % 2 else field.one for i in range(1, degree + 1)]
     for faces in _face_rows(degree, _face_table(degree - 1)):
@@ -229,12 +251,13 @@ class ComplexSpec:
         """The size of the degree-n basis, counted without listing it."""
         return 0 if degree < 0 else self._dimension(degree)
 
-    def columns(self, degree):
-        """The columns of the degree-n matrix in basis order, from the
-        kind's builder, each an iterable of raw (row, value) terms: rows in
-        range, values nonzero, a row possibly repeated.  A degree below 0
+    def columns(self, degree, skip=()):
+        """A fresh stream of the columns of the degree-n matrix in basis
+        order, from the kind's builder, each an iterable of raw (row, value)
+        terms: rows in range, values nonzero, a row possibly repeated.  A
+        column whose index is in ``skip`` may come empty.  A degree below 0
         has none, as its dimension says."""
-        return self._columns(self, degree) if degree >= 0 else iter(())
+        return self._columns(self, degree, skip) if degree >= 0 else iter(())
 
     def target_degree(self, degree):
         return degree + 1 if self.ascending else degree - 1
@@ -266,23 +289,25 @@ def differential_matrix(spec, degree):
     sized by ``dimension_at``.  Every refusal comes before the first column
     is built: here the cap on both sizes, columns first, with no key
     listed; then, on a key-by-key kind, ``_by_key``'s key counts, since
-    ``SparseMatrix._from_columns`` pulls the first nonzero column.  It pulls
-    the others lazily, as they are read, and makes each canonical."""
+    ``SparseMatrix._from_columns`` opens the degree's stream once.  The
+    matrix holds that opener, ``spec.columns`` bound to the degree, and
+    builds each column only when a reader reads it."""
     target = spec.target_degree(degree)
     n_cols = spec.dimension_at(degree)
     _check_cap(spec, n_cols, "column", f"at degree {degree}")
     n_rows = spec.dimension_at(target)
     _check_cap(spec, n_rows, "row", f"at degree {target}")
-    return SparseMatrix._from_columns(n_rows, n_cols, spec.operad.field, spec.columns(degree))
+    return SparseMatrix._from_columns(n_rows, n_cols, spec.operad.field,
+                                      partial(spec.columns, degree))
 
 
 def betti(spec):
     """Cohomology dimensions over the degree window.
 
     Every matrix of the window is made first, then all are ranked at once,
-    in degree order, by ``linalg.rank_complex``.  Each reduction pulls its
-    matrix's columns only up to its rank bound, so the columns past it are
-    never built.
+    in degree order, by ``linalg.rank_complex``.  Each reduction builds its
+    matrix's columns only up to its rank bound and none that it clears, and
+    stores none.
 
     dim H(n) = kernel_dim(matrix at n) minus the rank of the incoming
     differential.  The incoming matrix lives at n-1 for ascending kinds and

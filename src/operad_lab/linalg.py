@@ -5,19 +5,19 @@ index to that column's canonical ``{row: value}`` dict, nonzero columns
 only, in ascending column order, over an explicit field from
 :mod:`operad_lab.scalars`.  Each column is made canonical in one place,
 the column merge ``_canonical`` that both constructors call.  The trusted
-constructor ``_from_columns`` is lazy: it keeps the merge as the matrix's
-pending columns, and ``_pull`` stores them one at a time, in ascending
-order, as readers ask for them.  The reduction's feed ``_columns`` pulls no
-further than the reduction reads, and ``columns`` pulls the rest first, so
-every other reader sees the whole matrix.  A matrix is immutable, so its
-rank is computed once and memoised.  The rank is a column reduction on
-plain ints that pulls columns one at a time from a stream, keys each pivot
-by its largest row index and stops pulling once it holds as many pivots as
-a given bound.  The field picks its arithmetic once: modular over GF(p),
-fraction-free over Q (each column's denominators cleared, columns kept
-primitive).  ``_columns`` streams a copy of each column in ascending
-order, and skips a given set of columns uncopied.  ``SparseMatrix.rank``
-ranks a one-matrix complex, bounded by its shape however dense it is.
+constructor ``_from_columns`` stores no column: it keeps what opens the
+matrix's column stream, and each reader opens a fresh stream.  The
+reduction's feed ``_columns`` hands it each built column, which the
+reduction then owns, so no column is stored or copied for it, and a
+cleared column is never built.  Reading ``columns`` builds and stores the
+whole matrix once, and every later reader reads that.  A matrix is
+immutable, so its rank is computed once and memoised.  The rank is a
+column reduction on plain ints that pulls columns one at a time from a
+stream, keys each pivot by its largest row index and stops pulling once it
+holds as many pivots as a given bound.  The field picks its arithmetic
+once: modular over GF(p), fraction-free over Q (each column's denominators
+cleared, columns kept primitive).  ``SparseMatrix.rank`` ranks a
+one-matrix complex, bounded by its shape however dense it is.
 ``rank_complex`` ranks the differentials of one complex in degree order,
 and d∘d = 0 tightens the bound of each degree and, on an ascending
 complex, clears columns of the next.  The int row-pivot elimination, the
@@ -25,8 +25,8 @@ field-generic one before it and the dense elimination are test oracles.
 """
 
 from functools import partial
-from itertools import islice
 from math import gcd, lcm
+from operator import itemgetter
 
 # read only by the benchmark tracer, to split its rank timings by density
 DENSE_DENSITY = 0.25
@@ -46,15 +46,14 @@ class SparseMatrix:
     constructor is eager, since it holds every entry: it checks the shape
     and every entry (sizes and indices are ints, indices in range, each
     value through ``field.coerce``) and stores every column.  The trusted
-    one stores its columns as ``_pull`` is asked for them: ``_stored`` holds
-    the columns pulled so far, a prefix of ``columns``, and ``_pending``
-    the rest, None once the matrix is whole.  ``columns``, and so
-    ``entries``, ``nnz``, equality, hashing and ``repr``, pull the rest
-    first.  The rank is memoised in ``_rank``, which equality, hashing and
-    ``repr`` ignore.
+    one stores none: ``_open`` opens the matrix's column stream, and
+    ``_stored`` is None until ``columns``, and so ``entries``, ``nnz``,
+    equality, hashing and ``repr``, builds the whole matrix and stores it;
+    ``_open`` is then None.  The rank is memoised in ``_rank``, which
+    equality, hashing and ``repr`` ignore.
     """
 
-    __slots__ = ("n_rows", "n_cols", "field", "_stored", "_pending", "_rank")
+    __slots__ = ("n_rows", "n_cols", "field", "_stored", "_open", "_rank")
 
     def __init__(self, n_rows, n_cols, field, triples=()):
         if not all(isinstance(n, int) and not isinstance(n, bool) for n in (n_rows, n_cols)):
@@ -74,50 +73,29 @@ class SparseMatrix:
             if not field.is_zero(v):
                 groups.setdefault(c, []).append((r, v))
         self._stored = dict(_canonical(field, sorted(groups.items()), int))
-        self._pending = None
+        self._open = None
 
     @classmethod
-    def _from_columns(cls, n_rows, n_cols, field, columns):
-        """Trusted constructor, pulling lazily from ``columns`` one iterable
-        of (row, value) terms per column, empty ones included: rows in
-        range, values nonzero, a row possibly repeated.  Each column is
-        stored as ``_canonical`` yields it, its rows int objects shared by
-        the whole matrix, when a reader first asks for it.  The first
-        nonzero column is pulled here, so that whatever the stream refuses
-        before its first column it refuses at construction."""
+    def _from_columns(cls, n_rows, n_cols, field, open_columns):
+        """Trusted constructor from ``open_columns``, which, called with a
+        set ``skip`` of column indices, opens a fresh stream of the columns:
+        one iterable of (row, value) terms per column, empty ones included,
+        rows in range, values nonzero, a row possibly repeated.  A column in
+        ``skip`` may come empty.  No column is built here, but the stream is
+        opened once and dropped unread, so that whatever it refuses on
+        opening it refuses at construction."""
         out = cls(n_rows, n_cols, field)
-        out._pending = _canonical(field, enumerate(columns), list(range(n_rows)).__getitem__)
-        out._pull()
+        open_columns(())
+        out._stored, out._open = None, open_columns
         return out
-
-    def _pull(self):
-        """Store the next pending column and return its index, or None once
-        the matrix is whole.  The source is dropped after the last column,
-        so the stream's working state goes with it.  A pull that raises
-        leaves a source that raises the same error at every later pull, so
-        a matrix missing a column is never read as whole."""
-        pending = self._pending
-        if pending is None:
-            return None
-        try:
-            c, column = next(pending)
-            self._stored[c] = column
-        except StopIteration:
-            self._pending = None
-            return None
-        except BaseException as exc:
-            self._pending = _raising(exc)
-            raise
-        if c == self.n_cols - 1:
-            self._pending = None
-        return c
 
     @property
     def columns(self):
         """The ``{column: {row: value}}`` dict of every nonzero column,
-        ascending, each pending column pulled first."""
-        while self._pull() is not None:
-            pass
+        ascending, built and stored by the first reader."""
+        if self._stored is None:
+            self._stored = dict(_build(self, ()))
+            self._open = None
         return self._stored
 
     @property
@@ -214,34 +192,38 @@ def rank_complex(mats, ascending):
 
 
 def _columns(mat, skip=()):
-    """Fresh copies of the nonzero columns of ``mat``, in ascending order;
-    those in ``skip`` uncopied.  The columns already stored come first;
-    then each pending one is pulled as it is read, so a reduction that
-    stops at its bound leaves the rest pending for the next reader.  Any
-    number of readers may interleave: each first reads what the others
-    have stored since it last looked."""
-    stored, n = mat._stored, 0
-    while True:
-        if n < len(stored):
-            # the columns stored since this reader last looked
-            fresh = list(islice(stored, n, None))
-            n = len(stored)
-            for c in fresh:
-                if c not in skip:
-                    yield dict(stored[c])
-        elif (c := mat._pull()) is None:
-            return
-        else:
-            n += 1
+    """The nonzero columns of ``mat`` not in ``skip``, in ascending order,
+    each a dict the reader owns: on a matrix that is not stored, each
+    built as it is read from a stream opened with ``skip``, so a cleared
+    column is never built; on a stored one, a fresh copy of each."""
+    if mat._stored is None:
+        return map(itemgetter(1), _build(mat, skip))
+    return (dict(column) for c, column in mat._stored.items() if c not in skip)
+
+
+def _build(mat, skip):
+    """Yield ``(c, column)`` for each nonzero column of ``mat`` not in
+    ``skip``, made canonical by ``_canonical`` from a stream opened with
+    ``skip``, each row an int object shared by the columns of this stream.
+    A stream that raises leaves ``mat`` an opener that raises the same
+    error again, so a matrix missing a column is never read as whole."""
+    try:
+        built = _canonical(mat.field, enumerate(mat._open(skip)),
+                           list(range(mat.n_rows)).__getitem__)
+        for c, column in built:
             if c not in skip:
-                yield dict(stored[c])
+                yield c, column
+    except GeneratorExit:
+        # the reader stopped, at its bound: nothing failed
+        raise
+    except BaseException as exc:
+        mat._open = partial(_failed, exc)
+        raise
 
 
-def _raising(exc):
-    """The source of a matrix whose assembly failed: it raises ``exc`` again
-    at every pull."""
+def _failed(exc, skip):
+    """The opener of a matrix whose assembly failed: it raises ``exc``."""
     raise exc
-    yield
 
 
 def _reduce(field, columns, bound):

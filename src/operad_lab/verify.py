@@ -27,6 +27,7 @@ counterexample, "pass" otherwise.
 
 import itertools
 import random
+from functools import partial
 
 from .assoc import AssocOperad, concat, deconcat_coproduct
 from .cohomology import ComplexSpec, _by_key, betti, differential_matrix
@@ -486,7 +487,7 @@ def make_batch_rank_comparison(op):
             classical = ComplexSpec(op, "hochschild", n, n)
             mat_o = SparseMatrix._from_columns(
                 operadic.dimension_at(n + 1), operadic.dimension_at(n), op.field,
-                _by_key(coboundary, operadic, n))
+                partial(_by_key, coboundary, operadic, n))
             mat_c = differential_matrix(classical, n)
             sign = equal_up_to_global_sign(mat_o, mat_c)
             if sign is None:

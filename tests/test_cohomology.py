@@ -16,6 +16,8 @@ import gc
 import itertools
 import tracemalloc
 from fractions import Fraction
+from functools import partial
+from types import FrameType, GeneratorType
 
 import pytest
 
@@ -38,7 +40,7 @@ from operad_lab import cohomology, core
 from operad_lab.cli import main, make_operad
 from operad_lab.cohomology import DEFAULT_COLUMN_CAP, DIFFERENTIALS, _by_key
 from operad_lab.endo import algebra_from_json, dual_numbers, ground_field_algebra, matrix2
-from operad_lab.linalg import equal_up_to_global_sign
+from operad_lab.linalg import _columns, _reduce, equal_up_to_global_sign, rank_complex
 from test_core import summed_boundary, summed_coboundary
 from test_linalg import to_dense
 
@@ -555,9 +557,9 @@ def test_assembly_and_rank_hold_little_besides_the_matrix():
     # list of every triple (assembly) costs about 0.4 of the matrix's own
     # size on this matrix (5040 columns, nnz 20076), and copying every
     # column before the reduction (rank) about 0.83; the code stays near
-    # 0.03 and 0.14.  The build step reads ``columns``, which pulls every
-    # pending column, so the two ratios measure a whole assembly and a
-    # rank on a whole matrix.
+    # 0.03 and 0.14.  The build step reads ``columns``, which builds and
+    # stores every column, so the two ratios measure a whole assembly and
+    # a rank on a whole matrix.
     spec = ComplexSpec(AssocOperad(F5), "boundary", 0, 7)
     differential_matrix(spec, 3)  # build the point and the caches first
     gc.collect()
@@ -587,15 +589,15 @@ class KeyLevelSpec(ComplexSpec):
     operad but assoc: the oracle of the assoc boundary's face-rank
     assembly."""
 
-    def columns(self, degree):
-        return _by_key(boundary, self, degree)
+    def columns(self, degree, skip=()):
+        return _by_key(boundary, self, degree, skip)
 
 
 class ElementLevelSpec(ComplexSpec):
     """A complex whose columns are summed key by key from the Element-level
     operator of its kind (``element_columns``)."""
 
-    def columns(self, degree):
+    def columns(self, degree, skip=()):
         return element_columns(self, degree)
 
 
@@ -616,16 +618,20 @@ def test_face_rank_matrices_match_the_key_level_ones(field):
 
 
 class CountingSpec(ComplexSpec):
-    """A complex that counts, per degree, the columns its stream yields."""
+    """A complex that counts, per degree, the columns the stream it last
+    opened yields (``pulled``) and the columns among them that it built,
+    those with terms (``built``): a cleared column may come empty."""
 
     def __init__(self, *args):
         super().__init__(*args)
-        self.pulled = {}
+        self.pulled, self.built = {}, {}
 
-    def columns(self, degree):
-        self.pulled[degree] = 0
-        for column in super().columns(degree):
+    def columns(self, degree, skip=()):
+        self.pulled[degree] = self.built[degree] = 0
+        for column in super().columns(degree, skip):
+            column = list(column)
             self.pulled[degree] += 1
+            self.built[degree] += bool(column)
             yield column
 
 
@@ -633,8 +639,9 @@ class CountingSpec(ComplexSpec):
 def test_betti_assembles_each_matrix_as_far_as_its_reduction_reads(field, monkeypatch):
     # each reduction of assoc boundary 0..7 reaches its bound after the
     # first (n-1)! columns of d_n, the permutations that start with 1, so
-    # betti pulls only those; reading ``columns`` pulls the rest, and each
-    # matrix is then the one the public constructor builds eagerly
+    # betti pulls only those, and none where the bound is 0 (degrees 0 and
+    # 2); reading ``columns`` pulls every column, and each matrix is then
+    # the one the public constructor builds eagerly
     field = get_field(field)
     built = {}
 
@@ -648,7 +655,7 @@ def test_betti_assembles_each_matrix_as_far_as_its_reduction_reads(field, monkey
     monkeypatch.undo()
     dims = [spec.dimension_at(n) for n in range(8)]
     assert dims == [1, 1, 2, 6, 24, 120, 720, 5040]
-    assert [spec.pulled[n] for n in range(8)] == [1, 1, 2, 2, 6, 24, 120, 720]
+    assert [spec.pulled.get(n, 0) for n in range(8)] == [0, 1, 0, 2, 6, 24, 120, 720]
     eager = ComplexSpec(AssocOperad(field), "boundary", 0, 7)
     for n, mat in built.items():
         mat.columns
@@ -659,15 +666,118 @@ def test_betti_assembles_each_matrix_as_far_as_its_reduction_reads(field, monkey
         assert twin.rank() == mat.rank(), n
 
 
+def test_cleared_columns_are_never_built():
+    # on endo:m2 Hochschild 0..5 the columns that d_{n-1}'s pivots clear
+    # come empty, never built, and every other column the reduction reads
+    # is a pivot, so each degree builds as many columns as its rank
+    spec = CountingSpec(make_operad("endo:m2", Q), "hochschild", 0, 5)
+    assert betti(spec)["ranks"] == [3, 13, 51, 205, 819, 3277]
+    assert [spec.dimension_at(n) for n in range(6)] == [4, 16, 64, 256, 1024, 4096]
+    assert [spec.built[n] for n in range(6)] == [4, 13, 51, 205, 819, 3277]
+
+
+def test_cleared_keys_are_never_sent_to_the_coboundary(monkeypatch):
+    # assoc coboundary 0..6 over gfp:5, key by key: ``core.coboundary`` is
+    # applied to no key whose column d_{n-1}'s pivots clear, and to the
+    # others in basis order, up to the reduction's bound
+    op = AssocOperad(F5)
+    eager = ComplexSpec(op, "coboundary", 0, 6)
+    cleared = [set(_reduce(F5, _columns(m), min(m.n_rows, m.n_cols)))
+               for m in (differential_matrix(eager, n) for n in range(6))]
+    calls = {}
+
+    def spy(x):
+        (key,) = x.terms
+        calls.setdefault(x.arity, []).append(key)
+        return core.coboundary(x)
+
+    monkeypatch.setattr(cohomology, "coboundary", spy)
+    spec = ComplexSpec(op, "coboundary", 0, 6)
+    assert betti(spec)["ranks"] == [0, 1, 1, 5, 19, 101, 619]
+    assert [len(c) for c in cleared] == [0, 1, 1, 5, 19, 101]
+    for n in range(1, 7):
+        index = {key: c for c, key in enumerate(op.basis_keys(n))}
+        called = [index[key] for key in calls.get(n, [])]
+        kept = [c for c in range(spec.dimension_at(n)) if c not in cleared[n - 1]]
+        assert called == kept[:len(called)], n
+    assert len(calls[6]) == 619
+
+
+def test_no_matrix_keeps_its_stream_after_the_ranking():
+    # each reduction drops its stream, the key-by-key row index with it, even
+    # where it stops at its bound before the last column: a matrix holds
+    # only its opener, ``spec.columns`` bound to its degree
+    spec = ComplexSpec(AssocOperad(F5), "coboundary", 0, 6)
+    mats = [differential_matrix(spec, n) for n in range(7)]
+    rank_complex(mats, ascending=True)
+    assert [m.rank() for m in mats] == [0, 1, 1, 5, 19, 101, 619]
+    for mat in mats:
+        held = gc.get_referents(mat)
+        held += [obj for ref in held if isinstance(ref, partial) for obj in gc.get_referents(ref)]
+        assert not [obj for obj in held if isinstance(obj, (GeneratorType, FrameType))
+                    or isinstance(obj, dict) and obj], mat
+
+
+STREAMED_CASES = [
+    (selector, kind, lo, hi, field)
+    for selector, kind, lo, hi in [
+        ("assoc", "boundary", 0, 5), ("assoc", "coboundary", 0, 5), ("shift", "boundary", 0, 5),
+        ("endo:k", "boundary", 0, 6), ("endo:k", "coboundary", 0, 6),
+        ("endo:k", "hochschild", 0, 6), ("endo:dual", "boundary", 0, 4),
+        ("endo:dual", "coboundary", 0, 4), ("endo:dual", "hochschild", 1, 5),
+        ("endo:m2", "boundary", 0, 3), ("endo:m2", "coboundary", 0, 3),
+        ("endo:m2", "hochschild", 0, 3),
+    ]
+    for field in ("q", "gfp:2", "gfp:5")
+]
+
+
+@pytest.mark.parametrize("selector,kind,lo,hi,field", STREAMED_CASES)
+def test_streamed_ranks_match_eager_twins(selector, kind, lo, hi, field, monkeypatch):
+    # betti ranks each matrix off its column stream, bounded by the degree
+    # before and cleared by its pivots; public, eagerly built twins ranked
+    # one by one, each bounded only by its shape, give the same ranks and
+    # dims, and every matrix betti made, read afterwards, is its twin
+    op = make_operad(selector, get_field(field))
+    made = {}
+
+    def recording(spec, degree):
+        made[degree] = mat = differential_matrix(spec, degree)
+        return mat
+
+    monkeypatch.setattr(cohomology, "differential_matrix", recording)
+    spec = ComplexSpec(op, kind, lo, hi)
+    report = betti(spec)
+    monkeypatch.undo()
+    eager = ComplexSpec(op, kind, lo, hi)
+    twins = {}
+    for n, mat in made.items():
+        twins[n] = SparseMatrix(mat.n_rows, mat.n_cols, op.field,
+                                differential_matrix(eager, n).entries)
+    dims = []
+    for n, twin in twins.items():
+        # the incoming differential leaves degree m, if it is in the window
+        m = 2 * n - spec.target_degree(n)
+        dims.append(twin.kernel_dim() - (twins[m].rank() if m in twins else 0))
+    assert report["ranks"] == [twins[n].rank() for n in twins]
+    assert report["dims"] == dims
+    for n, mat in made.items():
+        twin = twins[n]
+        assert mat == twin and hash(mat) == hash(twin), n
+        assert (mat.entries, mat.nnz) == (twin.entries, twin.nnz), n
+
+
 def traced_assembly(spec, warm, degree):
-    """The degree's matrix with the memory its assembly held and peaked at,
-    after degree ``warm`` has built the point and the caches."""
-    differential_matrix(spec, warm)
+    """The degree's matrix, built whole by reading its ``columns``, with the
+    memory its assembly held and peaked at, after degree ``warm`` has built
+    the point and the caches."""
+    differential_matrix(spec, warm).columns
     gc.collect()
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         mat = differential_matrix(spec, degree)
+        mat.columns
         held, peak = (size - base for size in tracemalloc.get_traced_memory())
     finally:
         tracemalloc.stop()

@@ -11,9 +11,11 @@ degree and clears columns, is compared with ``rank()`` and
 ``_row_pivot_rank`` on random chain complexes, and the columns it reads on
 real complexes are counted.  A recording stream shows that ``_reduce``
 pulls no column past its bound, and that a matrix from the trusted
-constructor builds a column only when a reader first pulls it: readers
-that interleave, or stop at a bound, each see every column they read once,
-and a stream that fails part way leaves a matrix that fails at every read.
+constructor stores no column for the reduction: each reader opens a fresh
+stream, the reduction's with the columns it clears, and drops it at its
+bound; reading ``columns`` stores the matrix once, and later readers read
+copies.  A stream that fails part way leaves a matrix that fails at every
+read.
 """
 
 import random
@@ -230,18 +232,26 @@ def test_entries_are_column_major():
 
 
 def raw_columns(m):
-    """The columns of ``m`` as the trusted constructor takes them: one list
-    of (row, value) pairs per column, in column order, empty ones included."""
+    """The columns of ``m`` as the trusted constructor's streams yield them:
+    one list of (row, value) pairs per column, in column order, empty ones
+    included."""
     return [list(m.columns.get(c, {}).items()) for c in range(m.n_cols)]
+
+
+def trusted(n_rows, n_cols, field, columns):
+    """The trusted matrix whose every stream yields the list ``columns``,
+    whatever it skips."""
+    return SparseMatrix._from_columns(n_rows, n_cols, field, lambda skip: columns)
 
 
 def test_trusted_constructor_keeps_its_input_order():
     # column c is the stream's c-th iterable, empty ones included, pulled
     # from any iterable, a generator of generators included
     columns = [[(1, Q.from_int(3))], [], [(0, Q.from_int(2)), (1, Q.one)], []]
-    trusted = SparseMatrix._from_columns(2, 4, Q, ((t for t in col) for col in columns))
-    assert trusted.entries == ((1, 0, 3), (0, 2, 2), (1, 2, 1))
-    assert trusted == M(2, 4, Q, [(r, c, v) for c, col in enumerate(columns) for r, v in col])
+    made = SparseMatrix._from_columns(
+        2, 4, Q, lambda skip: ((t for t in col) for col in columns))
+    assert made.entries == ((1, 0, 3), (0, 2, 2), (1, 2, 1))
+    assert made == M(2, 4, Q, [(r, c, v) for c, col in enumerate(columns) for r, v in col])
 
 
 class SpyField(type(Q)):
@@ -269,7 +279,7 @@ def test_trusted_constructor_merges_repeated_rows_only():
     # cancel, so no other value is tested for zero
     spy = SpyField()
     columns = [[(2, 1), (0, 3), (2, 3)], [(1, 1), (0, 1), (1, -1)], [], [(3, 1), (1, 2)]]
-    m = SparseMatrix._from_columns(4, 4, spy, columns)
+    m = trusted(4, 4, spy, columns)
     assert m.entries == ((0, 0, 3), (2, 0, 4), (0, 1, 1), (1, 3, 2), (3, 3, 1))
     assert spy.calls == [("add", 1, 3), ("is_zero", 4), ("add", 1, -1), ("is_zero", 0)]
 
@@ -289,7 +299,7 @@ def test_trusted_constructor_sums_each_column_as_linear_combination_does(label):
         [],  # an empty column
         [(3, one), (1, three), (0, minus)],  # no repeat, rows out of order
     ]
-    m = SparseMatrix._from_columns(4, 5, field, columns)
+    m = trusted(4, 5, field, columns)
     want = [(r, c, v) for c, col in enumerate(columns)
             for r, v in sorted(linear_combination(field, col).items())]
     assert m.entries == tuple(want)
@@ -306,7 +316,7 @@ def test_trusted_constructor_keeps_the_value_types_over_q():
     half = Fraction(1, 2)
     columns = [[(0, 2), (0, 3)], [(0, 1), (0, half)], [(0, half), (0, half)],
                [(0, half), (0, -half), (0, 3)]]
-    m = SparseMatrix._from_columns(1, 4, Q, columns)
+    m = trusted(1, 4, Q, columns)
     assert [(v, type(v)) for *_, v in m.entries] == [
         (5, int), (Fraction(3, 2), Fraction), (1, Fraction), (3, int)]
     for (*_, v), col in zip(m.entries[:3], columns):
@@ -324,10 +334,10 @@ def test_public_constructor_merges_its_columns_as_the_trusted_one_does():
                [(1, 1), (0, half)]]
     triples = [(r, c, v) for c, col in reversed(list(enumerate(columns))) for r, v in col]
     public = M(2, 4, Q, triples)
-    trusted = SparseMatrix._from_columns(2, 4, Q, [[t for t in col if t[1]] for col in columns])
-    assert public.entries == trusted.entries == (
+    made = trusted(2, 4, Q, [[t for t in col if t[1]] for col in columns])
+    assert public.entries == made.entries == (
         (0, 0, 5), (1, 2, 3), (0, 3, half), (1, 3, 1))
-    typed = [[(v, type(v)) for *_, v in m.entries] for m in (public, trusted)]
+    typed = [[(v, type(v)) for *_, v in m.entries] for m in (public, made)]
     assert typed[0] == typed[1] and typed[0][1] == (3, int)
 
 
@@ -336,7 +346,7 @@ def test_trusted_constructor_shares_one_object_per_row():
     # every column they appear in
     rows = [int(str(n)) for n in (700, 999, 700, 999)]
     assert rows[0] is not rows[2] and rows[1] is not rows[3]
-    m = SparseMatrix._from_columns(1000, 2, F5, [
+    m = trusted(1000, 2, F5, [
         [(rows[0], 1), (rows[1], 2)], [(rows[3], 3), (rows[2], 4)]])
     assert m.entries == ((700, 0, 1), (999, 0, 2), (700, 1, 4), (999, 1, 3))
     assert m.entries[0][0] is m.entries[2][0] and m.entries[1][0] is m.entries[3][0]
@@ -382,16 +392,15 @@ def test_trusted_and_public_matrices_agree():
         field = get_field(label)
         for _ in range(20):
             m = random_matrix(rng, field, rng.randint(0, 12), rng.randint(0, 12))
-            trusted = SparseMatrix._from_columns(
-                m.n_rows, m.n_cols, field, iter(shuffled_columns(rng, m)))
-            negated = SparseMatrix._from_columns(m.n_rows, m.n_cols, field, [
+            made = trusted(m.n_rows, m.n_cols, field, shuffled_columns(rng, m))
+            negated = trusted(m.n_rows, m.n_cols, field, [
                 [(r, field.neg(v)) for r, v in column] for column in shuffled_columns(rng, m)])
-            assert trusted == m and hash(trusted) == hash(m)
-            assert transpose(trusted) == transpose(m)
-            assert hash(transpose(trusted)) == hash(transpose(m))
+            assert made == m and hash(made) == hash(m)
+            assert transpose(made) == transpose(m)
+            assert hash(transpose(made)) == hash(transpose(m))
             # -m equals m when m is zero or the field has characteristic 2
             sign = 1 if negated == m else -1
-            assert equal_up_to_global_sign(trusted, m) == 1
+            assert equal_up_to_global_sign(made, m) == 1
             assert equal_up_to_global_sign(negated, m) == sign
             assert equal_up_to_global_sign(transpose(m), transpose(negated)) == sign
 
@@ -653,14 +662,14 @@ def test_rank_is_memoised_and_invisible():
         for _ in range(20):
             m = random_matrix(rng, field, rng.randint(0, 12), rng.randint(0, 12))
             twin = SparseMatrix(m.n_rows, m.n_cols, field, m.entries)
-            trusted = SparseMatrix._from_columns(m.n_rows, m.n_cols, field, raw_columns(m))
+            made = trusted(m.n_rows, m.n_cols, field, raw_columns(m))
             r = m.rank()
             assert m == twin and hash(m) == hash(twin) and repr(m) == repr(twin)
             assert [m.rank(), m.rank()] == [r, r]
             assert m.kernel_dim() == m.kernel_dim() == m.n_cols - r
             assert m == twin and hash(m) == hash(twin) and repr(m) == repr(twin)
-            assert twin.rank() == trusted.rank() == r
-            assert trusted._rank == r
+            assert twin.rank() == made.rank() == r
+            assert made._rank == r
             assert transpose(m).rank() == r
 
 
@@ -693,12 +702,12 @@ def test_constructors_leave_the_rank_unset(monkeypatch):
     monkeypatch.setattr("operad_lab.linalg._reduce",
                         lambda field, columns, bound: calls.append(list(columns)) or {0: {0: 1}})
     m = M(5, 5, Q, [(0, 0, Q.one), (1, 0, Q.one)])  # sparse: density 0.08
-    trusted = SparseMatrix._from_columns(5, 5, Q, raw_columns(m))
+    made = trusted(5, 5, Q, raw_columns(m))
     full = M(3, 3, Q, [(r, c, Q.one) for r in range(3) for c in range(3)])  # dense
-    for mat in (m, trusted, full):
+    for mat in (m, made, full):
         assert not hasattr(mat, "_rank")
         assert [mat.rank(), mat.kernel_dim(), mat.rank()] == [1, mat.n_cols - 1, 1]
-    assert calls == [list(_columns(mat)) for mat in (m, trusted, full)]
+    assert calls == [list(_columns(mat)) for mat in (m, made, full)]
 
 
 # --- ranking a whole complex -----------------------------------------------
@@ -758,8 +767,7 @@ def check_rank_complex(mats, ascending):
     """rank_complex memoises, for each matrix, the rank that ``rank()`` and
     the row-pivot oracle give on a fresh copy; returns the sum of the
     homology dimensions inside the list, zero when every bound was tight."""
-    fresh = [SparseMatrix._from_columns(m.n_rows, m.n_cols, m.field, raw_columns(m))
-             for m in mats]
+    fresh = [trusted(m.n_rows, m.n_cols, m.field, raw_columns(m)) for m in mats]
     rank_complex(mats, ascending)
     ranks = [m._rank for m in mats]
     assert ranks == [m.rank() for m in fresh] == [_row_pivot_rank(m) for m in fresh]
@@ -792,7 +800,7 @@ def spy_on_column_reads(monkeypatch):
 
     def columns(mat, skip=()):
         cols = reads.setdefault(id(mat), [])
-        tagged = SparseMatrix._from_columns(mat.n_rows, mat.n_cols, mat.field, [
+        tagged = trusted(mat.n_rows, mat.n_cols, mat.field, [
             [(r, (c, v)) for r, v in column] for c, column in enumerate(raw_columns(mat))])
         for col in stream(tagged, skip):
             cols.append(next(iter(col.values()))[0])
@@ -875,7 +883,7 @@ def test_reduce_pulls_no_column_past_its_bound(label):
     assert m.rank() == 4
 
 
-# --- the columns pulled as they are read ------------------------------------
+# --- the columns built as they are read ------------------------------------
 
 
 def recorded(columns, pulled, closed):
@@ -897,49 +905,58 @@ def watched(columns, seen):
         yield col
 
 
-def test_readers_share_the_columns_they_pull():
-    # Two interleaved readers and a third abandoned at its bound each see
-    # every nonzero column once, in ascending order, each as a fresh copy.
-    # The stream is pulled once per column, only as far as the furthest
-    # reader has read, and is dropped once its last column is pulled.
+def test_each_reader_opens_its_own_stream():
+    # The constructor opens the stream once and reads no column.  A
+    # reduction opens one with the columns it clears, which come empty, and
+    # reduces each column it reads, in ascending order, storing none; at
+    # its bound it drops its stream.  ``_columns`` skips what it is told to
+    # skip even when the stream yields it.  Reading ``columns`` opens one
+    # more stream, reads it to the end and stores the matrix; every later
+    # reader reads fresh copies of the stored columns and opens nothing.
     # Column 5 sums to zero and columns 0 and 3 are empty.
     columns = [[], [(0, 1)], [(1, 2)], [], [(0, 4), (1, 4)], [(2, 5), (2, -5)], [(2, 6)], [(0, 7)]]
     nonzero = [{0: 1}, {1: 2}, {0: 4, 1: 4}, {2: 6}, {0: 7}]
-    pulled, closed = [], []
-    m = SparseMatrix._from_columns(3, 8, Q, recorded(columns, pulled, closed))
-    assert pulled == [0, 1]  # construction pulls the first nonzero column
-    a, b = _columns(m), _columns(m)
-    seen_a, seen_b, seen_bounded = [next(a), next(a)], [next(b)], []
-    assert pulled == [0, 1, 2]
-    # rank 3, reached at column 6: the reduction abandons its feed there,
-    # which leaves column 7 pending
-    pivots = _reduce(Q, watched(_columns(m), seen_bounded), 3)
-    assert (len(pivots), pulled, closed) == (3, [0, 1, 2, 3, 4, 5, 6], [])
-    seen_b += [next(b), next(b)]  # columns 2 and 4, stored by the others
-    seen_a += [next(a), next(a), next(a)]  # 4 and 6 stored, 7 pulled
-    assert (pulled, closed) == (list(range(8)), [8])
-    seen_b += list(b)
-    seen_a += list(a)
-    assert seen_a == seen_b == nonzero and seen_bounded == nonzero[:4]
-    assert all(col is not stored for col, stored in zip(seen_a, m.columns.values()))
+    opened, closed = [], []
+
+    def open_columns(skip):
+        pulled = []
+        opened.append((skip, pulled))
+        return recorded([[] if c in skip else col for c, col in enumerate(columns)],
+                        pulled, closed)
+
+    m = SparseMatrix._from_columns(3, 8, Q, open_columns)
+    assert (opened, closed) == ([((), [])], [])
+    # column 1 cleared, rank 2 reached at column 4: the stream is dropped there
+    seen = []
+    pivots = _reduce(Q, watched(_columns(m, {1}), seen), 2)
+    assert (len(pivots), seen, m._stored) == (2, [{1: 2}, {0: 4, 1: 4}], None)
+    assert (opened[1], closed) == (({1}, [0, 1, 2, 3, 4]), [5])
+    want = [{0: 1}, {0: 4, 1: 4}, {0: 7}]
+    assert list(_columns(m, {2, 6})) == want
+    assert (len(opened), closed, m._stored) == (3, [5, 8], None)
+    assert list(_columns(trusted(3, 8, Q, columns), {2, 6})) == want
+    # built whole and stored once
     assert list(m.columns) == [1, 2, 4, 6, 7] and list(m.columns.values()) == nonzero
-    assert m == M(3, 8, Q, [(r, c, v) for c, col in enumerate(columns) for r, v in col])
-    assert list(_columns(m, {2, 6})) == [{0: 1}, {0: 4, 1: 4}, {0: 7}]
-    assert pulled == list(range(8))
+    assert (len(opened), closed) == (4, [5, 8, 8]) and m.columns is m._stored
+    copies = list(_columns(m, {2, 6}))
+    assert copies == want and not any(col is stored for col in copies
+                                      for stored in m.columns.values())
+    assert m.rank() == 3 and m == M(3, 8, Q, [(r, c, v) for c, col in enumerate(columns)
+                                              for r, v in col])
+    assert len(opened) == 4
 
 
 @pytest.mark.parametrize("error", [ArithmeticError("column 2"), KeyboardInterrupt()])
 def test_a_failed_pull_leaves_no_short_matrix(error):
-    # a stream that raises at its third column: construction pulls only the
-    # first, the rank needs the third and raises the stream's error, and so
-    # does every later read, where a truncated matrix would have rank 2
-    # and nnz 2
+    # a stream that raises at its third column: construction builds none,
+    # the rank needs the third and raises the stream's error, and so does
+    # every later read, where a truncated matrix would have rank 2 and nnz 2
     def stream():
         yield [(0, 1)]
         yield [(1, 1)]
         raise error
 
-    m = SparseMatrix._from_columns(3, 4, Q, stream())
+    m = SparseMatrix._from_columns(3, 4, Q, lambda skip: stream())
     reads = [m.rank, m.rank, lambda: m.columns, lambda: m.nnz, m.kernel_dim,
              lambda: m.entries, lambda: hash(m), lambda: m == m, lambda: repr(m),
              lambda: list(_columns(m)), m.rank]
@@ -948,3 +965,25 @@ def test_a_failed_pull_leaves_no_short_matrix(error):
             read()
         assert excinfo.value is error
     assert not hasattr(m, "_rank")
+
+
+def test_a_failed_build_leaves_no_short_matrix():
+    # the stream raises once, while ``columns`` builds the whole matrix:
+    # nothing is stored, and every later read, the rank included, raises
+    # that error again rather than open a stream that would now succeed
+    error = ArithmeticError("column 2")
+    failures = [error]
+
+    def stream(skip):
+        yield [(0, 1)]
+        yield [(1, 1)]
+        if failures:
+            raise failures.pop()
+        yield [(2, 1)]
+
+    m = SparseMatrix._from_columns(3, 4, Q, stream)
+    for read in [lambda: m.columns, m.rank, lambda: list(_columns(m, {0})), lambda: m.nnz]:
+        with pytest.raises(ArithmeticError) as excinfo:
+            read()
+        assert excinfo.value is error
+    assert m._stored is None and not hasattr(m, "_rank")
