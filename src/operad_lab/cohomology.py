@@ -37,8 +37,8 @@ operad the kind's builder does not serve (the classical kind on a
 non-endomorphism operad, the coboundary on shift, whose basis truncated at
 max-entry is not closed under it), then a bad window.
 ``differential_matrix`` refuses only sizes past the cap, before any key is
-listed, and ``_by_key`` a key count that differs from the dimension, on
-opening its stream, before its first column.
+listed, and ``_by_key`` a key count that differs from the dimension, at
+the first pull of its stream, before its first column.
 
 A stream only names terms, in any order, a row possibly repeated.  A
 matrix from ``SparseMatrix._from_columns`` holds what opens its stream,
@@ -52,8 +52,8 @@ whole and no column is ever sorted.
 the ranking can pass what one degree learned to the next (see
 ``linalg.rank_complex``): the rank of d_{n-1} bounds that of d_n, and on
 the ascending kinds the pivot rows of d_{n-1} name columns of d_n, the
-cleared ones, that d_n's stream is opened to skip.  Making a matrix builds
-no column.  Each reduction reads its columns straight off its own stream
+cleared ones, that d_n's stream is opened to skip.  Making a matrix opens
+no stream.  Each reduction reads its columns straight off its own stream
 and owns them, so none is stored or copied; the key-rank and key-by-key
 streams step over a cleared column before they build any of its terms,
 and the stream is dropped, with its working state, when the reduction
@@ -173,31 +173,26 @@ def _by_key(operator, spec, degree, skip=()):
     (``core.boundary`` or ``core.coboundary``) on its key, with its rows
     looked up in an index of the target basis; a column in ``skip`` comes
     empty, its operator never applied.  The one stream that lists keys: on
-    opening, before it builds anything, it counts the keys of both bases
-    and refuses a count that differs from the dimension; its first column
-    lists the target basis once more, for the index, which the stream
-    drops with itself."""
+    its first pull, before it builds any column, it lists the target basis
+    once, into the index, then counts the keys of the column basis, and
+    refuses either count if it differs from the dimension, rows first."""
     operad = spec.operad
     target = spec.target_degree(degree)
+    rows = operad.basis_keys(target) if target >= 0 else ()
+    row_index = {key: r for r, key in enumerate(rows)}
     for n in (target, degree):
-        count = sum(1 for _ in operad.basis_keys(n)) if n >= 0 else 0
+        count = len(row_index) if n == target else sum(1 for _ in operad.basis_keys(n))
         dimension = spec.dimension_at(n)
         if count != dimension:
             raise OperadError(
                 f"the degree-{n} basis has {count} keys, but its dimension is {dimension}")
-
-    def columns():
-        keys = operad.basis_keys(target) if target >= 0 else ()
-        row_index = {key: r for r, key in enumerate(keys)}
-        one = operad.field.one
-        for c, key in enumerate(operad.basis_keys(degree)):
-            if c in skip:
-                yield ()
-                continue
-            terms = operator(Element._sum(operad, degree, [(key, one)])).terms
-            yield zip(map(row_index.__getitem__, terms), terms.values())
-
-    return columns()
+    one = operad.field.one
+    for c, key in enumerate(operad.basis_keys(degree)):
+        if c in skip:
+            yield ()
+            continue
+        terms = operator(Element._sum(operad, degree, [(key, one)])).terms
+        yield zip(map(row_index.__getitem__, terms), terms.values())
 
 
 def _by_face_rank(spec, degree, skip):
@@ -288,10 +283,10 @@ def differential_matrix(spec, degree):
     indexed by the degree-n basis, rows by the target-degree basis, both
     sized by ``dimension_at``.  Every refusal comes before the first column
     is built: here the cap on both sizes, columns first, with no key
-    listed; then, on a key-by-key kind, ``_by_key``'s key counts, since
-    ``SparseMatrix._from_columns`` opens the degree's stream once.  The
-    matrix holds that opener, ``spec.columns`` bound to the degree, and
-    builds each column only when a reader reads it."""
+    listed; then, on a key-by-key kind, ``_by_key``'s key counts, at the
+    first read of the matrix.  The matrix holds the degree's opener,
+    ``spec.columns`` bound to the degree, opens no stream, and builds each
+    column only when a reader reads it."""
     target = spec.target_degree(degree)
     n_cols = spec.dimension_at(degree)
     _check_cap(spec, n_cols, "column", f"at degree {degree}")

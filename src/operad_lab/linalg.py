@@ -5,8 +5,8 @@ index to that column's canonical ``{row: value}`` dict, nonzero columns
 only, in ascending column order, over an explicit field from
 :mod:`operad_lab.scalars`.  Each column is made canonical in one place,
 the column merge ``_canonical`` that both constructors call.  The trusted
-constructor ``_from_columns`` stores no column: it keeps what opens the
-matrix's column stream, and each reader opens a fresh stream.  The
+constructor ``_from_columns`` stores no column and opens no stream: it keeps
+what opens the matrix's column stream, and only a reader opens one.  The
 reduction's feed ``_columns`` hands it each built column, which the
 reduction then owns, so no column is stored or copied for it, and a
 cleared column is never built.  Reading ``columns`` builds and stores the
@@ -72,7 +72,7 @@ class SparseMatrix:
             v = field.coerce(v)
             if not field.is_zero(v):
                 groups.setdefault(c, []).append((r, v))
-        self._stored = dict(_canonical(field, sorted(groups.items()), int))
+        self._stored = dict(_canonical(field, sorted(groups.items()), n_rows))
         self._open = None
 
     @classmethod
@@ -81,11 +81,10 @@ class SparseMatrix:
         set ``skip`` of column indices, opens a fresh stream of the columns:
         one iterable of (row, value) terms per column, empty ones included,
         rows in range, values nonzero, a row possibly repeated.  A column in
-        ``skip`` may come empty.  No column is built here, but the stream is
-        opened once and dropped unread, so that whatever it refuses on
-        opening it refuses at construction."""
+        ``skip`` may come empty.  No stream is opened here: only a reader
+        opens one, so whatever a stream refuses it refuses at the first
+        read."""
         out = cls(n_rows, n_cols, field)
-        open_columns(())
         out._stored, out._open = None, open_columns
         return out
 
@@ -141,18 +140,23 @@ class SparseMatrix:
         return f"SparseMatrix({self.n_rows}x{self.n_cols}, nnz={self.nnz}, {self.field.label})"
 
 
-def _canonical(field, columns, row):
+def _canonical(field, columns, n_rows):
     """Yield ``(c, column)`` lazily, in the pairs' order, for each
     ``(column index, terms)`` pair whose terms do not sum to zero, with
     ``column`` the canonical ``{row: value}`` dict of the terms: an
-    iterable of (row, value) terms, values nonzero, a row possibly
-    repeated.  A repeated row is merged with ``field.add``, the older value
-    first, and only such a sum is tested for zero: a row that cancels is
-    dropped, and a later term on it starts afresh.  Rows are stored
-    unsorted, as ``row(r)``, which may intern them.  A column in which a
-    row merged is copied once, so that it keeps no dead dict slots."""
+    iterable of (row, value) terms, rows in ``range(n_rows)``, values
+    nonzero, a row possibly repeated.  A repeated row is merged with
+    ``field.add``, the older value first, and only such a sum is tested for
+    zero: a row that cancels is dropped, and a later term on it starts
+    afresh.  Rows are stored unsorted, as the int objects of one list of
+    ``range(n_rows)``, made after the first pull, so a stream refuses
+    first.  A column in which a row merged is copied once, so that it keeps
+    no dead dict slots."""
     add, is_zero = field.add, field.is_zero
+    row = None
     for c, terms in columns:
+        if row is None:
+            row = list(range(n_rows)).__getitem__
         column, merged = {}, False
         for r, v in terms:
             if r in column:
@@ -185,9 +189,9 @@ def rank_complex(mats, ascending):
         bound = min(mat.n_rows, mat.n_cols, side - rank)
         pivots = _reduce(mat.field, _columns(mat, cleared), bound)
         mat._rank = rank = len(pivots)
-        # the boundary clears nothing: its pivots go before the next
-        # reduction starts, not after it
-        cleared = pivots if ascending else ()
+        # only the pivot rows go on, and the pivots go before the next
+        # reduction starts: no reduced column lives through it
+        cleared = set(pivots) if ascending else ()
         del pivots
 
 
@@ -208,9 +212,7 @@ def _build(mat, skip):
     A stream that raises leaves ``mat`` an opener that raises the same
     error again, so a matrix missing a column is never read as whole."""
     try:
-        built = _canonical(mat.field, enumerate(mat._open(skip)),
-                           list(range(mat.n_rows)).__getitem__)
-        for c, column in built:
+        for c, column in _canonical(mat.field, enumerate(mat._open(skip)), mat.n_rows):
             if c not in skip:
                 yield c, column
     except GeneratorExit:
@@ -277,12 +279,14 @@ def _mod_p(p, col, pivots):
 def _integral(col, pivots):
     """Reduce ``col`` in place over Q, primitive and fraction-free, as ``(a/g)
     col - (b/g) pivot`` with ``g = gcd(a, b)``: its lowest row, or None.
-    Integral data give int columns, which have no denominators to clear."""
-    if not all(type(v) is int for v in col.values()):
+    Only a ``Fraction``, on which ``gcd`` raises, has denominators to clear."""
+    try:
+        _make_primitive(col)
+    except TypeError:
         den = lcm(*(v.denominator for v in col.values()))
         for r, v in col.items():
             col[r] = v.numerator * (den // v.denominator)
-    _make_primitive(col)
+        _make_primitive(col)
     low = max(col)
     while low in pivots:
         pivot = pivots[low]

@@ -318,6 +318,20 @@ def test_shift_entry_range_too_long_to_copy_is_refused(top):
     )
 
 
+def test_a_row_basis_too_long_to_list_is_refused_by_name():
+    # at degree 2 the 10^30 rows are too many to hold one int object each,
+    # so the key-by-key stream refuses its row basis by name before any
+    # row is made
+    top = "1" + "0" * 30
+    done = subprocess.run([sys.executable, "-m", "operad_lab.cli", "cohomology",
+                           "--operad", "shift", "--max-entry", top,
+                           "--differential", "boundary", "--lo", "2", "--hi", "2",
+                           "--allow-large"],
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr == f"error: max-entry {top} is too large to list the keys of arity 1\n"
+
+
 @pytest.mark.parametrize("operad,kind,message", [
     ("assoc", "boundary", "40320 columns at degree 8 exceed the cap 20000;"),
     ("endo:m2", "hochschild", "65536 rows at degree 7 exceed the cap 20000;"),

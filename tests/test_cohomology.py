@@ -15,6 +15,7 @@ dims against the classical kind's as theory relates them.
 import gc
 import itertools
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from functools import partial
 from types import FrameType, GeneratorType
@@ -496,17 +497,20 @@ class OffSpec(ComplexSpec):
 
 @pytest.mark.parametrize("off", [1, -1])
 def test_column_count_must_match_the_dimension(off):
-    # a key-by-key complex whose dimension is off at degree 4: ``_by_key``
-    # counts both bases and refuses the matrix out of degree 4 (columns) and
-    # the one into it (rows), with an error that survives python -O
+    # a key-by-key complex whose dimension is off at degree 4: making a
+    # matrix opens no stream, and at its first read ``_by_key`` counts both
+    # bases and refuses the matrix out of degree 4 (columns) and the one
+    # into it (rows), with an error that survives python -O
     spec = OffSpec(AssocOperad(Q), "coboundary", 0, 5, 4, off)
     for n in (3, 4):
-        with pytest.raises(OperadError, match=(
-            f"^the degree-4 basis has 24 keys, but its dimension is {24 + off}$"
-        )):
-            differential_matrix(spec, n)
-    assert differential_matrix(spec, 2).n_cols == 2
-    assert differential_matrix(spec, 5).n_cols == 120
+        for read in (SparseMatrix.rank, lambda mat: mat.columns):
+            mat = differential_matrix(spec, n)
+            with pytest.raises(OperadError, match=(
+                f"^the degree-4 basis has 24 keys, but its dimension is {24 + off}$"
+            )):
+                read(mat)
+    assert differential_matrix(spec, 2).rank() == 1
+    assert len(differential_matrix(spec, 5).columns) == 120
 
 
 def test_key_count_is_checked_before_any_column_is_built():
@@ -620,14 +624,16 @@ def test_face_rank_matrices_match_the_key_level_ones(field):
 class CountingSpec(ComplexSpec):
     """A complex that counts, per degree, the columns the stream it last
     opened yields (``pulled``) and the columns among them that it built,
-    those with terms (``built``): a cleared column may come empty."""
+    those with terms (``built``): a cleared column may come empty.  It
+    records the ``skip`` that stream was opened with (``skips``)."""
 
     def __init__(self, *args):
         super().__init__(*args)
-        self.pulled, self.built = {}, {}
+        self.pulled, self.built, self.skips = {}, {}, {}
 
     def columns(self, degree, skip=()):
         self.pulled[degree] = self.built[degree] = 0
+        self.skips[degree] = skip
         for column in super().columns(degree, skip):
             column = list(column)
             self.pulled[degree] += 1
@@ -701,6 +707,36 @@ def test_cleared_keys_are_never_sent_to_the_coboundary(monkeypatch):
         kept = [c for c in range(spec.dimension_at(n)) if c not in cleared[n - 1]]
         assert called == kept[:len(called)], n
     assert len(calls[6]) == 619
+
+
+@pytest.mark.parametrize("selector,kind,hi,label", [
+    ("endo:m2", "hochschild", 5, "q"), ("assoc", "coboundary", 6, "gfp:5")])
+def test_each_stream_is_told_only_the_rows_it_skips(selector, kind, hi, label):
+    # d_{n-1}'s pivots reach d_n's stream as their rows alone, ints: no
+    # reduced column of d_{n-1} lives through d_n's reduction
+    spec = CountingSpec(make_operad(selector, get_field(label)), kind, 0, hi)
+    ranks = betti(spec)["ranks"]
+    for n in range(1, hi + 1):
+        skip = spec.skips[n]
+        assert len(skip) == ranks[n - 1], n
+        assert all(type(obj) is int for obj in gc.get_referents(skip)), n
+
+
+def test_betti_lists_each_row_basis_once_and_each_column_basis_twice(monkeypatch):
+    # making a matrix opens no stream, and ``_by_key`` lists its row basis
+    # once, into its row index, and its column basis twice, to count it and
+    # to build its columns: so on assoc coboundary 0..6 arity n is listed
+    # once as the rows of d_{n-1} and twice as the columns of d_n
+    op = AssocOperad(F5)
+    listed, keys = Counter(), op.basis_keys
+
+    def counted(arity):
+        listed[arity] += 1
+        return keys(arity)
+
+    monkeypatch.setattr(op, "basis_keys", counted)
+    assert betti(ComplexSpec(op, "coboundary", 0, 6))["ranks"] == [0, 1, 1, 5, 19, 101, 619]
+    assert [listed[n] for n in range(8)] == [2, 3, 3, 3, 3, 3, 3, 1]
 
 
 def test_no_matrix_keeps_its_stream_after_the_ranking():

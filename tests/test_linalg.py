@@ -343,13 +343,15 @@ def test_public_constructor_merges_its_columns_as_the_trusted_one_does():
 
 def test_trusted_constructor_shares_one_object_per_row():
     # rows computed afresh are stored as one int object each, shared by
-    # every column they appear in
+    # every column they appear in, by the trusted and the public constructor
     rows = [int(str(n)) for n in (700, 999, 700, 999)]
     assert rows[0] is not rows[2] and rows[1] is not rows[3]
     m = trusted(1000, 2, F5, [
         [(rows[0], 1), (rows[1], 2)], [(rows[3], 3), (rows[2], 4)]])
-    assert m.entries == ((700, 0, 1), (999, 0, 2), (700, 1, 4), (999, 1, 3))
-    assert m.entries[0][0] is m.entries[2][0] and m.entries[1][0] is m.entries[3][0]
+    public = M(1000, 2, F5, [(rows[0], 0, 1), (rows[1], 0, 2), (rows[3], 1, 3), (rows[2], 1, 4)])
+    for mat in (m, public):
+        assert mat.entries == ((700, 0, 1), (999, 0, 2), (700, 1, 4), (999, 1, 3))
+        assert mat.entries[0][0] is mat.entries[2][0] and mat.entries[1][0] is mat.entries[3][0]
 
 
 @pytest.mark.parametrize("selector,kind,degree,label", [
@@ -906,12 +908,12 @@ def watched(columns, seen):
 
 
 def test_each_reader_opens_its_own_stream():
-    # The constructor opens the stream once and reads no column.  A
-    # reduction opens one with the columns it clears, which come empty, and
-    # reduces each column it reads, in ascending order, storing none; at
-    # its bound it drops its stream.  ``_columns`` skips what it is told to
-    # skip even when the stream yields it.  Reading ``columns`` opens one
-    # more stream, reads it to the end and stores the matrix; every later
+    # The constructor opens no stream.  A reduction opens one with the
+    # columns it clears, which come empty, and reduces each column it
+    # reads, in ascending order, storing none; at its bound it drops its
+    # stream.  ``_columns`` skips what it is told to skip even when the
+    # stream yields it.  Reading ``columns`` opens one more stream, reads
+    # it to the end and stores the matrix; every later
     # reader reads fresh copies of the stored columns and opens nothing.
     # Column 5 sums to zero and columns 0 and 3 are empty.
     columns = [[], [(0, 1)], [(1, 2)], [], [(0, 4), (1, 4)], [(2, 5), (2, -5)], [(2, 6)], [(0, 7)]]
@@ -925,25 +927,25 @@ def test_each_reader_opens_its_own_stream():
                         pulled, closed)
 
     m = SparseMatrix._from_columns(3, 8, Q, open_columns)
-    assert (opened, closed) == ([((), [])], [])
+    assert (opened, closed) == ([], [])
     # column 1 cleared, rank 2 reached at column 4: the stream is dropped there
     seen = []
     pivots = _reduce(Q, watched(_columns(m, {1}), seen), 2)
     assert (len(pivots), seen, m._stored) == (2, [{1: 2}, {0: 4, 1: 4}], None)
-    assert (opened[1], closed) == (({1}, [0, 1, 2, 3, 4]), [5])
+    assert (opened, closed) == ([({1}, [0, 1, 2, 3, 4])], [5])
     want = [{0: 1}, {0: 4, 1: 4}, {0: 7}]
     assert list(_columns(m, {2, 6})) == want
-    assert (len(opened), closed, m._stored) == (3, [5, 8], None)
+    assert (len(opened), closed, m._stored) == (2, [5, 8], None)
     assert list(_columns(trusted(3, 8, Q, columns), {2, 6})) == want
     # built whole and stored once
     assert list(m.columns) == [1, 2, 4, 6, 7] and list(m.columns.values()) == nonzero
-    assert (len(opened), closed) == (4, [5, 8, 8]) and m.columns is m._stored
+    assert (len(opened), closed) == (3, [5, 8, 8]) and m.columns is m._stored
     copies = list(_columns(m, {2, 6}))
     assert copies == want and not any(col is stored for col in copies
                                       for stored in m.columns.values())
     assert m.rank() == 3 and m == M(3, 8, Q, [(r, c, v) for c, col in enumerate(columns)
                                               for r, v in col])
-    assert len(opened) == 4
+    assert len(opened) == 3
 
 
 @pytest.mark.parametrize("error", [ArithmeticError("column 2"), KeyboardInterrupt()])
