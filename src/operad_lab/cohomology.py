@@ -37,8 +37,7 @@ operad the kind's builder does not serve (the classical kind on a
 non-endomorphism operad, the coboundary on shift, whose basis truncated at
 max-entry is not closed under it), then a bad window.
 ``differential_matrix`` refuses only sizes past the cap, before any key is
-listed, and ``_by_key`` a key count that differs from the dimension, at
-the first pull of its stream, before its first column.
+listed.
 
 A stream only names terms, in any order, a row possibly repeated.  A
 matrix from ``SparseMatrix._from_columns`` holds what opens its stream,
@@ -174,18 +173,11 @@ def _by_key(operator, spec, degree, skip=()):
     looked up in an index of the target basis; a column in ``skip`` comes
     empty, its operator never applied.  The one stream that lists keys: on
     its first pull, before it builds any column, it lists the target basis
-    once, into the index, then counts the keys of the column basis, and
-    refuses either count if it differs from the dimension, rows first."""
+    once, into the index."""
     operad = spec.operad
     target = spec.target_degree(degree)
     rows = operad.basis_keys(target) if target >= 0 else ()
     row_index = {key: r for r, key in enumerate(rows)}
-    for n in (target, degree):
-        count = len(row_index) if n == target else sum(1 for _ in operad.basis_keys(n))
-        dimension = spec.dimension_at(n)
-        if count != dimension:
-            raise OperadError(
-                f"the degree-{n} basis has {count} keys, but its dimension is {dimension}")
     one = operad.field.one
     for c, key in enumerate(operad.basis_keys(degree)):
         if c in skip:
@@ -281,10 +273,8 @@ def _check_cap(spec, count, noun, where):
 def differential_matrix(spec, degree):
     """Matrix of the chosen differential out of the stated degree; columns
     indexed by the degree-n basis, rows by the target-degree basis, both
-    sized by ``dimension_at``.  Every refusal comes before the first column
-    is built: here the cap on both sizes, columns first, with no key
-    listed; then, on a key-by-key kind, ``_by_key``'s key counts, at the
-    first read of the matrix.  The matrix holds the degree's opener,
+    sized by ``dimension_at``.  It refuses only sizes past the cap,
+    columns first, with no key listed.  The matrix holds the degree's opener,
     ``spec.columns`` bound to the degree, opens no stream, and builds each
     column only when a reader reads it."""
     target = spec.target_degree(degree)

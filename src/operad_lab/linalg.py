@@ -209,23 +209,11 @@ def _build(mat, skip):
     """Yield ``(c, column)`` for each nonzero column of ``mat`` not in
     ``skip``, made canonical by ``_canonical`` from a stream opened with
     ``skip``, each row an int object shared by the columns of this stream.
-    A stream that raises leaves ``mat`` an opener that raises the same
-    error again, so a matrix missing a column is never read as whole."""
-    try:
-        for c, column in _canonical(mat.field, enumerate(mat._open(skip)), mat.n_rows):
-            if c not in skip:
-                yield c, column
-    except GeneratorExit:
-        # the reader stopped, at its bound: nothing failed
-        raise
-    except BaseException as exc:
-        mat._open = partial(_failed, exc)
-        raise
-
-
-def _failed(exc, skip):
-    """The opener of a matrix whose assembly failed: it raises ``exc``."""
-    raise exc
+    A read that raises stores nothing, so the next read opens a fresh
+    stream."""
+    for c, column in _canonical(mat.field, enumerate(mat._open(skip)), mat.n_rows):
+        if c not in skip:
+            yield c, column
 
 
 def _reduce(field, columns, bound):
