@@ -225,6 +225,9 @@ class ComplexSpec:
             raise OperadError(f"unknown differential {differential!r}")
         self.ascending, build = DIFFERENTIALS[differential]
         self._dimension, self._columns = build(operad)
+        if not all(isinstance(n, int) and not isinstance(n, bool) for n in (lo, hi, column_cap)):
+            raise OperadError(
+                f"lo, hi and column_cap must be ints, got {lo!r}, {hi!r} and {column_cap!r}")
         if not 0 <= lo <= hi:
             raise OperadError(f"bad degree range [{lo}, {hi}]")
         self.operad = operad

@@ -9,6 +9,7 @@ the integer and coefficient checks defined here.
 """
 
 import json
+import sys
 from itertools import chain
 
 from .scalars import linear_combination
@@ -22,7 +23,9 @@ def read_json(text):
     """The JSON value of ``text``, or of the UTF-8 file it names as
     ``@path``.  Undecodable bytes, nesting too deep for the parser, malformed
     JSON and an integer literal too long to convert each raise one
-    ``OperadError``; a file that cannot be opened raises ``OSError``."""
+    ``OperadError``; a file that cannot be opened raises ``OSError``.  The
+    parser raises a plain ``ValueError`` only for an integer literal past
+    the interpreter's digit limit."""
     try:
         if text.startswith("@"):
             with open(text[1:], "r", encoding="utf-8") as fh:
@@ -32,8 +35,12 @@ def read_json(text):
         raise OperadError(f"{text[1:]} is not UTF-8 text: {exc}") from None
     except RecursionError:
         raise OperadError("JSON nested too deeply to read") from None
-    except ValueError as exc:
+    except json.JSONDecodeError as exc:
         raise OperadError(str(exc)) from None
+    except ValueError:
+        raise OperadError(
+            f"a JSON integer has more than {sys.get_int_max_str_digits()} digits,"
+            " the interpreter's limit for reading an integer") from None
 
 
 def json_int(value, what):

@@ -45,9 +45,10 @@ class SparseMatrix:
     as ``(row, col, value)`` triples sorted by (col, row).  The public
     constructor is eager, since it holds every entry: it checks the shape
     and every entry (sizes and indices are ints, indices in range, each
-    value through ``field.coerce``) and stores every column.  The trusted
-    one stores none: ``_open`` opens the matrix's column stream, and
-    ``_stored`` is None until ``columns``, and so ``entries``, ``nnz``,
+    value through ``field.coerce``) and stores every column, interning only
+    the rows it holds, so that its cost does not grow with ``n_rows``.  The
+    trusted one stores none: ``_open`` opens the matrix's column stream,
+    and ``_stored`` is None until ``columns``, and so ``entries``, ``nnz``,
     equality, hashing and ``repr``, builds the whole matrix and stores it;
     ``_open`` is then None.  The rank is memoised in ``_rank``, which
     equality, hashing and ``repr`` ignore.
@@ -63,7 +64,7 @@ class SparseMatrix:
         self.n_rows = n_rows
         self.n_cols = n_cols
         self.field = field
-        groups = {}
+        groups, rows = {}, {}
         for r, c, v in triples:
             if not all(isinstance(i, int) and not isinstance(i, bool) for i in (r, c)):
                 raise LinalgError(f"entry ({r!r},{c!r}) has an index that is not an int")
@@ -72,7 +73,8 @@ class SparseMatrix:
             v = field.coerce(v)
             if not field.is_zero(v):
                 groups.setdefault(c, []).append((r, v))
-        self._stored = dict(_canonical(field, sorted(groups.items()), n_rows))
+                rows[r] = r
+        self._stored = dict(_canonical(field, sorted(groups.items()), lambda: rows))
         self._open = None
 
     @classmethod
@@ -140,23 +142,24 @@ class SparseMatrix:
         return f"SparseMatrix({self.n_rows}x{self.n_cols}, nnz={self.nnz}, {self.field.label})"
 
 
-def _canonical(field, columns, n_rows):
+def _canonical(field, columns, rows):
     """Yield ``(c, column)`` lazily, in the pairs' order, for each
     ``(column index, terms)`` pair whose terms do not sum to zero, with
     ``column`` the canonical ``{row: value}`` dict of the terms: an
-    iterable of (row, value) terms, rows in ``range(n_rows)``, values
-    nonzero, a row possibly repeated.  A repeated row is merged with
-    ``field.add``, the older value first, and only such a sum is tested for
-    zero: a row that cancels is dropped, and a later term on it starts
-    afresh.  Rows are stored unsorted, as the int objects of one list of
-    ``range(n_rows)``, made after the first pull, so a stream refuses
-    first.  A column in which a row merged is copied once, so that it keeps
-    no dead dict slots."""
+    iterable of (row, value) terms, values nonzero, a row possibly
+    repeated.  A repeated row is merged with ``field.add``, the older value
+    first, and only such a sum is tested for zero: a row that cancels is
+    dropped, and a later term on it starts afresh.  Rows are stored
+    unsorted, row ``r`` as the int object ``table[r]`` of one row table
+    that ``rows()`` returns after the first pull, so a stream refuses
+    first: the trusted constructor's list of ``range(n_rows)``, or the
+    public one's dict of the rows it holds.  A column in which a row merged
+    is copied once, so that it keeps no dead dict slots."""
     add, is_zero = field.add, field.is_zero
     row = None
     for c, terms in columns:
         if row is None:
-            row = list(range(n_rows)).__getitem__
+            row = rows().__getitem__
         column, merged = {}, False
         for r, v in terms:
             if r in column:
@@ -211,7 +214,8 @@ def _build(mat, skip):
     ``skip``, each row an int object shared by the columns of this stream.
     A read that raises stores nothing, so the next read opens a fresh
     stream."""
-    for c, column in _canonical(mat.field, enumerate(mat._open(skip)), mat.n_rows):
+    for c, column in _canonical(mat.field, enumerate(mat._open(skip)),
+                                partial(list, range(mat.n_rows))):
         if c not in skip:
             yield c, column
 

@@ -75,6 +75,8 @@ class ShiftOperad(Operad):
     label = "shift"
 
     def __init__(self, field, max_entry=DEFAULT_MAX_ENTRY):
+        if not isinstance(max_entry, int) or isinstance(max_entry, bool):
+            raise OperadError(f"max_entry must be an int, got {max_entry!r}")
         if max_entry < 2:
             raise OperadError("max_entry must be at least 2")
         super().__init__(field)

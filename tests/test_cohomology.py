@@ -14,6 +14,7 @@ dims against the classical kind's as theory relates them.
 
 import gc
 import itertools
+import re
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -501,6 +502,17 @@ def test_construction_refusals_come_in_order(capsys):
                  "--lo", "0", "--hi", "1"])
     assert (code, *capsys.readouterr()) == (
         1, "", "error: the classical complex needs an endomorphism operad\n")
+
+
+@pytest.mark.parametrize("lo,hi,cap", [
+    (0.5, 2, 5), (0, True, 5), (0, 2.0, 5), ("0", 2, 5), (0, 2, 2.5),
+], ids=("lo 0.5", "hi True", "hi 2.0", "lo '0'", "column_cap 2.5"))
+def test_construction_refuses_a_bound_that_is_not_an_int(lo, hi, cap):
+    # refused by name at construction, not by a TypeError in betti or by
+    # running a bool as an int
+    message = f"lo, hi and column_cap must be ints, got {lo!r}, {hi!r} and {cap!r}"
+    with pytest.raises(OperadError, match=f"^{re.escape(message)}$"):
+        ComplexSpec(AssocOperad(Q), "boundary", lo, hi, column_cap=cap)
 
 
 def test_assembly_and_rank_hold_little_besides_the_matrix():

@@ -119,6 +119,13 @@ def test_construction_refuses_a_shape_that_is_not_an_int():
     assert repr(M(2, 3, Q, [(0, 0, 1)])) == "SparseMatrix(2x3, nnz=1, q)"
 
 
+def test_public_matrix_interns_only_the_rows_it_holds():
+    # a row table of range(n_rows) could not even be made at 10^30 rows
+    m = M(10**30, 1, Q, [(0, 0, 1)])
+    assert m.entries == ((0, 0, 1),)
+    assert m.rank() == 1 and m.kernel_dim() == 0
+
+
 def test_bounds_checked():
     with pytest.raises(LinalgError):
         M(2, 2, Q, [(2, 0, Q.one)])

@@ -130,6 +130,14 @@ def test_operad_interface():
         SHIFT.validate_basis((0, 1), 2)
 
 
+@pytest.mark.parametrize("max_entry", [2.5, 8.0, True, "8"])
+def test_construction_refuses_a_max_entry_that_is_not_an_int(max_entry):
+    # refused by name at construction, not by a TypeError on first use; a
+    # bool is not an int here
+    with pytest.raises(OperadError, match=f"^max_entry must be an int, got {max_entry!r}$"):
+        ShiftOperad(Q, max_entry)
+
+
 def test_parse_and_format():
     assert SHIFT.parse_basis("1,3,4") == (1, 3, 4)
     assert SHIFT.parse_basis("(1,3,4)") == (1, 3, 4)
