@@ -106,13 +106,13 @@ def _delete(word, i):
     return tuple([a - 1 if a > v else a for a in word[: i - 1] + word[i:]])
 
 
-def _face_table(n):
+def _face_table(n, below=(), m=0):
     """The face rows of every degree-n permutation, n per permutation,
-    stored flat: built up from degree 0, one degree's table at a time."""
-    table = array("q")
-    for m in range(1, n + 1):
-        table = array("q", chain.from_iterable(_face_rows(m, table)))
-    return table
+    stored flat: built up one degree's table at a time from ``below``, the
+    table of degree m <= n, by default the empty one of degree 0."""
+    for m in range(m + 1, n + 1):
+        below = array("q", chain.from_iterable(_face_rows(m, below)))
+    return below
 
 
 def _face_rows(n, below):
@@ -127,12 +127,22 @@ def _face_rows(n, below):
     and leaves tau.  Face i >= 2 deletes tau(i - 1) and leaves (a',
     face_{i-1}(tau)+), where a' is a - 1 when tau(i - 1) < a and a
     otherwise, so its rank is (a' - 1)(n - 2)! plus the rank of face i - 1
-    of tau."""
+    of tau.
+
+    In the first block, a = 1, no letter of tau is below a, so a' = 1 and
+    every offset is 0: the faces of (1, tau+) are t and tau's own row of
+    ``below``.  That block, the (n - 1)! permutations (1, tau+) = m o_2 tau,
+    is where the reduction of d_n stops once d_(n-1) is ranked.  s = m o_2
+    is an extra degeneracy, d s + s d = -1 (Weibel, 8.4), so each cycle tau
+    of degree n - 1 is -d(s tau): the first block alone spans the image of
+    d_n, and the reduction reaches its rank bound inside it."""
     if n == 0:
         yield []  # the key () has no faces
         return
     k, block = n - 1, factorial(max(n - 2, 0))
-    for a in range(1, n + 1):
+    for t in range(factorial(k)):
+        yield [t, *below[t * k:t * k + k]]
+    for a in range(2, n + 1):
         # (a' - 1)(n - 2)!, looked up by the letter tau(i - 1) that face i deletes
         offset = [None] + [(a - 2 if x < a else a - 1) * block for x in range(1, n)]
         for t, tau in enumerate(permutations(range(1, n))):

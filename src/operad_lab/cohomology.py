@@ -16,7 +16,9 @@ signs, with the rows looked up in an index of the target basis.  The
 boundary builder gives assoc a stream of its own (``_by_face_rank``): each
 face of a permutation is named by its lexicographic rank
 (``assoc._face_rows``), so a column composes nothing, looks up no key and
-multiplies no scalars.  The classical kind
+multiplies no scalars, and each degree's face table extends the one
+before, built once per complex when the degrees are read in order, as
+``betti`` reads them.  The classical kind
 (``hochschild``, endomorphism operads only) is the textbook complex of
 maps A^(x)n -> A, whose keys are (i1..in, j) at every degree n >= 0:
 degree 0 is the algebra itself, keyed (j,), with no special case.  Its
@@ -143,10 +145,12 @@ def _classical(operad):
 def _boundary(operad):
     """The builder of the boundary kind: its matrices are assembled key by
     key from ``core.boundary``, and on assoc from face ranks
-    (``_by_face_rank``).  The key-by-key stream stays the test oracle of
-    the face-rank one."""
-    return operad.dimension, (
-        _by_face_rank if isinstance(operad, AssocOperad) else partial(_by_key, boundary))
+    (``_by_face_rank``), bound to the complex's last face table, with its
+    degree, so that each table is built once per complex.  The key-by-key
+    stream stays the test oracle of the face-rank one."""
+    if isinstance(operad, AssocOperad):
+        return operad.dimension, partial(_by_face_rank, [0, ()])
+    return operad.dimension, partial(_by_key, boundary)
 
 
 def _coboundary(operad):
@@ -187,14 +191,20 @@ def _by_key(operator, spec, degree, skip=()):
         yield zip(map(row_index.__getitem__, terms), terms.values())
 
 
-def _by_face_rank(spec, degree, skip):
+def _by_face_rank(last, spec, degree, skip):
     """The columns of the assoc boundary matrix, from ``_face_rows``: face
     i carries the sign (-1)^i, and faces i and i + 1 coincide when the
     letters at i and i + 1 are consecutive, which the matrix constructor
-    merges.  The boundary clears no column, so ``skip`` is ignored."""
+    merges.  The boundary clears no column, so ``skip`` is ignored.
+    ``last`` is ``[degree, table]``, the last face table built: the table
+    of degree n - 1 extends it, or the empty one of degree 0 when it lies
+    above, and then takes its place."""
     field = spec.operad.field
     signs = [field.neg(field.one) if i % 2 else field.one for i in range(1, degree + 1)]
-    for faces in _face_rows(degree, _face_table(degree - 1)):
+    if last[0] >= degree:
+        last[:] = 0, ()
+    last[:] = max(degree - 1, 0), _face_table(degree - 1, last[1], last[0])
+    for faces in _face_rows(degree, last[1]):
         yield zip(faces, signs)
 
 

@@ -43,6 +43,15 @@ def read_json(text):
             " the interpreter's limit for reading an integer") from None
 
 
+def _json_text(value):
+    """A refused JSON value as it reads in JSON (``true``, ``null``,
+    ``"x"``), or an array or an object by its kind alone, since it may nest
+    deeper than the encoder recurses."""
+    if isinstance(value, (list, dict)):
+        return "an array" if isinstance(value, list) else "an object"
+    return json.dumps(value)
+
+
 def json_int(value, what):
     """An integer read from JSON.  JSON ``true`` decodes to a Python int and
     ``2.9`` to a float; both are rejected here instead of being truncated."""
@@ -50,13 +59,16 @@ def json_int(value, what):
         return value
     if isinstance(value, float) and value.is_integer():
         return int(value)
-    raise OperadError(f"{what} must be an integer, got {value!r}")
+    raise OperadError(f"{what} must be an integer, got {_json_text(value)}")
 
 
 def json_scalar(field, value):
-    """A coefficient read from JSON: an int exactly, anything else through
-    ``field.parse``, where a ``true`` fails."""
-    if isinstance(value, int) and not isinstance(value, bool):
+    """A coefficient read from JSON: an int exactly, a string or a float
+    through ``field.parse``.  Anything else is refused before
+    ``field.parse``, ``true`` too, though it decodes to a Python int."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        raise OperadError(f"a coefficient must be a number or a string, got {_json_text(value)}")
+    if isinstance(value, int):
         return field.from_int(value)
     return field.parse(str(value))
 
@@ -212,4 +224,6 @@ class Operad:
         return list(key)
 
     def basis_from_json(self, data):
+        if not isinstance(data, list):
+            raise OperadError(f"basis must be an array, got {_json_text(data)}")
         return tuple(json_int(v, "basis entry") for v in data)

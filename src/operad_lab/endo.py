@@ -19,7 +19,7 @@ them there except the oracle ``classical_coboundary``, which reads ``mul``.
 from itertools import product
 
 from .core import compose, face
-from .elements import Element, Operad, OperadError, json_int, json_scalar, read_json
+from .elements import Element, Operad, OperadError, _json_text, json_int, json_scalar, read_json
 from .scalars import power_sign
 
 
@@ -326,7 +326,7 @@ def multimap_to_element(operad, arity, coeffs):
     if arity < 0:
         raise OperadError(f"negative arity {arity}")
     if not isinstance(coeffs, list):
-        raise OperadError(f"dense map needs a list of coefficients, got {coeffs!r}")
+        raise OperadError(f"dense map needs a list of coefficients, got {_json_text(coeffs)}")
     d = operad.algebra.dim
     f = operad.field
     if arity == 0:

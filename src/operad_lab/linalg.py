@@ -15,13 +15,15 @@ immutable, so its rank is computed once and memoised.  The rank is a
 column reduction on plain ints that pulls columns one at a time from a
 stream, keys each pivot by its largest row index and stops pulling once it
 holds as many pivots as a given bound.  The field picks its arithmetic
-once: modular over GF(p), fraction-free over Q (each column's denominators
-cleared, columns kept primitive).  ``SparseMatrix.rank`` ranks a
-one-matrix complex, bounded by its shape however dense it is.
+once: modular over GF(p), each pivot kept unscaled, as it reduced, and
+fraction-free over Q (each column's denominators cleared, columns kept
+primitive).  ``SparseMatrix.rank`` ranks a one-matrix complex, bounded by
+its shape however dense it is.
 ``rank_complex`` ranks the differentials of one complex in degree order,
 and d∘d = 0 tightens the bound of each degree and, on an ascending
 complex, clears columns of the next.  The int row-pivot elimination, the
-field-generic one before it and the dense elimination are test oracles.
+field-generic one before it, the dense elimination and the GF(p) reducer
+that scaled each pivot to a leading 1 are test oracles.
 """
 
 from functools import partial
@@ -244,11 +246,17 @@ def _reduce(field, columns, bound):
 
 
 def _mod_p(p, col, pivots):
-    """Reduce ``col`` in place mod p to a leading 1: its lowest row, or None."""
+    """Reduce ``col`` in place mod p: its lowest row, or None.  No column is
+    scaled: a pivot is kept as it reduced, and a column that reads it
+    subtracts ``col[low] / pivot[low]`` times it, one inverse per read.
+    Scaling by a nonzero factor moves no entry's support, so the lows, and
+    with them the rank and the cleared columns, are those of a reduction
+    that scales each pivot to a leading 1."""
     low = max(col)
     while low in pivots:
-        nb = p - col[low]
-        for r, v in pivots[low].items():
+        pivot = pivots[low]
+        nb = (p - col[low]) * pow(pivot[low], -1, p) % p
+        for r, v in pivot.items():
             old = col.get(r)
             if old is None:
                 col[r] = nb * v % p
@@ -261,10 +269,6 @@ def _mod_p(p, col, pivots):
         if not col:
             return None
         low = max(col)
-    if col[low] != 1:
-        inv = pow(col[low], -1, p)
-        for r, v in col.items():
-            col[r] = v * inv % p
     return low
 
 

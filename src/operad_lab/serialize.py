@@ -8,7 +8,7 @@ sorted keys, fixed separators, no timestamps.
 
 import json
 
-from .elements import Element, OperadError, json_int, json_scalar
+from .elements import Element, OperadError, _json_text, json_int, json_scalar
 
 
 def element_to_json(x):
@@ -32,10 +32,16 @@ def element_from_json(data, operad):
         raise OperadError("element JSON needs an 'arity' field")
     try:
         arity = json_int(data["arity"], "arity")
-        raw = [(operad.basis_from_json(t["basis"]), t["coeff"]) for t in data["terms"]]
+        terms = data["terms"]
+        if not isinstance(terms, list):
+            raise OperadError(f"terms must be an array, got {_json_text(terms)}")
+        for t in terms:
+            if not isinstance(t, dict):
+                raise OperadError(f"a term must be an object, got {_json_text(t)}")
+        raw = [(operad.basis_from_json(t["basis"]), t["coeff"]) for t in terms]
     except KeyError as exc:
         raise OperadError(f"element JSON term needs a {exc} field") from None
-    except (TypeError, ValueError) as exc:
+    except OperadError as exc:
         raise OperadError(f"malformed element JSON: {exc}") from None
     return Element(operad, arity, [(key, json_scalar(operad.field, c)) for key, c in raw])
 

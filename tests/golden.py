@@ -243,26 +243,32 @@ ROWS = [
     # bool is no integer, and true is no coefficient
     refused("element JSON term needs a 'coeff' field",
             "boundary", "--element", '{"arity":1,"terms":[{"basis":[1]}]}'),
-    refused("malformed element JSON: arity must be an integer, got 'x'",
+    refused('malformed element JSON: arity must be an integer, got "x"',
             "boundary", "--element", '{"arity":"x","terms":[]}'),
-    refused("malformed element JSON: 'int' object is not iterable",
+    refused("malformed element JSON: basis must be an array, got 5",
             "boundary", "--element", '{"arity":1,"terms":[{"basis":5,"coeff":"1"}]}'),
+    refused('malformed element JSON: terms must be an array, got an object',
+            "boundary", "--element", '{"arity":1,"terms":{"basis":[1]}}'),
+    refused('malformed element JSON: a term must be an object, got an array',
+            "boundary", "--element", '{"arity":1,"terms":[[[1],"1"]]}'),
     refused("element JSON needs an object with a 'terms' array",
             "boundary", "--operad", "endo:dual", "--element", "@{tmp}/five.json"),
     refused("malformed element JSON: arity must be an integer, got 2.9",
             "boundary", "--element", '{"arity":2.9,"terms":[{"basis":[2,1],"coeff":"1"}]}'),
     refused("malformed element JSON: basis entry must be an integer, got 1.7",
             "boundary", "--element", '{"arity":2,"terms":[{"basis":[1.7,2],"coeff":"1"}]}'),
-    refused("malformed element JSON: basis entry must be an integer, got True",
+    refused("malformed element JSON: basis entry must be an integer, got true",
             "boundary", "--element", '{"arity":2,"terms":[{"basis":[true,2],"coeff":"1"}]}'),
-    refused("bad rational scalar 'True'",
+    refused("a coefficient must be a number or a string, got true",
             "boundary", "--element", '{"arity":2,"terms":[{"basis":[2,1],"coeff":true}]}'),
+    refused("a coefficient must be a number or a string, got null", "boundary", "--operad",
+            "endo:dual", "--element", '{"arity":0,"coeffs":[1,null]}'),
     refused("negative arity -1", "boundary", "--element", '{"arity":-1,"terms":[]}'),
-    refused("dense map arity must be an integer, got None",
+    refused("dense map arity must be an integer, got null",
             "boundary", "--operad", "endo:dual", "--element", '{"coeffs":[1]}'),
-    refused("dense map arity must be an integer, got 'x'",
+    refused('dense map arity must be an integer, got "x"',
             "boundary", "--operad", "endo:dual", "--element", '{"arity":"x","coeffs":[1]}'),
-    refused("dense map arity must be an integer, got True", "face", "--operad", "endo:dual",
+    refused("dense map arity must be an integer, got true", "face", "--operad", "endo:dual",
             "--element", '{"arity":true,"coeffs":[1,0,0,1]}', "--at", "1"),
     refused("dense map needs a list of coefficients, got 7",
             "boundary", "--operad", "endo:dual", "--element", '{"arity":1,"coeffs":7}'),

@@ -1,12 +1,17 @@
-"""Permutation operad: standardization, both composition methods, faces."""
+"""Permutation operad: standardization, both composition methods, faces,
+and the face-rank tables."""
 
 import itertools
 import random
+from math import factorial
+from operator import add
 
 import pytest
 
 from operad_lab import AssocOperad, Element, OperadError, get_field
 from operad_lab.assoc import (
+    _face_rows,
+    _face_table,
     compose_blocks,
     compose_formula,
     concat,
@@ -159,3 +164,33 @@ def test_is_permutation():
     assert is_permutation(())
     assert not is_permutation((1, 3))
     assert not is_permutation((1, 1))
+
+
+# The face rows before the first block read straight off the table below,
+# kept verbatim: every block, the first too, adds its offsets.
+def _face_rows_all_offsets(n, below):
+    if n == 0:
+        yield []  # the key () has no faces
+        return
+    k, block = n - 1, factorial(max(n - 2, 0))
+    for a in range(1, n + 1):
+        # (a' - 1)(n - 2)!, looked up by the letter tau(i - 1) that face i deletes
+        offset = [None] + [(a - 2 if x < a else a - 1) * block for x in range(1, n)]
+        for t, tau in enumerate(itertools.permutations(range(1, n))):
+            yield [t, *map(add, below[t * k:t * k + k], map(offset.__getitem__, tau))]
+
+
+def test_face_rows_match_the_all_offsets_oracle():
+    # every row up to degree 7, each table built by the oracle alone, and
+    # at degree 8 the first block, the 5040 columns a reduction reads
+    below = []
+    for n in range(8):
+        want = list(_face_rows_all_offsets(n, below))
+        assert list(_face_rows(n, below)) == want and len(want) == factorial(n), n
+        below = [r for row in want for r in row]
+        assert list(_face_table(n)) == below, n
+    # a table extended from a lower one is the table built from degree 0
+    assert _face_table(7, _face_table(3), 3) == _face_table(7)
+    first = list(itertools.islice(_face_rows(8, _face_table(7)), 5040))
+    assert first == list(itertools.islice(_face_rows_all_offsets(8, below), 5040))
+

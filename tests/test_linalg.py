@@ -5,7 +5,10 @@ column stream ``_columns``) is compared with three eliminations it replaced,
 kept below as oracles: the int row-pivot elimination (``_row_pivot_rank``),
 the field-generic one before it (``_sparse_rank``) and the dense elimination
 (``_dense_rank``), on random matrices and on the differential matrices of
-real complexes.
+real complexes.  The GF(p) reducer that scaled each pivot to a leading 1
+(``_mod_p_normalising``) is the oracle of the unscaled one: the same lows
+in pull order on real complexes and random matrices, and a count of the
+inverses ``betti`` takes guards the cost.
 ``rank_complex``, which bounds each reduction by the rank of the previous
 degree and clears columns, is compared with ``rank()`` and
 ``_row_pivot_rank`` on random chain complexes, and the columns it reads on
@@ -22,11 +25,12 @@ import random
 import re
 import sys
 from fractions import Fraction
-from math import gcd, lcm
+from math import factorial, gcd, lcm
 
 import pytest
 
-from operad_lab import ComplexSpec, EndoOperad, FinAlgebra, differential_matrix, linalg
+from operad_lab import (
+    ComplexSpec, EndoOperad, FinAlgebra, assoc, betti, differential_matrix, linalg)
 from operad_lab.cli import make_operad
 from operad_lab.linalg import (
     LinalgError,
@@ -659,6 +663,109 @@ def test_integer_rank_matches_oracles_on_complexes(selector, kinds, top, label):
         for n in range(top + 1):
             m = differential_matrix(spec, n)
             assert_ranks_agree(m, dense=m.n_rows * m.n_cols <= 5000)
+
+
+# The GF(p) column reducer before it kept each pivot unscaled, kept verbatim:
+# each column that stays nonzero is scaled to a leading 1, so a column that
+# reads a pivot subtracts it times ``p - col[low]``.
+def _mod_p_normalising(p, col, pivots):
+    """Reduce ``col`` in place mod p to a leading 1: its lowest row, or None."""
+    low = max(col)
+    while low in pivots:
+        nb = p - col[low]
+        for r, v in pivots[low].items():
+            old = col.get(r)
+            if old is None:
+                col[r] = nb * v % p
+            else:
+                nv = (old + nb * v) % p
+                if nv:
+                    col[r] = nv
+                else:
+                    del col[r]
+        if not col:
+            return None
+        low = max(col)
+    if col[low] != 1:
+        inv = pow(col[low], -1, p)
+        for r, v in col.items():
+            col[r] = v * inv % p
+    return low
+
+
+def assert_pivots_match_the_normalising_reducer(monkeypatch, mats, ascending):
+    """Rank ``mats`` as ``rank_complex`` does, each degree twice: with the
+    unscaled reducer and with the normalising one.  Both give the same lows
+    in pull order, so the same rank and cleared columns, and each unscaled
+    pivot is its normalised twin times its lowest entry.  Returns the
+    ranks."""
+    ranks, rank, cleared = [], 0, set()
+    for mat in mats:
+        side = mat.n_cols if ascending else mat.n_rows
+        bound = min(mat.n_rows, mat.n_cols, side - rank)
+        pivots = _reduce(mat.field, _columns(mat, cleared), bound)
+        with monkeypatch.context() as patch:
+            patch.setattr(linalg, "_mod_p", _mod_p_normalising)
+            twins = _reduce(mat.field, _columns(mat, cleared), bound)
+        assert list(pivots) == list(twins)
+        p = mat.field.p
+        for low, pivot in pivots.items():
+            assert {r: v * pivot[low] % p for r, v in twins[low].items()} == pivot
+        ranks.append(rank := len(pivots))
+        cleared = set(pivots) if ascending else set()
+    return ranks
+
+
+PRIME_FIELDS = ("gfp:2", "gfp:3", "gfp:5", "gfp:32003")
+
+
+@pytest.mark.parametrize("label", PRIME_FIELDS)
+@pytest.mark.parametrize("selector,kind,top,ranks", [
+    ("assoc", "boundary", 8, [0, 1, 0, 2, 4, 20, 100, 620, 4420]),
+    ("assoc", "coboundary", 7, [0, 1, 1, 5, 19, 101, 619, 4421]),
+    ("endo:m2", "hochschild", 5, [3, 13, 51, 205, 819, 3277]),
+])
+def test_unscaled_pivots_match_the_normalising_reducer_on_complexes(
+        monkeypatch, selector, kind, top, ranks, label):
+    spec = ComplexSpec(make_operad(selector, get_field(label)), kind, 0, top, allow_large=True)
+    mats = [differential_matrix(spec, n) for n in range(top + 1)]
+    assert assert_pivots_match_the_normalising_reducer(monkeypatch, mats, spec.ascending) == ranks
+
+
+@pytest.mark.parametrize("label", PRIME_FIELDS)
+def test_unscaled_pivots_match_the_normalising_reducer_on_random_matrices(monkeypatch, label):
+    # each matrix gains a copy of one of its columns and a column that
+    # cancels to zero, a combination of two others with random coefficients
+    field = get_field(label)
+    rng = random.Random(f"unscaled {label}")
+    for _ in range(100):
+        rows, cols = rng.randint(1, 12), rng.randint(2, 12)
+        m = random_matrix(rng, field, rows, cols)
+        a, b = rng.sample(range(cols), 2)
+        x, y = random_scalar(rng, field), random_scalar(rng, field)
+        extra = [(r, cols, v) for r, c, v in m.entries if c == a]
+        extra += [(r, cols + 1, field.mul(x, v)) for r, c, v in m.entries if c == a]
+        extra += [(r, cols + 1, field.mul(y, v)) for r, c, v in m.entries if c == b]
+        m = M(rows, cols + 2, field, [*m.entries, *extra])
+        assert assert_pivots_match_the_normalising_reducer(monkeypatch, [m], False) == [
+            _row_pivot_rank(m)]
+
+
+def test_betti_on_assoc_boundary_takes_one_inverse_per_pivot_read(monkeypatch):
+    # a count, not a time: the normalising reducer took 5167 inverses here,
+    # one per pivot, where the unscaled one takes one per pivot read; and
+    # the face tables are each built once, table 7 (5913 rows) the largest
+    inverses, rows = [], []
+    monkeypatch.setattr(linalg, "pow", lambda *args: inverses.append(args) or pow(*args),
+                        raising=False)
+    face_rows = assoc._face_rows
+    monkeypatch.setattr(assoc, "_face_rows", lambda n, below: (
+        rows.append(n) or row for row in face_rows(n, below)))
+    spec = ComplexSpec(make_operad("assoc", F5), "boundary", 0, 8, allow_large=True)
+    assert betti(spec)["ranks"] == [0, 1, 0, 2, 4, 20, 100, 620, 4420]
+    assert len(inverses) == 2160
+    assert all(args[1:] == (-1, 5) for args in inverses)
+    assert len(rows) == sum(factorial(n) for n in range(1, 8)) == 5913
 
 
 # --- the memoised rank -----------------------------------------------------
