@@ -12,7 +12,8 @@ three-case closed formula.  The two are checked against each other.
 
 ``_face_rows`` names every face of a permutation by its lexicographic
 rank, read off the face ranks of the previous degree; the assoc boundary
-matrix is assembled from them (``cohomology._by_face_rank``).
+matrix is assembled from them (``cohomology._by_face_rank``), whose stream
+keeps each degree's flat face table (``_face_table``) once it is built.
 """
 
 from array import array
@@ -106,20 +107,17 @@ def _delete(word, i):
     return tuple([a - 1 if a > v else a for a in word[: i - 1] + word[i:]])
 
 
-def _face_table(n, below=(), m=0):
+def _face_table(n, below):
     """The face rows of every degree-n permutation, n per permutation,
-    stored flat: built up one degree's table at a time from ``below``, the
-    table of degree m <= n, by default the empty one of degree 0."""
-    for m in range(m + 1, n + 1):
-        below = array("q", chain.from_iterable(_face_rows(m, below)))
-    return below
+    stored flat, from ``below``, the table of degree n - 1."""
+    return array("q", chain.from_iterable(_face_rows(n, below)))
 
 
 def _face_rows(n, below):
     """The rows of the n faces of each degree-n permutation, face 1 first,
     the permutations in lexicographic order (``itertools.permutations``),
     each row the lexicographic rank of a face in degree n - 1.  ``below``
-    is ``_face_table(n - 1)``.
+    is the face table of degree n - 1 (``_face_table``), empty for n = 1.
 
     The permutation of rank (a - 1)(n - 1)! + t is (a, tau+), where tau has
     rank t in degree n - 1 and + raises each letter >= a by one (the

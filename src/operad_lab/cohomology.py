@@ -5,9 +5,15 @@ window.  Degrees are arities.  ``DIFFERENTIALS`` is the one table of kinds:
 each maps to whether it raises the degree and to a builder, which takes the
 operad, refuses one it cannot serve, and returns the kind's two parts,
 built once per complex: its dimension, the size of each degree's basis,
-and its column stream, which yields a degree's matrix columns, as raw
-terms, in basis order, and may yield empty any column it is told to skip.
-Only the key-by-key stream (``_by_key``) lists keys.
+and its column stream.
+
+The stream contract: ``columns(degree, skip)`` is a generator of the
+degree's matrix columns in basis order, each an iterable of raw (row,
+value) terms in any order, a row possibly repeated; a column whose index
+is in ``skip`` may come empty.  It is closed over everything it reads and
+is handed no spec: ``_by_key`` is bound to its operator, its operad and
+its target-degree step, and the face-rank and key-rank streams own their
+tables.
 
 The operadic kinds (``boundary`` and ``coboundary``) assemble each column
 key by key (``_by_key``), as the terms of ``core.boundary`` or
@@ -16,22 +22,20 @@ signs, with the rows looked up in an index of the target basis.  The
 boundary builder gives assoc a stream of its own (``_by_face_rank``): each
 face of a permutation is named by its lexicographic rank
 (``assoc._face_rows``), so a column composes nothing, looks up no key and
-multiplies no scalars, and each degree's face table extends the one
-before, built once per complex when the degrees are read in order, as
-``betti`` reads them.  The classical kind
-(``hochschild``, endomorphism operads only) is the textbook complex of
-maps A^(x)n -> A, whose keys are (i1..in, j) at every degree n >= 0:
-degree 0 is the algebra itself, keyed (j,), with no special case.  Its
-columns are read off tables filed from ``FinAlgebra.nonzero``, each
-constant stored with its negation, so a column needs no field
-multiplication, and its stream names every row by its rank, read off the
-rank of the column's key, so it builds no key either.  The coboundary
-builder gives an endomorphism operad the same stream, with the point's one
-empty column at degree 0.  The key-by-key stream is the test oracle of the
-face-rank one and of the endo coboundary, and ``endo.classical_coboundary``
-that of the key-rank one.  The tests sum the boundary and the coboundary
-from ``core.compose`` on their own, as the oracle of the two operators and
-of their key-by-key columns.
+multiplies no scalars.  The classical kind (``hochschild``, endomorphism
+operads only) is the textbook complex of maps A^(x)n -> A, whose keys are
+(i1..in, j) at every degree n >= 0: degree 0 is the algebra itself, keyed
+(j,), with no special case.  Its stream (``_by_key_rank``) reads its
+columns off tables filed once from ``FinAlgebra.nonzero``, each constant
+stored with its negation, so a column needs no field multiplication, and
+names every row by its rank, read off the rank of the column's key, so it
+builds no key either.  The coboundary builder gives an endomorphism operad
+the same stream, with the point's one empty column at degree 0.  The
+key-by-key stream is the test oracle of the face-rank one and of the endo
+coboundary, and ``endo.classical_coboundary`` that of the key-rank one.
+The tests sum the boundary and the coboundary from ``core.compose`` on
+their own, as the oracle of the two operators and of their key-by-key
+columns.
 
 Every refusal of a complex comes before its first column is built.
 Construction refuses what the kind table cannot build: an unknown kind, an
@@ -41,8 +45,7 @@ max-entry is not closed under it), then a bad window.
 ``differential_matrix`` refuses only sizes past the cap, before any key is
 listed.
 
-A stream only names terms, in any order, a row possibly repeated.  A
-matrix from ``SparseMatrix._from_columns`` holds what opens its stream,
+A matrix from ``SparseMatrix._from_columns`` holds what opens its stream,
 ``ComplexSpec.columns`` bound to its degree, and no column: each reader
 opens a fresh stream, and ``linalg._canonical`` makes each column it reads
 the canonical ``{row: value}`` dict that the reduction reduces.  So no
@@ -77,16 +80,83 @@ DEFAULT_COLUMN_CAP = 20000
 
 
 def _classical(operad):
-    """The builder of the classical kind.  A column of degree n is read off
-    the nonzero structure constants: the left products into the output, the
-    n signed input merges and the signed right products, each coefficient a
-    constant or its negation.  At degree 0 there are no merges, and the
-    column of (j,) is the commutator map x -> x e_j - e_j x.  Degree n has
-    d^(n+1) keys, and the stream reads each term's row off the rank of the
-    column's key, so no key is built; ``endo.classical_coboundary`` is its
-    oracle."""
+    """The builder of the classical kind: degree n has d^(n+1) keys, and
+    its stream reads each column off the nonzero structure constants
+    (``_by_key_rank``); ``endo.classical_coboundary`` is its oracle."""
     if not isinstance(operad, EndoOperad):
         raise OperadError("the classical complex needs an endomorphism operad")
+    return (lambda n: operad.algebra.dim ** (n + 1)), _by_key_rank(operad)
+
+
+def _boundary(operad):
+    """The builder of the boundary kind: its matrices are assembled key by
+    key from ``core.boundary``, and on assoc from face ranks."""
+    if isinstance(operad, AssocOperad):
+        return operad.dimension, _by_face_rank(operad.field)
+    return operad.dimension, partial(_by_key, boundary, operad, -1)
+
+
+def _coboundary(operad):
+    """The builder of the coboundary kind: key by key from
+    ``core.coboundary``, or on an endomorphism operad, whose coboundary has
+    the Hochschild terms and signs from degree 1 on, the classical kind's
+    stream, with one empty column for the point.  Every term of the
+    coboundary of a shift key ends in the key's last entry plus one, so
+    every degree from 1 to max-entry - 1 leaves the truncated basis: shift
+    is refused whole."""
+    if isinstance(operad, ShiftOperad):
+        raise OperadError(f"the shift basis truncated at max-entry {operad.max_entry} "
+                          "is not closed under the coboundary")
+    if isinstance(operad, EndoOperad):
+        classical = _by_key_rank(operad)
+        return operad.dimension, lambda n, skip: classical(n, skip) if n else iter(((),))
+    return operad.dimension, partial(_by_key, coboundary, operad, 1)
+
+
+def _by_key(operator, operad, step, degree, skip=()):
+    """The columns of the degree-n matrix, each the terms of ``operator``
+    (``core.boundary`` or ``core.coboundary``) on its key, with its rows
+    looked up in an index of the basis of degree n + ``step``; a column in
+    ``skip`` comes empty, its operator never applied.  The one stream that
+    lists keys: on its first pull, before it builds any column, it lists
+    the target basis once, into the index."""
+    target = degree + step
+    rows = operad.basis_keys(target) if target >= 0 else ()
+    row_index = {key: r for r, key in enumerate(rows)}
+    one = operad.field.one
+    for c, key in enumerate(operad.basis_keys(degree)):
+        if c in skip:
+            yield ()
+            continue
+        terms = operator(Element._sum(operad, degree, [(key, one)])).terms
+        yield zip(map(row_index.__getitem__, terms), terms.values())
+
+
+def _by_face_rank(field):
+    """The stream of the assoc boundary, from ``_face_rows``: face i
+    carries the sign (-1)^i, and faces i and i + 1 coincide when the
+    letters at i and i + 1 are consecutive, which the matrix constructor
+    merges; ``skip`` is ignored, as the boundary clears no column.  It
+    keeps the face table of every degree below those it has read, so each
+    is built once, whatever the order of the degrees."""
+    tables = [()]  # tables[m], the face table of degree m
+
+    def columns(degree, skip):
+        signs = [field.neg(field.one) if i % 2 else field.one for i in range(1, degree + 1)]
+        while len(tables) < degree:
+            tables.append(_face_table(len(tables), tables[-1]))
+        for faces in _face_rows(degree, tables[max(degree - 1, 0)]):
+            yield zip(faces, signs)
+
+    return columns
+
+
+def _by_key_rank(operad):
+    """The stream of the Hochschild coboundary of an endomorphism operad:
+    a column of degree n holds the left products into the output, the n
+    signed input merges and the signed right products, each coefficient a
+    structure constant or its negation.  At degree 0 there are no merges,
+    and the column of (j,) is the commutator map x -> x e_j - e_j x."""
     field, dim = operad.field, operad.algebra.dim
     # c = mul[a][b][t] != 0 with its negation, filed three ways: left[b]
     # (a, t), merge[t] (a, b) and right[a] (b, t); scanning (a, b, t) in
@@ -100,7 +170,7 @@ def _classical(operad):
                 merge[t].append((a, b, signed))
                 right[a].append((b, t, signed))
 
-    def columns(spec, degree, skip):
+    def columns(degree, skip):
         """The columns of the degree-n matrix, each row named by its rank:
         key c = (i1..in, j) is c in base d, big-endian, so I = c // d is
         the rank of its inputs.  The left product (u, m) lands on u d^(n+1)
@@ -139,73 +209,7 @@ def _classical(operad):
                 pairs += [(base + r, v) for r, v in rights[j]]
                 yield pairs
 
-    return (lambda n: dim ** (n + 1)), columns
-
-
-def _boundary(operad):
-    """The builder of the boundary kind: its matrices are assembled key by
-    key from ``core.boundary``, and on assoc from face ranks
-    (``_by_face_rank``), bound to the complex's last face table, with its
-    degree, so that each table is built once per complex.  The key-by-key
-    stream stays the test oracle of the face-rank one."""
-    if isinstance(operad, AssocOperad):
-        return operad.dimension, partial(_by_face_rank, [0, ()])
-    return operad.dimension, partial(_by_key, boundary)
-
-
-def _coboundary(operad):
-    """The builder of the coboundary kind: key by key from
-    ``core.coboundary``, or on an endomorphism operad, whose coboundary has
-    the Hochschild terms and signs from degree 1 on, the classical kind's
-    stream, with one empty column for the point.  Every term of the
-    coboundary of a shift key ends in the key's last entry plus one, so
-    every degree from 1 to max-entry - 1 leaves the truncated basis: shift
-    is refused whole."""
-    if isinstance(operad, ShiftOperad):
-        raise OperadError(f"the shift basis truncated at max-entry {operad.max_entry} "
-                          "is not closed under the coboundary")
-    if isinstance(operad, EndoOperad):
-        classical = _classical(operad)[1]
-        return operad.dimension, (
-            lambda spec, n, skip: classical(spec, n, skip) if n else iter(((),)))
-    return operad.dimension, partial(_by_key, coboundary)
-
-
-def _by_key(operator, spec, degree, skip=()):
-    """The columns of the degree-n matrix, each the terms of ``operator``
-    (``core.boundary`` or ``core.coboundary``) on its key, with its rows
-    looked up in an index of the target basis; a column in ``skip`` comes
-    empty, its operator never applied.  The one stream that lists keys: on
-    its first pull, before it builds any column, it lists the target basis
-    once, into the index."""
-    operad = spec.operad
-    target = spec.target_degree(degree)
-    rows = operad.basis_keys(target) if target >= 0 else ()
-    row_index = {key: r for r, key in enumerate(rows)}
-    one = operad.field.one
-    for c, key in enumerate(operad.basis_keys(degree)):
-        if c in skip:
-            yield ()
-            continue
-        terms = operator(Element._sum(operad, degree, [(key, one)])).terms
-        yield zip(map(row_index.__getitem__, terms), terms.values())
-
-
-def _by_face_rank(last, spec, degree, skip):
-    """The columns of the assoc boundary matrix, from ``_face_rows``: face
-    i carries the sign (-1)^i, and faces i and i + 1 coincide when the
-    letters at i and i + 1 are consecutive, which the matrix constructor
-    merges.  The boundary clears no column, so ``skip`` is ignored.
-    ``last`` is ``[degree, table]``, the last face table built: the table
-    of degree n - 1 extends it, or the empty one of degree 0 when it lies
-    above, and then takes its place."""
-    field = spec.operad.field
-    signs = [field.neg(field.one) if i % 2 else field.one for i in range(1, degree + 1)]
-    if last[0] >= degree:
-        last[:] = 0, ()
-    last[:] = max(degree - 1, 0), _face_table(degree - 1, last[1], last[0])
-    for faces in _face_rows(degree, last[1]):
-        yield zip(faces, signs)
+    return columns
 
 
 # kind -> (ascending, builder)
@@ -220,12 +224,8 @@ class ComplexSpec:
     """Operad instance + differential kind + inclusive degree range.
 
     The kind is looked up in ``DIFFERENTIALS`` once, here, and its builder
-    gives the kind's dimension and its column stream, with whatever a column
-    needs that does not depend on its key: the operator for a key-by-key
-    stream, and the filed structure constants for a key-rank one.  The
-    stream is key by key, from face ranks for the assoc boundary, or from
-    key ranks for the classical kind and the endo coboundary.  The degree
-    window is checked after the builder has accepted the operad.  No method
+    gives the kind's dimension and its column stream.  The degree window is
+    checked after the builder has accepted the operad.  No method
     compares the kind string: the classical degree 0 is the algebra, keyed
     (j,) like any other degree, with no special case.
     """
@@ -252,12 +252,11 @@ class ComplexSpec:
         return 0 if degree < 0 else self._dimension(degree)
 
     def columns(self, degree, skip=()):
-        """A fresh stream of the columns of the degree-n matrix in basis
-        order, from the kind's builder, each an iterable of raw (row, value)
-        terms: rows in range, values nonzero, a row possibly repeated.  A
-        column whose index is in ``skip`` may come empty.  A degree below 0
-        has none, as its dimension says."""
-        return self._columns(self, degree, skip) if degree >= 0 else iter(())
+        """A fresh stream of the degree-n matrix's columns, from the kind's
+        builder, as the module docstring states the contract: rows in
+        range, values nonzero.  A degree below 0 has none, as its dimension
+        says."""
+        return self._columns(degree, skip) if degree >= 0 else iter(())
 
     def target_degree(self, degree):
         return degree + 1 if self.ascending else degree - 1

@@ -9,7 +9,9 @@ the integer and coefficient checks defined here.
 """
 
 import json
+import re
 import sys
+from decimal import Decimal
 from itertools import chain
 
 from .scalars import linear_combination
@@ -19,53 +21,100 @@ class OperadError(ValueError):
     """Domain error: bad arity, bad slot, malformed basis key, mixed operads."""
 
 
+# The deepest nesting of arrays and objects that ``read_json`` reads, a rule
+# of its own: below the depth at which any supported interpreter's parser
+# stops (about 900 levels on 3.10), so every interpreter reads the same text.
+_JSON_DEPTH = 512
+# a string, closed or not, or one bracket outside strings
+_NESTING = re.compile(r'"(?:[^"\\]+|\\.)*"?|[][{}]', re.S)
+
+
+class _Number(str):
+    """A JSON number literal with a fraction or an exponent, kept as its own
+    text, so that a reader takes the value the literal writes; its repr is
+    that text, as a number's is."""
+
+    __repr__ = str.__str__
+
+
+def _digits_refusal():
+    return OperadError(f"a JSON integer has more than {sys.get_int_max_str_digits()} digits,"
+                       " the interpreter's limit for reading an integer")
+
+
 def read_json(text):
     """The JSON value of ``text``, or of the UTF-8 file it names as
-    ``@path``.  Undecodable bytes, nesting too deep for the parser, malformed
-    JSON and an integer literal too long to convert each raise one
-    ``OperadError``; a file that cannot be opened raises ``OSError``.  The
-    parser raises a plain ``ValueError`` only for an integer literal past
-    the interpreter's digit limit."""
-    try:
-        if text.startswith("@"):
+    ``@path``, each number literal with a fraction or an exponent kept as
+    its text (``_Number``).  Undecodable bytes, arrays and objects nested
+    more than 512 deep, malformed JSON and an integer literal too long to
+    convert each raise one ``OperadError``; a file that cannot be opened
+    raises ``OSError``.  The depth is counted in one pass over the text,
+    outside its strings, before the text is parsed."""
+    if text.startswith("@"):
+        try:
             with open(text[1:], "r", encoding="utf-8") as fh:
-                return json.load(fh)
-        return json.loads(text)
-    except UnicodeDecodeError as exc:
-        raise OperadError(f"{text[1:]} is not UTF-8 text: {exc}") from None
-    except RecursionError:
-        raise OperadError("JSON nested too deeply to read") from None
+                text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise OperadError(f"{text[1:]} is not UTF-8 text: {exc}") from None
+    depth = 0
+    for token in _NESTING.findall(text):
+        if token in ("[", "{"):
+            depth += 1
+            if depth > _JSON_DEPTH:
+                raise OperadError("JSON nested too deeply to read")
+        elif token in ("]", "}"):
+            depth -= 1
+    try:
+        return json.loads(text, parse_float=_Number)
     except json.JSONDecodeError as exc:
         raise OperadError(str(exc)) from None
     except ValueError:
-        raise OperadError(
-            f"a JSON integer has more than {sys.get_int_max_str_digits()} digits,"
-            " the interpreter's limit for reading an integer") from None
+        # the parser raises a plain ValueError only for an integer literal
+        # past the interpreter's digit limit
+        raise _digits_refusal() from None
 
 
 def _json_text(value):
     """A refused JSON value as it reads in JSON (``true``, ``null``,
-    ``"x"``), or an array or an object by its kind alone, since it may nest
-    deeper than the encoder recurses."""
+    ``"x"``, ``2.9``), or an array or an object by its kind alone, since it
+    may nest deeper than the encoder recurses."""
     if isinstance(value, (list, dict)):
         return "an array" if isinstance(value, list) else "an object"
-    return json.dumps(value)
+    return value if isinstance(value, _Number) else json.dumps(value)
 
 
 def json_int(value, what):
     """An integer read from JSON.  JSON ``true`` decodes to a Python int and
-    ``2.9`` to a float; both are rejected here instead of being truncated."""
+    ``2.9`` is no integer; both are rejected here instead of being
+    truncated.  An integral literal with a fraction or an exponent (``2.0``,
+    ``1e5``) is read exactly, unless it has more digits than the
+    interpreter reads into an int."""
     if isinstance(value, int) and not isinstance(value, bool):
         return value
     if isinstance(value, float) and value.is_integer():
         return int(value)
+    if isinstance(value, _Number):
+        try:
+            number = Decimal(value)
+        except ArithmeticError:
+            # an exponent of 19 digits or more: past the digit limit when
+            # positive, and no integer when negative
+            if "e-" in value.lower():
+                raise OperadError(f"{what} must be an integer, got {value}") from None
+            raise _digits_refusal() from None
+        if number == number.to_integral_value():
+            limit = sys.get_int_max_str_digits()
+            if number and limit and number.adjusted() >= limit:
+                raise _digits_refusal()
+            return int(number)
     raise OperadError(f"{what} must be an integer, got {_json_text(value)}")
 
 
 def json_scalar(field, value):
-    """A coefficient read from JSON: an int exactly, a string or a float
-    through ``field.parse``.  Anything else is refused before
-    ``field.parse``, ``true`` too, though it decodes to a Python int."""
+    """A coefficient read from JSON: an int exactly, and a string or a
+    number literal (``read_json`` keeps its text) through ``field.parse``.
+    Anything else is refused before ``field.parse``, ``true`` too, though
+    it decodes to a Python int."""
     if isinstance(value, bool) or not isinstance(value, (int, float, str)):
         raise OperadError(f"a coefficient must be a number or a string, got {_json_text(value)}")
     if isinstance(value, int):

@@ -483,12 +483,9 @@ def make_batch_rank_comparison(op):
     def run(ops, label, rng, trials):
         degrees = []
         for n in (1, 2, 3):
-            operadic = ComplexSpec(op, "coboundary", n, n)
-            classical = ComplexSpec(op, "hochschild", n, n)
-            mat_o = SparseMatrix._from_columns(
-                operadic.dimension_at(n + 1), operadic.dimension_at(n), op.field,
-                partial(_by_key, coboundary, operadic, n))
-            mat_c = differential_matrix(classical, n)
+            mat_o = SparseMatrix._from_columns(op.dimension(n + 1), op.dimension(n), op.field,
+                                               partial(_by_key, coboundary, op, 1, n))
+            mat_c = differential_matrix(ComplexSpec(op, "hochschild", n, n), n)
             sign = equal_up_to_global_sign(mat_o, mat_c)
             if sign is None:
                 return 1, {"degrees": degrees}, _counterexample(

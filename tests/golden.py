@@ -223,6 +223,13 @@ ROWS = [
             '{"arity":2,"coeffs":[1,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,2]}',
             out="E[0->0] + 2*E[2->2]\n"),
 
+    # a number literal coefficient is read exactly, as the literal writes it
+    run_row("boundary", "--field", "q", "--element",
+            '{"arity":1,"terms":[{"basis":[1],"coeff":0.30000000000000001}]}',
+            out="-30000000000000001/100000000000000000*()\n"),
+    run_row("boundary", "--field", "q", "--element",
+            '{"arity":1,"terms":[{"basis":[1],"coeff":1e400}]}', out="-1" + "0" * 400 + "*()\n"),
+
     # a domain error is one line on stderr: a slot out of range, a malformed
     # key, an unknown operad, a missing file
     refused("slot 5 out of range for arity 2", "face", "--element", "21", "--at", "5"),
@@ -300,6 +307,15 @@ ROWS = [
               "digit limit", "boundary",
               "--element", '{"arity":2,"terms":[{"basis":[1,2],"coeff":"%s"}]}' % coeff)
       for coeff in ("1e99999999", "1e5000", "1e-5000")),
+    # a number literal is read as its own text: as a coefficient it is
+    # refused as its string form is, and as an arity past the digit limit
+    refused("rational scalar '1e99999999' has an exponent beyond 4300, the interpreter's "
+            "digit limit", "boundary",
+            "--element", '{"arity":2,"terms":[{"basis":[1,2],"coeff":1e99999999}]}'),
+    refused("malformed element JSON: " + DIGITS, "boundary",
+            "--element", '{"arity":1e99999999,"terms":[]}'),
+    refused("bad scalar '1e400' for gfp:7", "boundary", "--field", "gfp:7",
+            "--element", '{"arity":1,"terms":[{"basis":[1],"coeff":1e400}]}'),
     *(refused("a coefficient has more than 4300 digits, the interpreter's limit for printing "
               "an integer", "compose", "--left", NINES, "--at", "1", "--right", NINES, *flags)
       for flags in ((), ("--json",))),

@@ -19,6 +19,7 @@ import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from functools import partial
+from math import factorial
 from types import FrameType, GeneratorType
 
 import pytest
@@ -28,7 +29,6 @@ from operad_lab import (
     ComplexSpec,
     Element,
     EndoOperad,
-    FinAlgebra,
     OperadError,
     ShiftOperad,
     SparseMatrix,
@@ -38,13 +38,13 @@ from operad_lab import (
     differential_matrix,
     get_field,
 )
-from operad_lab import cohomology, core
+from operad_lab import assoc, cohomology, core
 from operad_lab.cli import main, make_operad
 from operad_lab.cohomology import DEFAULT_COLUMN_CAP, DIFFERENTIALS, _by_key
 from operad_lab.endo import algebra_from_json, dual_numbers, ground_field_algebra, matrix2
 from operad_lab.linalg import _columns, _reduce, equal_up_to_global_sign, rank_complex
 from test_core import summed_boundary, summed_coboundary
-from test_linalg import to_dense
+from test_linalg import scaled_line, to_dense
 
 Q = get_field("q")
 F3 = get_field("gfp:3")
@@ -246,13 +246,6 @@ def element_matrix(spec, degree):
     columns = enumerate(element_columns(spec, degree))
     triples = [(r, c, v) for c, column in columns for r, v in column]
     return SparseMatrix(n_rows, n_cols, spec.operad.field, triples)
-
-
-def scaled_line(field):
-    """The ground field on the basis vector e = 2: e*e = 2e and the unit is
-    e/2, so the product and the point carry coefficients other than 0 and 1."""
-    two = field.from_int(2)
-    return EndoOperad(FinAlgebra("2k", field, 1, (field.inv(two),), (((two,),),)))
 
 
 # k[x]/(x^2 - 2/3) on the basis 1, x: x*x = (2/3)*1, a structure constant
@@ -555,7 +548,7 @@ class KeyLevelSpec(ComplexSpec):
     assembly."""
 
     def columns(self, degree, skip=()):
-        return _by_key(boundary, self, degree, skip)
+        return _by_key(boundary, self.operad, -1, degree, skip)
 
 
 class ElementLevelSpec(ComplexSpec):
@@ -580,6 +573,21 @@ def test_face_rank_matrices_match_the_key_level_ones(field):
     window = betti(ComplexSpec(op, "boundary", 3, 7))
     assert window == betti(KeyLevelSpec(op, "boundary", 3, 7))
     assert window["ranks"] == [2, 4, 20, 100, 620]
+
+
+def test_face_tables_are_built_once_in_any_order_of_degrees(monkeypatch):
+    # degrees read out of order, 8 twice: each matrix is the key-level
+    # one, and the stream builds tables 1..7 once, 5913 rows in all
+    op, rows = AssocOperad(F5), []
+    face_rows = assoc._face_rows
+    monkeypatch.setattr(assoc, "_face_rows", lambda n, below: (
+        rows.append(n) or row for row in face_rows(n, below)))
+    spec = ComplexSpec(op, "boundary", 0, 8, allow_large=True)
+    oracle = KeyLevelSpec(op, "boundary", 0, 8, allow_large=True)
+    want = {n: differential_matrix(oracle, n) for n in (3, 5, 7, 8)}
+    for n in (7, 3, 8, 5, 8):
+        assert differential_matrix(spec, n) == want[n], n
+    assert len(rows) == sum(factorial(n) for n in range(1, 8)) == 5913
 
 
 class CountingSpec(ComplexSpec):

@@ -644,7 +644,8 @@ def test_integer_rank_matches_oracles_on_random_matrices(label):
 
 
 def scaled_line(field):
-    """The ground field on e = 2: e*e = 2e and the unit is e/2."""
+    """The ground field on the basis vector e = 2: e*e = 2e and the unit is
+    e/2, so the product and the point carry coefficients other than 0 and 1."""
     two = field.from_int(2)
     return EndoOperad(FinAlgebra("2k", field, 1, (field.inv(two),), (((two,),),)))
 

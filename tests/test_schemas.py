@@ -44,6 +44,10 @@ def test_element_schema():
     ]
     for x in samples:
         jsonschema.validate(element_to_json(x), schema)
+    # the readers take a coefficient as a string or as any JSON number
+    for coeff in (5, 0.5):
+        jsonschema.validate(
+            {"operad": "assoc", "arity": 1, "terms": [{"basis": [1], "coeff": coeff}]}, schema)
     with pytest.raises(jsonschema.ValidationError):
         jsonschema.validate({"arity": 1}, schema)
     with pytest.raises(jsonschema.ValidationError):

@@ -1,6 +1,7 @@
 """JSON round-trips for elements and the canonical dump format."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -15,7 +16,7 @@ from operad_lab import (
     element_to_json,
     get_field,
 )
-from operad_lab.elements import read_json
+from operad_lab.elements import json_int, read_json
 from operad_lab.endo import dual_numbers
 from operad_lab.serialize import dumps, pairs_to_json
 
@@ -104,6 +105,33 @@ def test_json_integer_too_long_to_convert_is_one_domain_error():
         with pytest.raises(OperadError):
             read_json(text)
     assert read_json("1" + "0" * 100) == 10**100
+
+
+def test_json_is_read_to_one_fixed_depth():
+    # the program's own limit, whatever the interpreter's parser reaches:
+    # 512 levels are read and 513 refused, and a bracket in a string is no level
+    for opening, leaf, closing in (("[", "", "]"), ('{"a":', "0", "}")):
+        text = opening * 512 + leaf + closing * 512
+        assert read_json(text) == json.loads(text)
+        with pytest.raises(OperadError, match="^JSON nested too deeply to read$"):
+            read_json(opening * 513 + leaf + closing * 513)
+    assert read_json('["' + "[" * 600 + '\\"{"]') == ["[" * 600 + '"{']
+
+
+def test_number_literals_are_read_as_written():
+    # a coefficient literal is parsed from its own text, not from a float,
+    # and an integral literal is an integer, exactly, up to the digit limit
+    op = AssocOperad(Q)
+    data = read_json('{"arity":1.0,"terms":[{"basis":[1e0],"coeff":0.30000000000000001}]}')
+    assert element_from_json(data, op).terms == {(1,): Fraction(30000000000000001, 10**17)}
+    assert [json_int(read_json(text), "n") for text in ("2.0", "1e5", "-0.0", "1e23", "1.5e1")] == [
+        2, 100000, 0, 10**23, 15]
+    for text in ("2.9", "1e-5", "1e-99999999999999999999"):
+        with pytest.raises(OperadError, match=f"^n must be an integer, got {text}$"):
+            json_int(read_json(text), "n")
+    for text in ("1e4300", "1e99999999", "1e99999999999999999999"):
+        with pytest.raises(OperadError, match="^a JSON integer has more than 4300 digits"):
+            json_int(read_json(text), "n")
 
 
 def test_dumps_is_canonical():
