@@ -13,7 +13,10 @@ value) terms in any order, a row possibly repeated; a column whose index
 is in ``skip`` may come empty.  It is closed over everything it reads and
 is handed no spec: ``_by_key`` is bound to its operator, its operad and
 its target-degree step, and the face-rank and key-rank streams own their
-tables.
+tables.  Over Q a value keeps the type of the data it is made from: ints
+on assoc, shift and every preset algebra, so each reduction runs in int
+arithmetic, and a ``Fraction`` only from a non-integral unit or
+structure constant.
 
 The operadic kinds (``boundary`` and ``coboundary``) assemble each column
 key by key (``_by_key``), as the terms of ``core.boundary`` or
@@ -31,11 +34,12 @@ stored with its negation, so a column needs no field multiplication, and
 names every row by its rank, read off the rank of the column's key, so it
 builds no key either.  The coboundary builder gives an endomorphism operad
 the same stream, with the point's one empty column at degree 0.  The
-key-by-key stream is the test oracle of the face-rank one and of the endo
-coboundary, and ``endo.classical_coboundary`` that of the key-rank one.
-The tests sum the boundary and the coboundary from ``core.compose`` on
-their own, as the oracle of the two operators and of their key-by-key
-columns.
+tests compare every served stream, on every field, with the matrices
+summed key by key from an Element-level operator: the boundary and the
+coboundary summed from ``core.compose`` on their own, and
+``endo.classical_coboundary`` for the classical kind.  The key-by-key
+stream is also the oracle of the face-rank one, and in ``verify`` of the
+endo coboundary.
 
 Every refusal of a complex comes before its first column is built.
 Construction refuses what the kind table cannot build: an unknown kind, an
@@ -43,7 +47,7 @@ operad the kind's builder does not serve (the classical kind on a
 non-endomorphism operad, the coboundary on shift, whose basis truncated at
 max-entry is not closed under it), then a bad window.
 ``differential_matrix`` refuses only sizes past the cap, before any key is
-listed.
+listed, and ``betti`` a window that walks more degrees than the cap.
 
 A matrix from ``SparseMatrix._from_columns`` holds what opens its stream,
 ``ComplexSpec.columns`` bound to its degree, and no column: each reader
@@ -63,8 +67,10 @@ streams step over a cleared column before they build any of its terms,
 and the stream is dropped, with its working state, when the reduction
 stops at its bound.  So no column past a bound is built (on the assoc
 boundary, only the first (n-1)! of the n! columns of d_n, the
-permutations that start with 1), and no cleared column.  Reading a
-matrix's ``columns``, ``entries`` or ``nnz`` builds and stores it whole.
+permutations that start with 1: 5913 of the 46234 columns of 0..8), and
+no cleared column (on endo:m2 Hochschild 0..5, 4369 of 5460 columns are
+built, and none of the 1091 cleared).  Reading a matrix's ``columns``,
+``entries`` or ``nnz`` builds and stores it whole.
 """
 
 from functools import partial
@@ -315,15 +321,13 @@ def betti(spec):
     """
     # the window is walked lazily, so the cap refuses a huge one at its first
     # oversized degree; the degree list exists only once every matrix does.
-    # A truncated shift basis is empty above max-entry, where no size cap
-    # fires, so the cap also bounds the degrees with empty source and target.
+    # Where no size cap fires (a truncated shift basis is empty above
+    # max-entry, and endo:k has one key per degree), the cap also bounds the
+    # number of degrees walked.
     mats = {}
-    empty = 0
     for n in range(spec.lo, spec.hi + 1):
-        mats[n] = mat = differential_matrix(spec, n)
-        if not (mat.n_cols or mat.n_rows):
-            empty += 1
-            _check_cap(spec, empty, "empty degree", f"up to degree {n}")
+        mats[n] = differential_matrix(spec, n)
+        _check_cap(spec, n - spec.lo + 1, "degree", f"up to degree {n}")
     rank_complex(mats.values(), spec.ascending)
     degrees = list(mats)
     dims = []

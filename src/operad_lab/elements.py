@@ -42,14 +42,21 @@ def _digits_refusal():
                        " the interpreter's limit for reading an integer")
 
 
+def _refuse_constant(name):
+    """``NaN``, ``Infinity`` and ``-Infinity``, which the ``json`` module
+    reads by default, are not JSON: each is refused by name."""
+    raise OperadError(f"{name} is not a JSON number")
+
+
 def read_json(text):
     """The JSON value of ``text``, or of the UTF-8 file it names as
     ``@path``, each number literal with a fraction or an exponent kept as
     its text (``_Number``).  Undecodable bytes, arrays and objects nested
-    more than 512 deep, malformed JSON and an integer literal too long to
-    convert each raise one ``OperadError``; a file that cannot be opened
-    raises ``OSError``.  The depth is counted in one pass over the text,
-    outside its strings, before the text is parsed."""
+    more than 512 deep, malformed JSON, the constants ``NaN``, ``Infinity``
+    and ``-Infinity`` and an integer literal too long to convert each raise
+    one ``OperadError``; a file that cannot be opened raises ``OSError``.
+    The depth is counted in one pass over the text, outside its strings,
+    before the text is parsed."""
     if text.startswith("@"):
         try:
             with open(text[1:], "r", encoding="utf-8") as fh:
@@ -65,9 +72,11 @@ def read_json(text):
         elif token in ("]", "}"):
             depth -= 1
     try:
-        return json.loads(text, parse_float=_Number)
+        return json.loads(text, parse_float=_Number, parse_constant=_refuse_constant)
     except json.JSONDecodeError as exc:
         raise OperadError(str(exc)) from None
+    except OperadError:
+        raise
     except ValueError:
         # the parser raises a plain ValueError only for an integer literal
         # past the interpreter's digit limit

@@ -59,6 +59,8 @@ FILES = {
     "not_utf8.json": b'\xff\xfe{"terms":[]}',
     "five.json": b"5\n",
     "deep.json": b"[" * 5000 + b"]" * 5000,
+    # a structure constant that is no JSON number
+    "nan_mul.json": b'{"dim": 1, "unit": [1], "mul": [[[NaN]]]}',
 }
 
 
@@ -316,6 +318,16 @@ ROWS = [
             "--element", '{"arity":1e99999999,"terms":[]}'),
     refused("bad scalar '1e400' for gfp:7", "boundary", "--field", "gfp:7",
             "--element", '{"arity":1,"terms":[{"basis":[1],"coeff":1e400}]}'),
+    # the constants NaN, Infinity and -Infinity, which are not JSON, are
+    # refused by name wherever they stand
+    refused("Infinity is not a JSON number", "boundary", "--field", "q",
+            "--element", '{"arity":1,"terms":[{"basis":[1],"coeff":Infinity}]}'),
+    refused("NaN is not a JSON number", "boundary", "--field", "gfp:7",
+            "--element", '{"arity":1,"terms":[{"basis":[1],"coeff":NaN}]}'),
+    refused("-Infinity is not a JSON number", "boundary",
+            "--element", '{"arity":-Infinity,"terms":[]}'),
+    refused("NaN is not a JSON number",
+            "cohomology", "--operad", "endo:@{tmp}/nan_mul.json", "--lo", "0", "--hi", "1"),
     *(refused("a coefficient has more than 4300 digits, the interpreter's limit for printing "
               "an integer", "compose", "--left", NINES, "--at", "1", "--right", NINES, *flags)
       for flags in ((), ("--json",))),
@@ -347,7 +359,7 @@ ROWS = [
     # a cap the command line sets is named with its flag
     refused("1 column at degree 0 exceeds the cap 0" + CAP, "cohomology", "--operad", "assoc",
             "--differential", "boundary", "--lo", "0", "--hi", "3", "--column-cap", "0"),
-    refused("6 columns at degree 3 exceed the cap 2" + CAP, "cohomology", "--operad", "assoc",
+    refused("3 degrees up to degree 2 exceed the cap 2" + CAP, "cohomology", "--operad", "assoc",
             "--differential", "boundary", "--lo", "0", "--hi", "3", "--column-cap", "2"),
     # the cap refuses C(200, 5) columns without listing them, and the row
     # basis of an ascending kind: 4^8 rows under 4^7 columns
@@ -376,15 +388,19 @@ ROWS = [
       for top, lo, hi in [("8", "0", "0"), ("8", "1", "1"), ("8", "8", "8"),
                           ("8", "9", "12"), ("3", "0", "5")]),
     # a huge degree window is walked lazily, and the cap refuses its first
-    # oversized degree; shift bases are empty above --max-entry, and the cap
-    # bounds the empty degrees
+    # oversized degree; where every degree is small (shift bases are empty
+    # above --max-entry, and endo:k has one key per degree) the cap bounds
+    # the degrees walked
     refused("40320 columns at degree 8 exceed the cap 20000" + CAP, "cohomology",
             "--operad", "assoc", "--differential", "boundary", "--lo", "0", "--hi", "99999999999"),
     refused("65536 rows at degree 7 exceed the cap 20000" + CAP, "cohomology",
             "--operad", "endo:m2", "--differential", "hochschild",
             "--lo", "0", "--hi", "99999999999"),
-    refused("20001 empty degrees up to degree 20010 exceed the cap 20000" + CAP, "cohomology",
+    refused("20001 degrees up to degree 20000 exceed the cap 20000" + CAP, "cohomology",
             "--operad", "shift", "--differential", "boundary", "--lo", "0", "--hi", "99999999999"),
+    refused("20001 degrees up to degree 20000 exceed the cap 20000" + CAP, "cohomology",
+            "--operad", "endo:k", "--differential", "hochschild",
+            "--lo", "0", "--hi", "99999999999"),
     # a huge --max-entry: degree 0 has the one key (), and the cap refuses degree 1
     refused(f"{HUGE} columns at degree 1 exceed the cap 20000" + CAP, "cohomology",
             "--operad", "shift", "--max-entry", HUGE, "--differential", "boundary",

@@ -4,12 +4,13 @@ The expected Hochschild numbers are reproduced here first by a brute-force
 oracle that builds the textbook coboundary matrices straight from the
 structure constants and row-reduces them, independently of the library's
 differential and matrix code.  Only then are they compared against betti().
-Every kind's matrix assembly is also checked against matrices summed,
-column by column, from code it does not share: the compose-and-sum
-definitions of the boundary and coboundary in ``test_core`` and
-``classical_coboundary``.  betti() is checked against closed forms for
-three more algebras in three characteristics, and the endo coboundary's
-dims against the classical kind's as theory relates them.
+Every served stream, a row of ``complexes.SERVED``, is also checked on
+every field against matrices summed, column by column, from code it does
+not share: the compose-and-sum definitions of the boundary and coboundary
+in ``test_core`` and ``classical_coboundary``.  betti() is checked against
+closed forms for three more algebras in three characteristics, and the
+endo coboundary's dims against the classical kind's as theory relates
+them.
 """
 
 import gc
@@ -41,10 +42,11 @@ from operad_lab import (
 from operad_lab import assoc, cohomology, core
 from operad_lab.cli import main, make_operad
 from operad_lab.cohomology import DEFAULT_COLUMN_CAP, DIFFERENTIALS, _by_key
-from operad_lab.endo import algebra_from_json, dual_numbers, ground_field_algebra, matrix2
+from operad_lab.endo import PRESETS, algebra_from_json, dual_numbers, ground_field_algebra, matrix2
 from operad_lab.linalg import _columns, _reduce, equal_up_to_global_sign, rank_complex
+from complexes import CLOSED_FORM_ALGEBRAS, SERVED, cases, operad
 from test_core import summed_boundary, summed_coboundary
-from test_linalg import scaled_line, to_dense
+from test_linalg import to_dense
 
 Q = get_field("q")
 F3 = get_field("gfp:3")
@@ -196,7 +198,7 @@ def test_operadic_and_classical_ranks_agree():
     for algebra in (dual_numbers(F3), matrix2(F5)):
         op = EndoOperad(algebra)
         for n in (1, 2):
-            a = element_matrix(ComplexSpec(op, "coboundary", n, n), n)
+            a = element_matrix(ElementLevelSpec(op, "coboundary", n, n), n)
             b = differential_matrix(ComplexSpec(op, "hochschild", n, n), n)
             assert equal_up_to_global_sign(a, b) == 1
             assert a.rank() == b.rank()
@@ -239,62 +241,66 @@ def element_columns(spec, degree):
         yield sorted(column)
 
 
-def element_matrix(spec, degree):
-    """The differential matrix of ``element_columns``, through the
-    constructor that checks every entry."""
-    n_rows, n_cols = (len(basis_keys(spec, n)) for n in (spec.target_degree(degree), degree))
-    columns = enumerate(element_columns(spec, degree))
+def element_matrix(oracle, degree):
+    """The differential matrix of the columns of ``oracle``, an
+    ``ElementLevelSpec``, through the constructor that checks every entry."""
+    n_rows, n_cols = (len(basis_keys(oracle, n)) for n in (oracle.target_degree(degree), degree))
+    columns = enumerate(oracle.columns(degree))
     triples = [(r, c, v) for c, column in columns for r, v in column]
-    return SparseMatrix(n_rows, n_cols, spec.operad.field, triples)
+    return SparseMatrix(n_rows, n_cols, oracle.operad.field, triples)
 
 
-# k[x]/(x^2 - 2/3) on the basis 1, x: x*x = (2/3)*1, a structure constant
-# other than 0 and +-1
-FRACTIONAL_X2 = {"dim": 2, "unit": [1, 0], "mul": [[[1, 0], [0, 1]], [[0, 1], ["2/3", 0]]]}
+class ElementLevelSpec(ComplexSpec):
+    """A complex whose columns are summed key by key from the Element-level
+    operator of its kind (``element_columns``).  With ``keep``, each
+    degree's columns are summed once and kept for every later reader."""
 
-KEY_LEVEL_CASES = [
-    (selector, top, field)
-    for field in ("q", "gfp:5")
-    for selector, top in [("assoc", 6), ("shift", 6), ("endo:k", 6), ("endo:dual", 6),
-                          ("endo:m2", 4), ("2k", 6)]
-] + [
-    # the closed-form algebras below; T_2's unit [1,0,1] is not basis vector 0
-    (name, 4, field)
-    for name in ("group_c3", "triangular_t2", "truncated_x3")
-    for field in ("q", "gfp:2", "gfp:3")
-] + [("fractional_x2", 4, "q")]
+    def __init__(self, *args, keep=False, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.kept = {} if keep else None
+
+    def columns(self, degree, skip=()):
+        if self.kept is None:
+            return element_columns(self, degree)
+        if degree not in self.kept:
+            self.kept[degree] = list(element_columns(self, degree))
+        return iter(self.kept[degree])
 
 
-def key_level_operad(selector, field):
-    if selector == "2k":
-        return scaled_line(field)
-    if selector == "fractional_x2":
-        return EndoOperad(algebra_from_json(FRACTIONAL_X2, field, selector))
-    if selector in CLOSED_FORM_ALGEBRAS:
-        return EndoOperad(algebra_from_json(CLOSED_FORM_ALGEBRAS[selector], field, selector))
-    return make_operad(selector, field)
+def reads_fractions(op, kind):
+    """Whether the kind's columns read a datum that is not an int: the
+    boundary plugs in the unit, and the other kinds read the product."""
+    if not isinstance(op, EndoOperad):
+        return False
+    data = op.algebra.unit if kind == "boundary" else [
+        c for plane in op.algebra.mul for row in plane for c in row]
+    return any(type(c) is not int for c in data)
+
+
+@pytest.mark.parametrize("row,label", cases())
+def test_every_served_stream_matches_its_oracle(row, label):
+    # every stream, face-rank, key-rank or key by key, gives each degree
+    # the matrix summed key by key from its kind's Element-level operator;
+    # over gfp:2 the signs +1 and -1 of two coinciding terms are equal
+    op = operad(row.selector, label)
+    spec = ComplexSpec(op, row.kind, 0, row.top)
+    oracle = ElementLevelSpec(op, row.kind, 2, row.top, keep=True)
+    fractions = label == "q" and reads_fractions(op, row.kind)
+    for n in range(row.top + 1):
+        mat, want = differential_matrix(spec, n), element_matrix(oracle, n)
+        assert mat == want, n
+        # the same values of the same types: ints over q, and the Fractions
+        # of a non-integral algebra kept
+        types = [type(v) for *_, v in mat.entries]
+        assert types == [type(v) for *_, v in want.entries], n
+        assert (Fraction in types) == (fractions and bool(types)), n
+    # a window above degree 0, whose first rank no lower degree bounds
+    assert betti(ComplexSpec(op, row.kind, 2, row.top)) == betti(oracle)
 
 
 SHIFT_COBOUNDARY_REFUSAL = (
     "^the shift basis truncated at max-entry {} is not closed under the coboundary$"
 )
-
-
-@pytest.mark.parametrize("selector,top,field", KEY_LEVEL_CASES)
-def test_key_level_matrices_match_element_operators(selector, top, field):
-    field = get_field(field)
-    op = key_level_operad(selector, field)
-    kinds = ["boundary", "coboundary"] + (["hochschild"] if isinstance(op, EndoOperad) else [])
-    if isinstance(op, ShiftOperad):
-        # the shift basis truncated at max-entry is not closed under the
-        # coboundary: the kind is refused before any matrix is built
-        kinds.remove("coboundary")
-        with pytest.raises(OperadError, match=SHIFT_COBOUNDARY_REFUSAL.format(8)):
-            ComplexSpec(op, "coboundary", 0, top)
-    for kind in kinds:
-        spec = ComplexSpec(op, kind, 0, top)
-        for n in range(top + 1):
-            assert differential_matrix(spec, n) == element_matrix(spec, n), (kind, n)
 
 
 # --- generic complex behavior ----------------------------------------------
@@ -397,85 +403,91 @@ def test_row_cap_is_checked_before_listing_the_basis(monkeypatch):
         differential_matrix(spec, 6)
 
 
-def test_empty_degrees_are_capped():
-    # at max-entry 2 the boundary complex is empty from degree 4 on, so
-    # degrees 4, 5 and 6 are the three empty ones past the cap 2
-    op = ShiftOperad(Q, max_entry=2)
-    with pytest.raises(OperadError, match=(
-        r"^3 empty degrees up to degree 6 exceed the cap 2; pass allow_large=True "
-        r"\(--allow-large on the command line\) to override$"
-    )):
-        betti(ComplexSpec(op, "boundary", 0, 10, column_cap=2))
-    # two empty degrees are within the cap; the flag lifts it
-    within = betti(ComplexSpec(op, "boundary", 0, 5, column_cap=2))
-    assert within["dims"] == [0, 1, 1, 0, 0, 0]
-    lifted = betti(ComplexSpec(op, "boundary", 0, 10, column_cap=2, allow_large=True))
-    assert lifted["degrees"] == list(range(11)) and lifted["dims"] == within["dims"] + [0] * 5
+def test_every_degree_walked_is_capped():
+    # the cap bounds the degrees a window walks, counted from its first,
+    # empty or not: at max-entry 2 the shift boundary complex is empty from
+    # degree 4 on, and endo:k has one key per degree, so no size cap fires
+    cap = (r" exceed the cap 2; pass allow_large=True "
+           r"\(--allow-large on the command line\) to override$")
+    shift, line = ShiftOperad(Q, max_entry=2), make_operad("endo:k", Q)
+    for op, kind, lo, message in [(shift, "boundary", 0, "^3 degrees up to degree 2"),
+                                  (shift, "boundary", 3, "^3 degrees up to degree 5"),
+                                  (line, "hochschild", 0, "^3 degrees up to degree 2")]:
+        with pytest.raises(OperadError, match=message + cap):
+            betti(ComplexSpec(op, kind, lo, 10, column_cap=2))
+    # two degrees are within the cap; the flag lifts it
+    assert betti(ComplexSpec(shift, "boundary", 4, 5, column_cap=2))["dims"] == [0, 0]
+    lifted = betti(ComplexSpec(shift, "boundary", 0, 10, column_cap=2, allow_large=True))
+    assert lifted["degrees"] == list(range(11)) and lifted["dims"] == [0, 1, 1] + [0] * 8
 
 
-PRESET_WINDOWS = [
-    ("assoc", 8, 6), ("shift", 8, 10), ("shift", 3, 5),
-    ("endo:k", 8, 6), ("endo:dual", 8, 6), ("endo:m2", 8, 4),
-]
-
-
-def preset_specs(selector, max_entry, top):
-    """A complex over degrees 0..top for each kind the preset accepts; the
-    shift coboundary is refused, as the check of that refusal shows."""
-    op = make_operad(selector, Q, max_entry)
-    kinds = list(DIFFERENTIALS) if isinstance(op, EndoOperad) else ["boundary", "coboundary"]
-    if isinstance(op, ShiftOperad):
-        kinds.remove("coboundary")
-        with pytest.raises(OperadError, match=SHIFT_COBOUNDARY_REFUSAL.format(max_entry)):
-            ComplexSpec(op, "coboundary", 0, top)
-    return [ComplexSpec(op, kind, 0, top) for kind in kinds]
-
-
-@pytest.mark.parametrize("selector,max_entry,top", PRESET_WINDOWS)
-def test_dimension_counts_the_keys(selector, max_entry, top):
+# the trio runs over q: sizes do not depend on the field, and the oracle
+# test checks every field's matrices entry by entry
+@pytest.mark.parametrize("row,label", cases(fields=("q",)))
+def test_dimension_counts_the_keys(row, label):
     # differential_matrix sizes a matrix by dimension_at, which lists no
-    # key; it counts the basis on every preset and kind, below degree 0, at
+    # key; it counts the basis on every served complex, below degree 0, at
     # the classical degree 0 (the algebra itself) and above a truncated shift
-    for spec in preset_specs(selector, max_entry, top):
-        for n in range(-1, top + 1):
-            keys = basis_keys(spec, n)
-            assert spec.dimension_at(n) == len(keys) == len(set(keys)), (spec.differential, n)
-    if selector.startswith("endo:"):
-        spec = ComplexSpec(make_operad(selector, Q), "hochschild", 0, 1)
+    spec = ComplexSpec(operad(row.selector, label), row.kind, 0, row.top)
+    for n in range(-1, row.top + 1):
+        keys = basis_keys(spec, n)
+        assert spec.dimension_at(n) == len(keys) == len(set(keys)), n
+    if row.kind == "hochschild":
         assert spec.dimension_at(0) == spec.operad.algebra.dim
 
 
-@pytest.mark.parametrize("selector,max_entry,top", PRESET_WINDOWS)
-def test_every_stream_yields_its_dimension_in_sorted_columns(selector, max_entry, top):
+@pytest.mark.parametrize("row,label", cases(fields=("q",)))
+def test_every_stream_yields_its_dimension_in_sorted_columns(row, label):
     # the trusted constructor takes a stream's raw terms on trust: exactly
     # dimension_at(n) columns, every row in the target basis and no value
     # zero, a row possibly repeated.  It sorts and merges them into the
     # matrix the public constructor builds from the same terms, which
-    # checks every entry
-    for spec in preset_specs(selector, max_entry, top):
-        field = spec.operad.field
-        for n in range(top + 1):
-            n_rows, n_cols = (spec.dimension_at(m) for m in (spec.target_degree(n), n))
-            columns = [list(column) for column in spec.columns(n)]
-            assert len(columns) == n_cols, (spec.differential, n)
-            for column in columns:
-                assert all(0 <= r < n_rows for r, _ in column), (spec.differential, n)
-                assert not any(field.is_zero(v) for _, v in column), (spec.differential, n)
-            triples = [(r, c, v) for c, column in enumerate(columns) for r, v in column]
-            mat = differential_matrix(spec, n)
-            assert mat == SparseMatrix(n_rows, n_cols, field, triples), (spec.differential, n)
+    # checks every entry.  It stops at the last degree of at most 1024
+    # columns
+    spec = ComplexSpec(operad(row.selector, label), row.kind, 0, row.top)
+    field = spec.operad.field
+    for n in range(row.top + 1):
+        if spec.dimension_at(n) > 1024:
+            break
+        n_rows, n_cols = (spec.dimension_at(m) for m in (spec.target_degree(n), n))
+        columns = [list(column) for column in spec.columns(n)]
+        assert len(columns) == n_cols, n
+        for column in columns:
+            assert all(0 <= r < n_rows for r, _ in column), n
+            assert not any(field.is_zero(v) for _, v in column), n
+        triples = [(r, c, v) for c, column in enumerate(columns) for r, v in column]
+        assert differential_matrix(spec, n) == SparseMatrix(n_rows, n_cols, field, triples), n
 
 
-@pytest.mark.parametrize("selector,max_entry,top", PRESET_WINDOWS)
-def test_a_negative_degree_has_no_columns(selector, max_entry, top):
+@pytest.mark.parametrize("row,label", cases(fields=("q",)))
+def test_a_negative_degree_has_no_columns(row, label):
     # dimension_at says every degree below 0 is empty, and every stream
     # agrees: the matrix out of it is the empty dim(target) x 0 one
-    for spec in preset_specs(selector, max_entry, top):
-        for n in (-1, -2):
-            assert list(spec.columns(n)) == [], (spec.differential, n)
-            n_rows = spec.dimension_at(spec.target_degree(n))
-            mat = differential_matrix(spec, n)
-            assert mat == SparseMatrix(n_rows, 0, spec.operad.field), (spec.differential, n)
+    spec = ComplexSpec(operad(row.selector, label), row.kind, 0, row.top)
+    for n in (-1, -2):
+        assert list(spec.columns(n)) == [], n
+        n_rows = spec.dimension_at(spec.target_degree(n))
+        assert differential_matrix(spec, n) == SparseMatrix(n_rows, 0, spec.operad.field), n
+
+
+def test_served_has_a_row_for_every_kind_an_operad_serves():
+    # every kind DIFFERENTIALS lists is served on a selector of SERVED, over
+    # each field of its rows, exactly where the selector has a row of that
+    # kind; the others are refused by name before any matrix is built
+    served = {(row.selector, row.kind) for row in SERVED}
+    assert len(served) == len(SERVED)
+    refusals = {"hochschild": "^the classical complex needs an endomorphism operad$",
+                "coboundary": SHIFT_COBOUNDARY_REFUSAL}
+    for (row, label) in (case.values for case in cases()):
+        op = operad(row.selector, label)
+        for kind in DIFFERENTIALS:
+            if (row.selector, kind) in served:
+                ComplexSpec(op, kind, 0, row.top)
+            else:
+                match = refusals[kind].format(getattr(op, "max_entry", None))
+                with pytest.raises(OperadError, match=match):
+                    ComplexSpec(op, kind, 0, row.top)
+    assert {row.selector for row in SERVED} >= {f"endo:{name}" for name in PRESETS}
 
 
 def test_construction_refusals_come_in_order(capsys):
@@ -537,8 +549,7 @@ def test_assembly_and_rank_hold_little_besides_the_matrix():
     assert (rank_peak - held) / held < 0.35
 
 
-# --- the assoc boundary from face ranks against the key-by-key stream, and
-# the hochschild kind from key ranks against classical_coboundary ---
+# --- what each stream builds and holds, against the key-by-key stream -----
 
 
 class KeyLevelSpec(ComplexSpec):
@@ -549,30 +560,6 @@ class KeyLevelSpec(ComplexSpec):
 
     def columns(self, degree, skip=()):
         return _by_key(boundary, self.operad, -1, degree, skip)
-
-
-class ElementLevelSpec(ComplexSpec):
-    """A complex whose columns are summed key by key from the Element-level
-    operator of its kind (``element_columns``)."""
-
-    def columns(self, degree, skip=()):
-        return element_columns(self, degree)
-
-
-@pytest.mark.parametrize("field", ["q", "gfp:2", "gfp:3", "gfp:5"])
-def test_face_rank_matrices_match_the_key_level_ones(field):
-    # over gfp:2 the signs +1 and -1 of two coinciding faces are equal
-    op = AssocOperad(get_field(field))
-    spec, oracle = ComplexSpec(op, "boundary", 0, 7), KeyLevelSpec(op, "boundary", 0, 7)
-    for n in range(8):
-        mat, want = differential_matrix(spec, n), differential_matrix(oracle, n)
-        assert mat == want, n
-        # the same values of the same types: ints over q
-        assert [type(v) for *_, v in mat.entries] == [type(v) for *_, v in want.entries], n
-    # a window above degree 0, whose first rank no lower degree bounds
-    window = betti(ComplexSpec(op, "boundary", 3, 7))
-    assert window == betti(KeyLevelSpec(op, "boundary", 3, 7))
-    assert window["ranks"] == [2, 4, 20, 100, 620]
 
 
 def test_face_tables_are_built_once_in_any_order_of_degrees(monkeypatch):
@@ -723,27 +710,14 @@ def test_no_matrix_keeps_its_stream_after_the_ranking():
                     or isinstance(obj, dict) and obj], mat
 
 
-STREAMED_CASES = [
-    (selector, kind, lo, hi, field)
-    for selector, kind, lo, hi in [
-        ("assoc", "boundary", 0, 5), ("assoc", "coboundary", 0, 5), ("shift", "boundary", 0, 5),
-        ("endo:k", "boundary", 0, 6), ("endo:k", "coboundary", 0, 6),
-        ("endo:k", "hochschild", 0, 6), ("endo:dual", "boundary", 0, 4),
-        ("endo:dual", "coboundary", 0, 4), ("endo:dual", "hochschild", 1, 5),
-        ("endo:m2", "boundary", 0, 3), ("endo:m2", "coboundary", 0, 3),
-        ("endo:m2", "hochschild", 0, 3),
-    ]
-    for field in ("q", "gfp:2", "gfp:5")
-]
-
-
-@pytest.mark.parametrize("selector,kind,lo,hi,field", STREAMED_CASES)
-def test_streamed_ranks_match_eager_twins(selector, kind, lo, hi, field, monkeypatch):
+@pytest.mark.parametrize("row,label", cases())
+def test_streamed_ranks_match_eager_twins(row, label, monkeypatch):
     # betti ranks each matrix off its column stream, bounded by the degree
     # before and cleared by its pivots; public, eagerly built twins ranked
     # one by one, each bounded only by its shape, give the same ranks and
-    # dims, and every matrix betti made, read afterwards, is its twin
-    op = make_operad(selector, get_field(field))
+    # dims, and every matrix betti made, read afterwards, is its twin.  The
+    # window stops a degree below the row's top, where the twins cost most
+    op, hi = operad(row.selector, label), row.top - 1
     made = {}
 
     def recording(spec, degree):
@@ -751,10 +725,10 @@ def test_streamed_ranks_match_eager_twins(selector, kind, lo, hi, field, monkeyp
         return mat
 
     monkeypatch.setattr(cohomology, "differential_matrix", recording)
-    spec = ComplexSpec(op, kind, lo, hi)
+    spec = ComplexSpec(op, row.kind, 0, hi)
     report = betti(spec)
     monkeypatch.undo()
-    eager = ComplexSpec(op, kind, lo, hi)
+    eager = ComplexSpec(op, row.kind, 0, hi)
     twins = {}
     for n, mat in made.items():
         twins[n] = SparseMatrix(mat.n_rows, mat.n_cols, op.field,
@@ -797,37 +771,6 @@ def test_face_rank_assembly_holds_no_more_than_the_key_level_one():
     want, oracle_held, oracle_peak = traced_assembly(KeyLevelSpec(op, "boundary", 0, 7), 3, 7)
     assert mat == want and mat.nnz == 20076
     assert held <= oracle_held and peak <= oracle_peak
-
-
-HOCHSCHILD_CASES = [
-    (selector, top, field)
-    for selector, top in dict.fromkeys((s, t) for s, t, _ in KEY_LEVEL_CASES)
-    if selector not in ("assoc", "shift")
-    for field in ("q", "gfp:2", "gfp:3", "gfp:5")
-    # 2k's unit 1/2 has no value over gfp:2, nor fractional_x2's 2/3 over gfp:3
-    if (selector, field) not in {("2k", "gfp:2"), ("fractional_x2", "gfp:3")}
-]
-
-
-@pytest.mark.parametrize("selector,top,field", HOCHSCHILD_CASES)
-def test_key_rank_matrices_match_the_key_level_ones(selector, top, field):
-    # the key-level matrices are summed key by key from classical_coboundary,
-    # which reads the structure constants ``mul`` on its own; over gfp:2 the
-    # signs of a commutator's two terms are equal
-    op = key_level_operad(selector, get_field(field))
-    spec = ComplexSpec(op, "hochschild", 0, top)
-    for n in range(top + 1):
-        mat, want = differential_matrix(spec, n), element_matrix(spec, n)
-        assert mat == want, n
-        # the same values of the same types: ints over q, and the Fractions
-        # of a non-integral algebra kept
-        types = [type(v) for *_, v in mat.entries]
-        assert types == [type(v) for *_, v in want.entries], n
-        if field == "q":
-            assert (Fraction in types) == (selector == "fractional_x2" and n > 0), n
-    # a window above degree 0, whose first rank no lower degree bounds
-    window = betti(ComplexSpec(op, "hochschild", 2, top))
-    assert window == betti(ElementLevelSpec(op, "hochschild", 2, top))
 
 
 def test_key_rank_assembly_holds_no_more_than_the_key_level_one():
@@ -888,23 +831,6 @@ def test_field_independence_of_dual_number_dims():
         assert report["dims"] == [2, 1, 1, 1], label
 
 
-@pytest.mark.parametrize("selector,kinds", [
-    ("assoc", ("boundary", "coboundary")),
-    # the shift basis truncated at max-entry is not closed under the coboundary
-    ("shift", ("boundary",)),
-    ("endo:dual", ("boundary", "coboundary", "hochschild")),
-    ("endo:m2", ("boundary", "coboundary", "hochschild")),
-])
-def test_integral_data_assemble_int_matrices_over_q(selector, kinds):
-    """Over Q the presets' data are ints, and so is every matrix entry: the
-    columns run in int arithmetic, with no Fraction to build or clear."""
-    op = make_operad(selector, Q)
-    for kind in kinds:
-        values = [v for n in (1, 2, 3)
-                  for *_, v in differential_matrix(ComplexSpec(op, kind, n, n), n).entries]
-        assert values and all(type(v) is int for v in values), kind
-
-
 # the dual numbers on the basis 2*1, 2*x: (2*1)(2*1) = 2*(2*1), and the unit
 # is (2*1)/2, so the unit carries a non-integral coordinate
 SCALED_DUAL = {"dim": 2, "unit": ["1/2", 0], "mul": [[["2", 0], [0, "2"]], [[0, "2"], [0, 0]]]}
@@ -925,26 +851,6 @@ def test_non_integral_algebra_data_keep_their_fractions_and_answer():
 # --- closed forms for algebras given as structure-constant JSON -----------
 
 
-def algebra_json(dim, unit, product):
-    """Structure constants where ``product(i, j)`` is the index of e_i e_j,
-    or None when the product is 0."""
-    mul = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
-    for i, j in itertools.product(range(dim), repeat=2):
-        k = product(i, j)
-        if k is not None:
-            mul[i][j][k] = 1
-    return {"dim": dim, "unit": unit, "mul": mul}
-
-
-T2_PRODUCTS = {(0, 0): 0, (0, 1): 1, (1, 2): 1, (2, 2): 2}  # e11, e12, e22
-
-CLOSED_FORM_ALGEBRAS = {
-    "truncated_x3": algebra_json(3, [1, 0, 0], lambda i, j: i + j if i + j < 3 else None),
-    "group_c3": algebra_json(3, [1, 0, 0], lambda i, j: (i + j) % 3),
-    "triangular_t2": algebra_json(3, [1, 0, 1], lambda i, j: T2_PRODUCTS.get((i, j))),
-}
-
-
 def closed_form_hh(name, p):
     """HH^0..HH^5 in characteristic p (0 for Q).  k[x]/(x^3): HH^0 = 3 and
     HH^n = 2, or 3 when p = 3 (Holm 2000).  k[C_3] is semisimple unless
@@ -959,8 +865,7 @@ def closed_form_hh(name, p):
 @pytest.mark.parametrize("field_label,p", [("q", 0), ("gfp:2", 2), ("gfp:3", 3)])
 @pytest.mark.parametrize("name", sorted(CLOSED_FORM_ALGEBRAS))
 def test_betti_matches_closed_forms(name, field_label, p):
-    algebra = algebra_from_json(CLOSED_FORM_ALGEBRAS[name], get_field(field_label), name)
-    report = betti(ComplexSpec(EndoOperad(algebra), "hochschild", 0, 5))
+    report = betti(ComplexSpec(operad(name, field_label), "hochschild", 0, 5))
     # degree 0 closes the window, so every degree is two-sided
     assert report["warnings"] == []
     assert report["dims"] == closed_form_hh(name, p)
@@ -984,19 +889,14 @@ def test_endo_coboundary_lists_no_key_and_calls_no_operator(monkeypatch):
     assert report["ranks"] == [0, 13, 51, 205, 819]
 
 
-ENDO_SELECTORS = [("endo:k", 6), ("endo:dual", 6), ("endo:m2", 4)] + [
-    (name, 4) for name in sorted(CLOSED_FORM_ALGEBRAS)]
-
-
-@pytest.mark.parametrize("field", ["q", "gfp:2", "gfp:3", "gfp:5"])
-@pytest.mark.parametrize("selector,top", ENDO_SELECTORS)
-def test_endo_coboundary_and_hochschild_dims_agree_as_theory_says(selector, top, field):
+@pytest.mark.parametrize("row,label", cases(kinds=("hochschild",)))
+def test_endo_coboundary_and_hochschild_dims_agree_as_theory_says(row, label):
     # the two kinds share every differential of degree n >= 1 and differ at
     # degree 0: the operadic one is the point, whose coboundary is zero, and
     # the classical one the algebra, with d0(a) = [-, a].  So operadic H^0
     # is the point, operadic H^1 the derivations of A, which is HH^1 plus the
     # inner ones (the rank of d0), and H^n = HH^n for n >= 2
-    op = key_level_operad(selector, get_field(field))
+    op, top = operad(row.selector, label), row.top
     operadic = betti(ComplexSpec(op, "coboundary", 0, top))
     classical = betti(ComplexSpec(op, "hochschild", 0, top))
     assert operadic["warnings"] == classical["warnings"] == []

@@ -118,6 +118,16 @@ def test_json_is_read_to_one_fixed_depth():
     assert read_json('["' + "[" * 600 + '\\"{"]') == ["[" * 600 + '"{']
 
 
+def test_json_constants_are_refused_by_name():
+    # the json module reads NaN, Infinity and -Infinity as floats; each is
+    # refused by the name it is written with, wherever it stands, and not
+    # as the digit limit that a plain ValueError from the parser means
+    for name in ("NaN", "Infinity", "-Infinity"):
+        for text in (name, '{"arity":%s,"terms":[]}' % name, '[1, {"mul": [[%s]]}]' % name):
+            with pytest.raises(OperadError, match=f"^{name} is not a JSON number$"):
+                read_json(text)
+
+
 def test_number_literals_are_read_as_written():
     # a coefficient literal is parsed from its own text, not from a float,
     # and an integral literal is an integer, exactly, up to the digit limit
