@@ -143,7 +143,9 @@ class Element:
         if arity < 0:
             raise OperadError(f"negative arity {arity}")
         field, validate = operad.field, operad.validate_basis
-        self._fill(operad, arity, [
+        self.operad = operad
+        self.arity = arity
+        self.terms = linear_combination(field, [
             (validate(key, arity), c)
             for key, coeff in (terms.items() if isinstance(terms, dict) else terms)
             if not field.is_zero(c := field.coerce(coeff))
@@ -154,13 +156,10 @@ class Element:
         """Trusted constructor: sum (key, coeff) pairs whose keys are known
         to be valid for ``arity``."""
         out = cls.__new__(cls)
-        out._fill(operad, arity, pairs)
+        out.operad = operad
+        out.arity = arity
+        out.terms = linear_combination(operad.field, pairs)
         return out
-
-    def _fill(self, operad, arity, pairs):
-        self.operad = operad
-        self.arity = arity
-        self.terms = linear_combination(operad.field, pairs)
 
     # -- constructors ------------------------------------------------------
 
@@ -218,7 +217,8 @@ class Element:
         if not isinstance(other, Element):
             return NotImplemented
         return (
-            self.operad.signature() == other.operad.signature()
+            (self.operad is other.operad
+             or self.operad.signature() == other.operad.signature())
             and self.arity == other.arity
             and self.terms == other.terms
         )

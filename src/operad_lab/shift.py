@@ -31,16 +31,12 @@ def compose_shift(x, i, y):
 def _splice(x, i, y):
     """``compose_shift`` on a slot known to be in range; the result is still
     checked to be increasing."""
-    prefix = x[: i - 1]
-    if len(y) == 0:
-        body = ()
-        tail_offset = -1
-    else:
+    if y:
         offset = x[i - 1] - 1
-        body = tuple(a + offset for a in y)
         tail_offset = y[-1] - 1
-    tail = tuple(a + tail_offset for a in x[i:])
-    out = prefix + body + tail
+        out = (*x[: i - 1], *[a + offset for a in y], *[a + tail_offset for a in x[i:]])
+    else:
+        out = (*x[: i - 1], *[a - 1 for a in x[i:]])
     if not is_increasing(out):
         raise OperadError(f"non-increasing result {out!r} from {x!r} o_{i} {y!r}")
     return out

@@ -36,6 +36,7 @@ from .core import (
     boundary,
     brace,
     coboundary,
+    compose,
     counit,
     degeneracy,
     dot_product,
@@ -461,7 +462,14 @@ def coproduct_cases(operad):
 
 def gamma_shift_cases(operad):
     """Every key of 1..3 entries below 6, composed with every tuple of blocks
-    of at most 2 entries below 5: ``gamma`` against ``gamma_shift``."""
+    of at most 2 entries below 5: ``gamma`` against ``gamma_shift``.
+
+    ``gamma`` plugs the last slot first, so the composite of x with blocks
+    b_k..b_n in slots k..n depends on that suffix of blocks alone.  Each
+    key's composites are shared: ``composites`` maps every proper suffix of
+    blocks to its composite, each built by one ``compose`` into slot k of
+    the composite of the next-shorter suffix, and each case is one
+    ``compose`` of its first block into slot 1 of its suffix's composite."""
     block_keys = [()]
     for t in (1, 2):
         block_keys.extend(itertools.combinations(range(1, 5), t))
@@ -469,9 +477,14 @@ def gamma_shift_cases(operad):
     for n in (1, 2, 3):
         for key in itertools.combinations(range(1, 6), n):
             x = Element.basis(operad, key)
+            composites = {(): x}
+            for k in range(n, 1, -1):
+                for tail in itertools.product(block_keys, repeat=n - k):
+                    for b in block_keys:
+                        composites[(b, *tail)] = compose(composites[tail], k, block_elements[b])
             for blocks in itertools.product(block_keys, repeat=n):
                 direct = gamma_shift(key, blocks)
-                via_gamma = gamma(x, [block_elements[b] for b in blocks])
+                via_gamma = compose(composites[blocks[1:]], 1, block_elements[blocks[0]])
                 # gamma_shift raises on a non-increasing key, so direct is valid
                 expect = Element._sum(operad, len(direct), [(direct, operad.field.one)])
                 yield {"x": x, "blocks": [repr(b) for b in blocks]}, via_gamma, expect
@@ -599,11 +612,16 @@ def _batch_catalog(field):
 
 
 def _run_trials(check, ops, operad_label, suite, name, seed, trials):
+    """Run a per-trial check ``trials`` times.  One ``Random`` serves the
+    row, reseeded from the trial's seed string before each draw, which
+    gives the draws of a new ``Random`` built from that string."""
     draw, sides = check
     failures = 0
     first = None
+    rng = random.Random()
     for t in range(trials):
-        inputs = draw(ops, operad_label, random.Random(f"{seed}:{suite}:{name}:{operad_label}:{t}"))
+        rng.seed(f"{seed}:{suite}:{name}:{operad_label}:{t}")
+        inputs = draw(ops, operad_label, rng)
         lhs, rhs = sides(**inputs)
         if lhs != rhs:
             failures += 1

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from operad_lab import Element, OperadError, ShiftOperad, degeneracy, face, get_field
-from operad_lab.shift import compose_shift, gamma_shift, is_increasing
+from operad_lab.shift import _splice, compose_shift, gamma_shift, is_increasing
 
 Q = get_field("q")
 SHIFT = ShiftOperad(Q, max_entry=12)
@@ -29,6 +29,48 @@ def _two_pass_is_increasing(key):
 @pytest.mark.parametrize("key", [(), (0,), (1,), (1, 1), (-1, 2), (3, 2), (1, 2, 2)])
 def test_is_increasing_matches_two_pass_form(key):
     assert is_increasing(key) == _two_pass_is_increasing(key)
+
+
+def _concatenated_splice(x, i, y):
+    """Reference form of ``_splice``: the prefix, the translated inner key
+    and the pushed-up tail, each built as a tuple and concatenated."""
+    prefix = x[: i - 1]
+    if len(y) == 0:
+        body = ()
+        tail_offset = -1
+    else:
+        offset = x[i - 1] - 1
+        body = tuple(a + offset for a in y)
+        tail_offset = y[-1] - 1
+    tail = tuple(a + tail_offset for a in x[i:])
+    out = prefix + body + tail
+    if not is_increasing(out):
+        raise OperadError(f"non-increasing result {out!r} from {x!r} o_{i} {y!r}")
+    return out
+
+
+def _outcome(splice, x, i, y):
+    try:
+        return splice(x, i, y)
+    except OperadError as exc:
+        return str(exc)
+
+
+def test_splice_matches_its_concatenated_form():
+    # every key of max-entry 7 up to arity 4, and some that are not
+    # increasing, in every slot, with every inner key of arity 0..3 whose
+    # entries are below 5, increasing or not
+    outer = [key for n in range(1, 5) for key in itertools.combinations(range(1, 8), n)]
+    outer += [(3, 2), (2, 2), (0, 1), (1, 3, 3)]
+    inner = [key for n in range(4) for key in itertools.product(range(5), repeat=n)]
+    refused = 0
+    for x in outer:
+        for i in range(1, len(x) + 1):
+            for y in inner:
+                want = _outcome(_concatenated_splice, x, i, y)
+                assert _outcome(_splice, x, i, y) == want, (x, i, y)
+                refused += isinstance(want, str)
+    assert refused > 0
 
 
 def test_compose_goldens():

@@ -4,6 +4,7 @@ The three identities that genuinely fail on these operads are pinned here so
 a regression in either direction (a fixed check or a new failure) is loud.
 """
 
+import ast
 import hashlib
 import json
 import random
@@ -11,13 +12,15 @@ import random
 import pytest
 
 from operad_lab.assoc import AssocOperad
+from operad_lab.core import gamma
 from operad_lab.elements import Element
 from operad_lab.endo import EndoOperad
 from operad_lab.scalars import get_field
 from operad_lab.shift import ShiftOperad
 from operad_lab import verify
 from operad_lab.verify import (
-    SUITES, _batch_catalog, _counterexample, _run_trials, make_operads, report_to_json, run_verify,
+    SUITES, _batch_catalog, _counterexample, _run_trials, gamma_shift_cases, make_operads,
+    report_to_json, run_verify,
 )
 from test_core import fresh_point_and_product
 
@@ -315,3 +318,38 @@ def test_forced_failure_row(monkeypatch, case):
     rows = [row for row in report["checks"] if row["check"] == expected["check"]]
     assert rows == [expected]
     assert report["status"] == "fail"
+
+
+def test_gamma_cases_share_composites_that_equal_gamma():
+    # the check's composite, built from a shared suffix composite, against
+    # core.gamma run from scratch: every case of arity <= 2 and every case of
+    # the key (1, 3, 5)
+    shift = ShiftOperad(get_field("q"))
+    checked = 0
+    for inputs, via_gamma, expect in gamma_shift_cases(shift):
+        x = inputs["x"]
+        (key,) = x.terms
+        if x.arity <= 2 or key == (1, 3, 5):
+            blocks = [Element.basis(shift, ast.literal_eval(b)) for b in inputs["blocks"]]
+            assert via_gamma == gamma(x, blocks), inputs
+            assert via_gamma == expect
+            checked += 1
+    assert checked == 5 * 11 + 10 * 11 ** 2 + 11 ** 3
+
+
+def test_gamma_closed_form_row_builds_each_composite_once(monkeypatch):
+    calls = [0]
+
+    def counting(*args, _compose=verify.compose):
+        calls[0] += 1
+        return _compose(*args)
+
+    monkeypatch.setattr(verify, "compose", counting)
+    report = run_verify(seed=0, trials=1, suites=["coincidence"], operads=["shift"])
+    (row,) = [r for r in report["checks"] if r["check"] == "gamma_closed_form"]
+    assert row["status"] == "pass"
+    assert row["details"] == {"cases": 14575}
+    # 11 blocks: 5 keys of arity 1, and 10 each of arity 2 and 3, with
+    # 11 + ... + 11^n composes per key of arity n
+    assert calls[0] == 5 * 11 + 10 * (11 + 11 ** 2) + 10 * (11 + 11 ** 2 + 11 ** 3) == 16005
+
